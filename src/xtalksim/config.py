@@ -2,9 +2,9 @@
 
 A toolkit config is one YAML document with up to six blocks::
 
-    geometry:   line dimensions and material constants (extraction and
-                geometry-driven sweep axes)
-    overrides:  direct R/L/C/M/Cm values pinned over the formula output
+    geometry:   line dimensions and material constants
+    overrides:  R/L/C/M/Cm values that extraction should give at the
+                default geometry
     scenario:   exactly one of a preset name or an explicit line list
     stimulus:   drive waveform (step | ramp | pwl | smooth-edge)
     sim:        dt, t_end, method, n_segments
@@ -14,13 +14,16 @@ Waveforms serialize to CSV with header ``time,<node>,...`` at 9
 significant digits; run summaries to JSON. Both are deterministic for
 a fixed config (the JSON carries a timestamp field, everything else is
 byte-stable).
+
+Every command maps the scenario's element values onto the geometry and
+overrides blocks through ``_map_tables``. A missing geometry,
+overrides, stimulus or sim block means its ``DEFAULT_*``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,7 +36,7 @@ from .engine import (SimConfig, Stimulus, WaveformSet, run_transient,
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
-                         mutual_inductance_bracket, pair_key)
+                         pair_key)
 from .metrics import ScenarioResult, measure_scenario
 from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
                       TerminationSpec, build_ladder, preset_tables)
@@ -41,7 +44,13 @@ from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
 TOOLKIT_VERSION = "0.1.0"
 
 CONFIG_BLOCKS = ("geometry", "overrides", "scenario", "stimulus", "sim", "output")
-SWEEP_AXES = ("tap_count", "shield_width_scale", "separation", "n_segments")
+# sweep axis -> the config key each row sets
+SWEEP_AXES = {
+    "tap_count": "scenario.tap_count",
+    "n_segments": "sim.n_segments",
+    "separation": "geometry.separation_um",
+    "shield_width_scale": "geometry.shield_width_scale",
+}
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_GEOMETRY = {
@@ -63,6 +72,14 @@ DEFAULT_SIM = {
     "dt": 5.0e-11, "t_end": 2.4e-6, "method": "trapezoidal", "n_segments": 12,
 }
 DEFAULT_OUTPUT = {"directory": "out", "formats": ["csv", "json"], "nodes": "ends"}
+_DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
+                   "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
+
+
+def _block(config: ToolkitConfig, name: str) -> dict | None:
+    """A config block, or its default when the block is missing."""
+    block = getattr(config, name)
+    return _DEFAULT_BLOCKS.get(name) if block is None else block
 
 
 def _require_mapping(value, name: str) -> dict:
@@ -202,16 +219,19 @@ def apply_set_overrides(config: ToolkitConfig,
 # geometry / extraction
 
 
-def resolve_geometry(block: dict | None
-                     ) -> tuple[InterconnectGeometry, CouplingCoefficients, float]:
-    """Geometry block -> (geometry, coefficient set, shield-case spacing).
+def resolve_geometry(block: dict
+                     ) -> tuple[InterconnectGeometry, CouplingCoefficients, float,
+                                float]:
+    """Geometry block -> (geometry, coefficient set, shield-case spacing,
+    shield width scale).
 
-    The shield-case spacing is the pair separation used for the
-    with-shield column: the stock table's shielded M/Cm values
-    correspond to twice the adjacent spacing, so that is the default;
-    ``shield_separation_um`` overrides it.
+    The shield-case spacing is the pair separation used for pairs that
+    touch a shield: the stock table's shielded M/Cm values correspond
+    to twice the adjacent spacing, so that is the default;
+    ``shield_separation_um`` overrides it. ``shield_width_scale``
+    multiplies the width of shield lines (default 1).
     """
-    b = dict(DEFAULT_GEOMETRY if block is None else block)
+    b = dict(block)
     name = b.pop("coefficients", "table-compat")
     if name not in BUILTIN_COEFFICIENTS:
         raise ParameterError(
@@ -219,6 +239,9 @@ def resolve_geometry(block: dict | None
             f"available: {', '.join(sorted(BUILTIN_COEFFICIENTS))}")
     coeffs = BUILTIN_COEFFICIENTS[name]
     shield_sep = b.pop("shield_separation_um", None)
+    width_scale = float(b.pop("shield_width_scale", 1.0))
+    if not width_scale > 0:
+        raise ParameterError("geometry block: shield_width_scale must be > 0")
     allowed = {"length_um", "width_um", "thickness_um", "height_um",
                "separation_um", "eps_rel", "sheet_res_ohm_sq", "lam"}
     _check_keys(b, allowed, "geometry")
@@ -229,33 +252,91 @@ def resolve_geometry(block: dict | None
         shield_sep = float(shield_sep)
         if not shield_sep > 0:
             raise ParameterError("geometry block: shield_separation_um must be > 0")
-    return geometry, coeffs, shield_sep
+    return geometry, coeffs, shield_sep, width_scale
+
+
+def _extract(roles: dict[str, str], pairs, geometry_block: dict,
+             overrides: dict | None) -> LineElectricals:
+    """extract_all over named lines (name -> role) and coupled pairs.
+
+    Shield lines get the scaled width; pairs that touch a shield sit at
+    the shield-case spacing, every other pair at ``separation_um``.
+    """
+    geometry, coeffs, shield_sep, width_scale = resolve_geometry(geometry_block)
+    shield = replace(geometry, width_um=geometry.width_um * width_scale)
+    geometries = {name: shield if role == "shield" else geometry
+                  for name, role in roles.items()}
+    separations = {pair: shield_sep if "shield" in (roles[pair[0]], roles[pair[1]])
+                   else geometry.separation_um for pair in pairs}
+    return extract_all(geometries, separations, coeffs, overrides)
+
+
+def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
+    """Map build_ladder tables onto the config's geometry and overrides.
+
+    Every line total and pair value v becomes
+    v * [F(g)/F(g0)] * [E(g0, ov)/E(g0, ov0)], where F is extraction
+    without overrides, E with them, g the config's geometry, g0
+    DEFAULT_GEOMETRY and ov0 DEFAULT_OVERRIDES. Table values are thus
+    read as belonging to the default geometry, and an override states
+    what extraction should give there. At the defaults both ratios are
+    x/x == 1.0, so the presets keep their stock values bit for bit.
+    """
+    geometry, overrides = _block(config, "geometry"), _block(config, "overrides")
+    roles = {ln.name: ln.role for ln in tables["lines"]}
+    if "shield_width_scale" in geometry and "shield" not in roles.values():
+        raise ParameterError("geometry.shield_width_scale needs a shielded "
+                             "preset (a line with role shield)")
+    pairs = tuple(tables["couplings"])
+    f = _extract(roles, pairs, geometry, None)
+    f0 = _extract(roles, pairs, DEFAULT_GEOMETRY, None)
+    e = _extract(roles, pairs, DEFAULT_GEOMETRY, overrides)
+    e0 = _extract(roles, pairs, DEFAULT_GEOMETRY, DEFAULT_OVERRIDES)
+
+    def scaled(label: str, key, value: float) -> float:
+        ratio = getattr(f, label)[key] / getattr(f0, label)[key]
+        pinned = getattr(e, label).get(key, 0.0) / getattr(e0, label)[key]
+        return value * ratio * pinned
+
+    couplings = {pair: {label: scaled(label, pair, value)
+                        for label, value in entry.items()}
+                 for pair, entry in tables["couplings"].items()}
+    for label in ("m_total", "cm_total"):
+        for key, value in getattr(e, label).items():
+            if (value != getattr(e0, label).get(key)
+                    and label not in couplings.get(key, {})):
+                raise ParameterError(f"overrides.{label} sets pair "
+                                     f"{key[0]}:{key[1]}, which the scenario "
+                                     f"does not couple that way")
+    lines = tuple(replace(ln, **{label: scaled(label, ln.name, getattr(ln, label))
+                                 for label in ("r_total", "l_total", "c_total")})
+                  for ln in tables["lines"])
+    return dict(tables, lines=lines, couplings=couplings)
 
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    """Side-by-side parameter bundles for the two comparison layouts."""
+    """Formula values for the comparison layout: aggressor, shield and
+    victim, with the aggressor-victim pair at the adjacent spacing
+    (without-shield column) and the aggressor-shield pair across the
+    shield (with-shield column)."""
 
-    without_shield: LineElectricals
-    with_shield: LineElectricals
+    tables: dict
     coefficients: str
     geometry: InterconnectGeometry
     shield_separation_um: float
 
     def render(self) -> str:
         g = self.geometry
-        wo, wi = self.without_shield, self.with_shield
-        pair_wo = pair_key("aggressor", "victim")
-        pair_wi = pair_key("aggressor", "shield")
+        agg = self.tables["lines"][0]
+        wo = self.tables["couplings"][pair_key("aggressor", "victim")]
+        wi = self.tables["couplings"][pair_key("aggressor", "shield")]
         rows = [
-            ("R_line [ohm]", wo.r_total["aggressor"], wi.r_total["aggressor"]),
-            ("L_line [uH]", wo.l_total["aggressor"], wi.l_total["aggressor"]),
-            ("C_line [pF/m]", wo.c_total["aggressor"] * 1e12,
-             wi.c_total["aggressor"] * 1e12),
-            ("M bracket [uH]", wo.m_total.get(pair_wo, float("nan")),
-             wi.m_total.get(pair_wi, float("nan"))),
-            ("C_m [pF/m]", wo.cm_total.get(pair_wo, float("nan")) * 1e12,
-             wi.cm_total.get(pair_wi, float("nan")) * 1e12),
+            ("R_line [ohm]", agg.r_total, agg.r_total),
+            ("L_line [uH]", agg.l_total, agg.l_total),
+            ("C_line [pF/m]", agg.c_total * 1e12, agg.c_total * 1e12),
+            ("M bracket [uH]", wo["m_total"], wi["m_total"]),
+            ("C_m [pF/m]", wo["cm_total"] * 1e12, wi["cm_total"] * 1e12),
         ]
         lines = [
             "extracted line parameters "
@@ -273,21 +354,28 @@ class ExtractionReport:
 
 
 def extraction_report(config: ToolkitConfig) -> ExtractionReport:
-    """Evaluate the formulas for the two comparison layouts of a config."""
+    """Evaluate the formulas for the comparison layout of a config.
+
+    The layout starts from the formula values at the default geometry
+    and overrides, and goes through the same mapping as a run.
+    """
     if config.geometry is None:
         raise ParameterError("config has no geometry block; extraction "
                              "needs one (line dimensions and constants)")
-    geometry, coeffs, shield_sep = resolve_geometry(config.geometry)
-    overrides = _copy_tree(config.overrides) if config.overrides else None
-    without = extract_all(
-        {"aggressor": geometry, "victim": geometry},
-        {("aggressor", "victim"): geometry.separation_um},
-        coeffs, overrides)
-    with_shield = extract_all(
-        {"aggressor": geometry, "shield": geometry, "victim": geometry},
-        {("aggressor", "shield"): shield_sep, ("shield", "victim"): shield_sep},
-        coeffs, overrides)
-    return ExtractionReport(without, with_shield, coeffs.name, geometry,
+    roles = {"aggressor": "aggressor", "shield": "shield", "victim": "victim"}
+    pairs = (("aggressor", "victim"), ("aggressor", "shield"),
+             ("shield", "victim"))
+    stock = _extract(roles, pairs, DEFAULT_GEOMETRY, DEFAULT_OVERRIDES)
+    tables = {
+        "lines": tuple(LineSpec(name, role, stock.r_total[name],
+                                stock.l_total[name], stock.c_total[name])
+                       for name, role in roles.items()),
+        "couplings": {pair: {"m_total": stock.m_total[pair],
+                             "cm_total": stock.cm_total[pair]}
+                      for pair in pairs},
+    }
+    geometry, coeffs, shield_sep, _ = resolve_geometry(config.geometry)
+    return ExtractionReport(_map_tables(tables, config), coeffs.name, geometry,
                             shield_sep)
 
 
@@ -431,10 +519,8 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
-def resolve_stimulus(block: dict | None) -> Stimulus:
+def resolve_stimulus(block: dict) -> Stimulus:
     """Stimulus block -> engine Stimulus (smooth-edge expands to pwl)."""
-    if block is None:
-        return Stimulus()
     b = dict(block)
     _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",
                     "points", "samples"}, "stimulus")
@@ -519,16 +605,18 @@ class ResolvedScenario:
 
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
     """Validate a config and build the network/stimulus/sim triple."""
-    sim_block = dict(DEFAULT_SIM if config.sim is None else config.sim)
+    sim_block = dict(_block(config, "sim"))
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
     n_segments = _as_int(sim_block.pop("n_segments", 12), "sim.n_segments")
 
     tables, scenario_name = _scenario_tables(config.scenario)
+    tables = _map_tables(tables, config)
     network = build_ladder(n_segments=n_segments, scenario=scenario_name,
                            **tables)
-    stimulus = resolve_stimulus(config.stimulus)
+    stimulus_block = _block(config, "stimulus")
+    stimulus = resolve_stimulus(stimulus_block)
     output = _resolve_output(config.output)
 
     nodes = output["nodes"]
@@ -546,7 +634,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
                     output_nodes=out_nodes)
 
     params = _tables_params(tables, n_segments)
-    params["stimulus"] = _copy_tree(config.stimulus or DEFAULT_STIMULUS)
+    params["stimulus"] = _copy_tree(stimulus_block)
     params["sim"] = {"dt": sim.dt, "t_end": sim.t_end, "method": sim.method,
                      "n_segments": n_segments}
     return ResolvedScenario(network=network, stimulus=stimulus, sim=sim,
@@ -626,115 +714,12 @@ def summary_filename(scenario: str) -> str:
 # sweeps
 
 
-def _coupling_cap_bracket(width_um: float, height_um: float,
-                          thickness_um: float,
-                          coeffs: CouplingCoefficients) -> float:
-    t_h = thickness_um / height_um
-    return (coeffs.a1 * (width_um / height_um)
-            + coeffs.a2 * t_h ** coeffs.e1 + coeffs.a3 * t_h ** coeffs.e2)
-
-
-def _self_l_bracket(length_um: float, width_um: float, thickness_um: float,
-                    lam: float) -> float:
-    return (math.log(2.0 * length_um / (width_um + thickness_um)) + 0.5
-            - math.log(lam))
-
-
-def _c_line_factor(width_um: float, height_um: float,
-                   thickness_um: float) -> float:
-    w_h = width_um / height_um
-    return (w_h + 0.77 + 1.06 * w_h ** 0.25
-            + 1.06 * (thickness_um / height_um) ** 0.5)
-
-
-def _sweep_tables(config: ToolkitConfig, axis: str, value: float,
-                  n_segments: int) -> tuple[dict, int]:
-    """Perturb one preset's tables along a sweep axis.
-
-    Geometry axes scale the stock values by formula ratios, so the
-    baseline value reproduces the unmodified preset exactly.
-    """
-    scen = config.scenario or {}
-    if axis == "n_segments":
-        tables, _ = _scenario_tables(scen)
-        return tables, _as_int(value, "n_segments value")
-
-    preset = scen.get("preset")
-    if preset is None:
-        raise ParameterError(f"sweep axis {axis!r} needs a preset scenario")
-    tie_r = float(scen.get("tie_resistance_ohm", 0.0))
-    tap_count = scen.get("tap_count")
-
-    if axis == "tap_count":
-        tables = preset_tables(preset, tap_count=_as_int(value, "tap count"),
-                               tie_resistance_ohm=tie_r)
-        return tables, n_segments
-
-    tables = preset_tables(preset, tap_count=tap_count,
-                           tie_resistance_ohm=tie_r)
-    geometry, coeffs, shield_sep = resolve_geometry(config.geometry)
-    role = {ln.name: ln.role for ln in tables["lines"]}
-
-    if axis == "separation":
-        d = float(value)
-        if not d > 0:
-            raise ParameterError(f"separation must be > 0, got {value!r}")
-        scale = d / geometry.separation_um
-        base = {"adjacent": geometry.separation_um, "shield": shield_sep}
-        for pair, entry in tables["couplings"].items():
-            cls = ("shield" if "shield" in (role[pair[0]], role[pair[1]])
-                   else "adjacent")
-            d_old, d_new = base[cls], base[cls] * scale
-            if "m_total" in entry:
-                entry["m_total"] *= (
-                    mutual_inductance_bracket(geometry.length_um, d_new)
-                    / mutual_inductance_bracket(geometry.length_um, d_old))
-            if "cm_total" in entry:
-                entry["cm_total"] *= scale ** coeffs.e_spacing
-        return tables, n_segments
-
-    if axis == "shield_width_scale":
-        s = float(value)
-        if not s > 0:
-            raise ParameterError(f"shield_width_scale must be > 0, got {value!r}")
-        if "shield" not in role.values():
-            raise ParameterError("shield_width_scale sweep needs a shielded preset")
-        g = geometry
-        w_scaled = s * g.width_um
-        r_ratio = 1.0 / s
-        l_ratio = (_self_l_bracket(g.length_um, w_scaled, g.thickness_um, g.lam)
-                   / _self_l_bracket(g.length_um, g.width_um, g.thickness_um,
-                                     g.lam))
-        c_ratio = (_c_line_factor(w_scaled, g.height_um, g.thickness_um)
-                   / _c_line_factor(g.width_um, g.height_um, g.thickness_um))
-        mean_w = 0.5 * (w_scaled + g.width_um)
-        cm_ratio = (_coupling_cap_bracket(mean_w, g.height_um, g.thickness_um,
-                                          coeffs)
-                    / _coupling_cap_bracket(g.width_um, g.height_um,
-                                            g.thickness_um, coeffs))
-        lines = tuple(
-            replace(ln, r_total=ln.r_total * r_ratio,
-                    l_total=ln.l_total * l_ratio, c_total=ln.c_total * c_ratio)
-            if ln.role == "shield" else ln
-            for ln in tables["lines"])
-        couplings = {}
-        for pair, entry in tables["couplings"].items():
-            entry = dict(entry)
-            if "shield" in (role[pair[0]], role[pair[1]]) and "cm_total" in entry:
-                entry["cm_total"] *= cm_ratio
-            couplings[pair] = entry
-        tables = dict(tables, lines=lines, couplings=couplings)
-        return tables, n_segments
-
-    raise ParameterError(f"unknown sweep axis {axis!r}; "
-                         f"choose one of {', '.join(SWEEP_AXES)}")
-
-
 def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
     """One simulated row per axis value, in input order.
 
-    A value that cannot build or run produces a row with an ``error``
-    entry instead of aborting the sweep.
+    Each row is ``run_scenario`` on the config with the axis's key
+    (``SWEEP_AXES``) set to the value. A value that cannot build or run
+    produces a row with an ``error`` entry instead of aborting the sweep.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; "
@@ -743,31 +728,21 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
     if len(values) < 2:
         raise ParameterError("a sweep needs at least two axis values")
 
-    sim_block = dict(DEFAULT_SIM if config.sim is None else config.sim)
-    n_default = _as_int(sim_block.pop("n_segments", 12), "sim.n_segments")
-    stimulus = resolve_stimulus(config.stimulus)
-
+    block, key = SWEEP_AXES[axis].split(".")
+    data = config.to_mapping()
     rows = []
     for value in values:
         row = {"value": value, "victim_peak_v": None,
                "aggressor_delay_s": None, "victim_delay_s": None, "error": ""}
         try:
-            tables, n_segments = _sweep_tables(config, axis, value, n_default)
-            network = build_ladder(n_segments=n_segments,
-                                   scenario=f"sweep-{axis}", **tables)
-            roles = _measurement_roles(network)
-            if not roles:
+            data[block] = {**(_block(config, block) or {}), key: value}
+            result = run_scenario(config_from_mapping(data, config.source))[0]
+            if not result.measurements:
                 raise ParameterError("sweep needs one aggressor and one "
                                      "victim line to measure")
-            sim = SimConfig(dt=float(sim_block["dt"]),
-                            t_end=float(sim_block["t_end"]),
-                            method=str(sim_block.get("method", "trapezoidal")),
-                            output_nodes=tuple(roles.values()))
-            waves = run_transient(network, stimulus, sim)
-            measured = measure_scenario(waves, roles)
-            row["victim_peak_v"] = measured.measurements["victim"].peak_v
-            row["aggressor_delay_s"] = measured.measurements["aggressor"].delay
-            row["victim_delay_s"] = measured.measurements["victim"].delay
+            row["victim_peak_v"] = result.measurements["victim"].peak_v
+            row["aggressor_delay_s"] = result.measurements["aggressor"].delay
+            row["victim_delay_s"] = result.measurements["victim"].delay
         except ToolkitError as exc:
             row["error"] = str(exc)
         rows.append(row)

@@ -117,7 +117,6 @@ class SimConfig:
     dt: float
     t_end: float
     method: str = "trapezoidal"
-    dt_init_policy: str = "backward-euler-start"
     output_nodes: str | tuple[str, ...] = "all"
 
     def __post_init__(self) -> None:
@@ -127,9 +126,6 @@ class SimConfig:
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}; "
                                  f"choose one of {', '.join(METHODS)}")
-        if self.dt_init_policy != "backward-euler-start":
-            raise ParameterError(
-                f"unknown dt_init_policy {self.dt_init_policy!r}")
         if self.output_nodes != "all":
             object.__setattr__(self, "output_nodes",
                                tuple(str(x) for x in self.output_nodes))
@@ -334,7 +330,7 @@ def dc_operating_point(network: CoupledNetwork,
 def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
                  sim: SimConfig) -> str:
     blob = "|".join((repr(network), repr(stimulus),
-                     repr((sim.dt, sim.t_end, sim.method, sim.dt_init_policy))))
+                     repr((sim.dt, sim.t_end, sim.method))))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes (see cli.EXIT_*): parameter and
-configuration problems are distinguished from numerical failures so that
-scripted callers can react differently to "your input is wrong" versus
-"the solve went bad".
+The CLI maps these onto exit codes (see ``cli.main``): 1 for
+ParameterError, 2 for AssemblyError and SolverError. Parameter and
+configuration problems are distinguished from numerical failures so
+that scripted callers can react differently to "your input is wrong"
+versus "the solve went bad".
 """
 
 

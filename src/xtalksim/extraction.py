@@ -202,10 +202,6 @@ class LineElectricals:
     m_total: dict[tuple[str, str], float] = field(default_factory=dict)
     cm_total: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    @property
-    def line_names(self) -> tuple[str, ...]:
-        return tuple(self.r_total)
-
     def coupling_k(self, a: str, b: str) -> float:
         """Inductive coupling coefficient k = M/sqrt(L_a*L_b) for a pair."""
         key = pair_key(a, b)

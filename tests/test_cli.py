@@ -7,14 +7,21 @@ import numpy as np
 import pytest
 
 from xtalksim.cli import main
-from xtalksim.config import (apply_set_overrides, config_from_mapping,
-                             load_config, preset_config, read_waveforms_csv,
-                             resolve, run_scenario, run_sweep,
-                             summary_filename, sweep_filename,
-                             waveforms_filename, write_summary_json,
-                             write_sweep_csv, write_waveforms_csv)
+from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
+                             DEFAULT_STIMULUS, SWEEP_AXES,
+                             apply_set_overrides, config_from_mapping,
+                             extraction_report, load_config, preset_config,
+                             read_waveforms_csv, resolve, resolve_stimulus,
+                             run_scenario, run_sweep, summary_filename,
+                             sweep_filename, waveforms_filename,
+                             write_summary_json, write_sweep_csv,
+                             write_waveforms_csv)
 from xtalksim.errors import ParameterError
-from xtalksim.network import PRESET_NAMES, scenario_preset
+from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
+                                 coupling_capacitance)
+from xtalksim.network import (PRESET_NAMES,
+                              STOCK_COUPLING_CAP_ADJACENT_F,
+                              scenario_preset)
 
 approx = pytest.approx
 
@@ -143,6 +150,108 @@ class TestResolve:
         assert resolved.roles["victim"] == "v_12"
         assert resolved.params["couplings"] == [
             {"pair": ["a", "v"], "m_total": 8.21e-6, "cm_total": 69.5e-12}]
+
+
+    def test_missing_stimulus_block_echoes_what_ran(self):
+        resolved = resolve(config_from_mapping({
+            "scenario": {"preset": "shield"},
+            "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        assert resolved.params["stimulus"] == DEFAULT_STIMULUS
+        assert resolved.stimulus == resolve_stimulus(resolved.params["stimulus"])
+
+
+EXPLICIT_PAIR = {
+    "name": "pair",
+    "lines": [
+        {"name": "a", "role": "aggressor", "r_total": 300.0,
+         "l_total": 70e-6, "c_total": 120e-12},
+        {"name": "v", "role": "victim", "r_total": 400.0,
+         "l_total": 80e-6, "c_total": 130e-12},
+    ],
+    "couplings": [{"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 50e-12}],
+}
+
+
+class TestGeometryMapping:
+    """Every command maps geometry and overrides through one rule."""
+
+    @pytest.mark.parametrize("axis, preset, values", [
+        ("tap_count", "shield", [0, 1]),
+        ("n_segments", "no-shield", [6, 12]),
+        ("separation", "no-shield", [1.0, 2.5]),
+        ("shield_width_scale", "shield", [1.0, 2.0]),
+    ])
+    def test_sweep_row_is_run_with_one_key_set(self, axis, preset, values):
+        cfg = short_preset(preset)
+        rows = run_sweep(cfg, axis, values)
+        for row, value in zip(rows, values):
+            assert row["error"] == ""
+            result, _, _ = run_scenario(apply_set_overrides(
+                cfg, [f"{SWEEP_AXES[axis]}={value}"]))
+            assert row["victim_peak_v"] == result.measurements["victim"].peak_v
+            assert row["aggressor_delay_s"] == result.measurements["aggressor"].delay
+            assert row["victim_delay_s"] == result.measurements["victim"].delay
+
+    def test_r_total_override_sets_every_line(self):
+        params = resolve(apply_set_overrides(
+            preset_config("shield"), ["overrides.r_total=50"])).params
+        assert [ln["r_total"] for ln in params["lines"].values()] == [
+            approx(50), approx(50), approx(50)]
+
+    def test_paper_literal_coefficients_change_coupling_cap(self):
+        stock = resolve(preset_config("no-shield")).params["couplings"][0]
+        literal = resolve(apply_set_overrides(
+            preset_config("no-shield"),
+            ["geometry.coefficients=paper-literal"])).params["couplings"][0]
+        ratio = (coupling_capacitance(2.0, 2.0, 2.0, 1.0, 3.9, PAPER_LITERAL)
+                 / coupling_capacitance(2.0, 2.0, 2.0, 1.0, 3.9, TABLE_COMPAT))
+        assert literal["cm_total"] != stock["cm_total"]
+        assert literal["cm_total"] == approx(stock["cm_total"] * ratio)
+        assert literal["m_total"] == stock["m_total"]
+
+    def test_width_scale_without_shield_exits_1(self, tmp_path, capsys):
+        rc = main(["run", "--preset", "no-shield", *_sets(),
+                   "--set", "geometry.shield_width_scale=1.0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "needs a shielded preset" in capsys.readouterr().err
+
+    def test_explicit_lines_read_at_default_geometry(self):
+        blocks = {"geometry": dict(DEFAULT_GEOMETRY),
+                  "overrides": dict(DEFAULT_OVERRIDES),
+                  "sim": {"dt": 1e-9, "t_end": 4e-7}}
+        params = resolve(config_from_mapping(
+            {"scenario": EXPLICIT_PAIR, **blocks})).params
+        assert params["lines"]["a"]["r_total"] == 300.0
+        assert params["lines"]["v"]["c_total"] == 130e-12
+        assert params["couplings"] == [
+            {"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 50e-12}]
+        # twice as wide: half the sheet resistance, same relative change
+        # as the stock values would see
+        blocks["geometry"]["width_um"] = 4.0
+        params = resolve(config_from_mapping(
+            {"scenario": EXPLICIT_PAIR, **blocks})).params
+        assert params["lines"]["a"]["r_total"] == approx(150.0)
+        assert params["lines"]["v"]["r_total"] == approx(200.0)
+
+    def test_pair_override_the_scenario_cannot_honour(self):
+        cfg = apply_set_overrides(preset_config("shield"),
+                                  ["overrides.cm_total={aggressor:victim: 1e-12}"])
+        with pytest.raises(ParameterError, match="does not couple"):
+            resolve(cfg)
+
+    def test_extract_reports_what_run_uses(self):
+        cfg = apply_set_overrides(preset_config("no-shield"),
+                                  ["overrides.r_total=50",
+                                   "geometry.separation_um=2"])
+        report = extraction_report(cfg)
+        run_pair = resolve(cfg).params["couplings"][0]
+        assert report.tables["lines"][0].r_total == approx(50)
+        # both start from default-geometry values and move by one ratio
+        moved = run_pair["cm_total"] / STOCK_COUPLING_CAP_ADJACENT_F
+        assert report.tables["couplings"][("aggressor", "victim")][
+            "cm_total"] == approx(
+                coupling_capacitance(2.0, 2.0, 2.0, 1.0, 3.9) * moved)
 
 
 class TestFileFormats:

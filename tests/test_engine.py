@@ -326,8 +326,6 @@ class TestSimConfigAndWaveformSet:
             SimConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ParameterError, match="unknown method"):
             SimConfig(dt=0.1, t_end=1.0, method="rk4")
-        with pytest.raises(ParameterError, match="dt_init_policy"):
-            SimConfig(dt=0.1, t_end=1.0, dt_init_policy="cold")
 
     def test_waveform_validation(self):
         t = np.arange(4) * 1.0
