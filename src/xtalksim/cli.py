@@ -24,9 +24,9 @@ from pathlib import Path
 
 from .config import (SWEEP_AXES, ToolkitConfig, apply_set_overrides,
                      extraction_report, load_config, preset_config, resolve,
-                     run_scenario, run_sweep, summary_filename,
-                     sweep_filename, waveforms_filename, write_summary_json,
-                     write_sweep_csv, write_waveforms_csv)
+                     resolve_output, run_scenario, run_sweep,
+                     summary_filename, sweep_filename, waveforms_filename,
+                     write_summary_json, write_sweep_csv, write_waveforms_csv)
 from .errors import AssemblyError, ParameterError, SolverError
 from .netlist import export_netlist
 from .network import PRESET_NAMES
@@ -132,9 +132,9 @@ def _parse_values(raw: str) -> list[float]:
 def cmd_sweep(args) -> int:
     config = _base_config(args)
     values = _parse_values(args.values)
+    output = resolve_output(config.output)
     rows = run_sweep(config, args.axis, values)
-    resolved_dir = (config.output or {}).get("directory", "out")
-    out = _out_dir(args, resolved_dir)
+    out = _out_dir(args, output["directory"])
     path = out / sweep_filename(args.axis)
     write_sweep_csv(path, args.axis, rows)
 
@@ -147,6 +147,9 @@ def cmd_sweep(args) -> int:
                   f"aggressor delay {_ns(row['aggressor_delay_s'])}, "
                   f"victim delay {_ns(row['victim_delay_s'])}")
     print(f"wrote {path}")
+    if all(row["error"] for row in rows):
+        raise ParameterError(f"no sweep row succeeded; first error: "
+                             f"{rows[0]['error']}")
     return 0
 
 

@@ -8,7 +8,8 @@ A toolkit config is one YAML document with up to six blocks::
     scenario:   exactly one of a preset name or an explicit line list
     stimulus:   drive waveform (step | ramp | pwl | smooth-edge)
     sim:        dt, t_end, method, n_segments
-    output:     directory, formats, node selection
+    output:     directory, formats, node selection ("ends", "all", or a
+                list of labels, after which the measured nodes follow)
 
 Waveforms serialize to CSV with header ``time,<node>,...`` at 9
 significant digits; run summaries to JSON. Both are deterministic for
@@ -39,7 +40,8 @@ from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          pair_key)
 from .metrics import ScenarioResult, measure_scenario
 from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
-                      TerminationSpec, build_ladder, preset_tables)
+                      TerminationSpec, build_ladder, effective_terminations,
+                      preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -359,9 +361,6 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
     The layout starts from the formula values at the default geometry
     and overrides, and goes through the same mapping as a run.
     """
-    if config.geometry is None:
-        raise ParameterError("config has no geometry block; extraction "
-                             "needs one (line dimensions and constants)")
     roles = {"aggressor": "aggressor", "shield": "shield", "victim": "victim"}
     pairs = (("aggressor", "victim"), ("aggressor", "shield"),
              ("shield", "victim"))
@@ -374,7 +373,8 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
                              "cm_total": stock.cm_total[pair]}
                       for pair in pairs},
     }
-    geometry, coeffs, shield_sep, _ = resolve_geometry(config.geometry)
+    geometry, coeffs, shield_sep, _ = resolve_geometry(
+        _block(config, "geometry"))
     return ExtractionReport(_map_tables(tables, config), coeffs.name, geometry,
                             shield_sep)
 
@@ -439,16 +439,6 @@ def _parse_taps(entry) -> TapSchedule | None:
         tie_resistance_ohm=float(entry.get("tie_resistance_ohm", 0.0)))
 
 
-def _effective_terminations(lines, terminations) -> dict[str, TerminationSpec]:
-    out = {}
-    for ln in lines:
-        if ln.role == "shield":
-            continue
-        out[ln.name] = terminations.get(ln.name) or TerminationSpec(
-            source_ref="stimulus" if ln.role == "aggressor" else "quiet")
-    return out
-
-
 def _tables_params(tables: dict, n_segments: int) -> dict:
     """JSON-able echo of the element values a build actually used."""
     lines = {ln.name: {"role": ln.role, "r_total": ln.r_total,
@@ -457,8 +447,7 @@ def _tables_params(tables: dict, n_segments: int) -> dict:
     couplings = [{"pair": list(pair), **entry}
                  for pair, entry in sorted(tables["couplings"].items())]
     taps = tables.get("taps")
-    terms = _effective_terminations(tables["lines"],
-                                    tables.get("terminations") or {})
+    terms = effective_terminations(tables["lines"], tables.get("terminations"))
     return {
         "n_segments": n_segments,
         "lines": lines,
@@ -535,6 +524,10 @@ def resolve_stimulus(block: dict) -> Stimulus:
             samples=_as_int(b.pop("samples", 64), "stimulus.samples"))
     if "samples" in b:
         raise ParameterError("stimulus: samples is only valid for kind=smooth-edge")
+    if kind in ("step", "pwl") and "rise_time_s" in b:
+        raise ParameterError(f"stimulus: rise_time_s is not used by "
+                             f"kind={kind}; only ramp and smooth-edge have "
+                             f"a rise time")
     points = b.pop("points", None)
     if points is not None:
         try:
@@ -549,7 +542,8 @@ def resolve_stimulus(block: dict) -> Stimulus:
                     points=points)
 
 
-def _resolve_output(block: dict | None) -> dict:
+def resolve_output(block: dict | None) -> dict:
+    """Output block -> directory, formats and node policy, defaults filled."""
     b = _copy_tree(DEFAULT_OUTPUT)
     if block is not None:
         _check_keys(block, {"directory", "formats", "nodes"}, "output")
@@ -617,7 +611,8 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
                            **tables)
     stimulus_block = _block(config, "stimulus")
     stimulus = resolve_stimulus(stimulus_block)
-    output = _resolve_output(config.output)
+    output = resolve_output(config.output)
+    roles = _measurement_roles(network)
 
     nodes = output["nodes"]
     if nodes == "ends":
@@ -625,7 +620,8 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     elif nodes == "all":
         out_nodes = "all"
     elif isinstance(nodes, (list, tuple)):
-        out_nodes = tuple(str(x) for x in nodes)
+        # the measurements read these traces, so they are always kept
+        out_nodes = tuple(dict.fromkeys([*map(str, nodes), *roles.values()]))
     else:
         raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
                              f"list of node labels, got {nodes!r}")
@@ -638,8 +634,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     params["sim"] = {"dt": sim.dt, "t_end": sim.t_end, "method": sim.method,
                      "n_segments": n_segments}
     return ResolvedScenario(network=network, stimulus=stimulus, sim=sim,
-                            params=params, roles=_measurement_roles(network),
-                            output=output)
+                            params=params, roles=roles, output=output)
 
 
 def run_scenario(config: ToolkitConfig

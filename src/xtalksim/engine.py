@@ -12,11 +12,15 @@ Each ladder segment's series resistance rides on its inductor branch
 = 0), which keeps the unknown count at one node plus one branch per
 segment.
 
-Integration is fixed-step implicit: trapezoidal (default) or backward
-Euler, with the first step always backward Euler to damp the spurious
-transient a discontinuous source derivative would otherwise feed into
-the trapezoidal rule. The system matrices are factored once per run and
-reused every step.
+Integration is fixed-step implicit with theta = METHODS[method]: 1/2
+(trapezoidal, the default) or 1 (backward Euler). The first step is
+always backward Euler, to damp the spurious transient a discontinuous
+source derivative would otherwise feed into the trapezoidal rule.
+Driven sources all follow the one stimulus s(t) and quiet ones hold
+0 V, so B u(t) = b s(t) and each step is the recurrence
+x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
+P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
+q = (C/dt + theta G)^-1 b are built once per run.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import AssemblyError, ParameterError, SolverError
-from .network import GROUND, CoupledNetwork
+from .network import GROUND, CoupledNetwork, validate_network
 
-METHODS = ("trapezoidal", "backward-euler")
+METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,6 @@ class Stimulus:
         tk = np.array([p[0] for p in self.points])
         vk = np.array([p[1] for p in self.points])
         return self.amplitude_v * np.interp(t, tk, vk)
-
-    def value(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
 
 
 def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
@@ -288,13 +289,16 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
     )
 
 
-def _name_floating(network: CoupledNetwork) -> str:
-    from .network import validate_network
-
-    for finding in validate_network(network):
-        if finding.code == "floating-node":
-            return " (" + finding.message + ")"
-    return ""
+def _dc_solve(network: CoupledNetwork, sys: MnaSystem,
+              rhs: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs; a singular G names the floating nodes."""
+    try:
+        return np.linalg.solve(sys.G, rhs)
+    except np.linalg.LinAlgError:
+        where = "".join(f" ({f.message})" for f in validate_network(network)
+                        if f.code == "floating-node")
+        raise SolverError("singular DC system; a subnetwork floats with no "
+                          "resistive path to ground" + where)
 
 
 def dc_operating_point(network: CoupledNetwork,
@@ -313,11 +317,7 @@ def dc_operating_point(network: CoupledNetwork,
             if name not in sys.source_names:
                 raise ParameterError(f"unknown source {name!r}")
             u[sys.source_names.index(name)] = float(val)
-    try:
-        x = np.linalg.solve(sys.G, sys.B @ u)
-    except np.linalg.LinAlgError:
-        raise SolverError("singular DC system; a subnetwork floats with no "
-                          "resistive path to ground" + _name_floating(network))
+    x = _dc_solve(network, sys, sys.B @ u)
     out = {lbl: float(x[i]) for i, lbl in
            enumerate(sys.unknown_labels[:sys.n_node_unknowns])}
     for lbl, val in zip(sys.source_labels, u):
@@ -334,6 +334,18 @@ def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
+                   theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """P and q of the theta-method step (see the module docstring)."""
+    Cdt = sys.C / dt
+    try:
+        lu = sla.lu_factor(Cdt + theta * sys.G)
+    except (ValueError, sla.LinAlgError) as exc:
+        raise SolverError(f"LU factorization failed: {exc}")
+    return (sla.lu_solve(lu, Cdt - (1.0 - theta) * sys.G),
+            sla.lu_solve(lu, b))
+
+
 def run_transient(network: CoupledNetwork, stimulus: Stimulus,
                   sim: SimConfig) -> WaveformSet:
     """Integrate the network response to the stimulus.
@@ -341,70 +353,57 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     The initial condition is the DC solution with every source at its
     t = 0 value (0 for the step/ramp/pwl-from-zero presets). The first
     step is always backward Euler; subsequent steps use the configured
-    method. Deterministic for fixed inputs.
+    method. Deterministic for fixed inputs. Only the unknowns behind the
+    requested traces are stored, and the branch currents only with
+    ``output_nodes="all"``.
     """
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
     if steps < 1:
         raise ParameterError("t_end shorter than one timestep")
-    times = np.arange(steps + 1) * sim.dt
 
-    drive = stimulus.values(times)
-    u_all = np.zeros((len(sys.source_names), steps + 1))
-    for j, driven in enumerate(sys.source_driven):
-        if driven:
-            u_all[j] = drive
-    bu = sys.B @ u_all                                    # (n, steps+1)
-
-    try:
-        x = np.linalg.solve(sys.G, bu[:, 0])
-    except np.linalg.LinAlgError:
-        raise SolverError("singular DC system at t=0; a subnetwork floats "
-                          "with no resistive path to ground"
-                          + _name_floating(network))
-
-    dt = sim.dt
-    Cdt = sys.C / dt
-    try:
-        lu_be = sla.lu_factor(Cdt + sys.G)
-        if sim.method == "trapezoidal":
-            lu_tr = sla.lu_factor(Cdt + sys.G / 2.0)
-            A_tr = Cdt - sys.G / 2.0
-    except (ValueError, sla.LinAlgError) as exc:
-        raise SolverError(f"LU factorization failed: {exc}")
-
-    out = np.empty((steps + 1, len(x)))
-    out[0] = x
-    for k in range(steps):
-        if k == 0 or sim.method == "backward-euler":
-            x = sla.lu_solve(lu_be, Cdt @ x + bu[:, k + 1])
-        else:
-            x = sla.lu_solve(lu_tr, A_tr @ x + (bu[:, k + 1] + bu[:, k]) / 2.0)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"divergence: non-finite sample at "
-                              f"t={times[k + 1]:.6g} s")
-        out[k + 1] = x
-
-    node_traces: dict[str, np.ndarray] = {}
-    for i, lbl in enumerate(sys.unknown_labels[:sys.n_node_unknowns]):
-        node_traces[lbl] = out[:, i]
-    for j, lbl in enumerate(sys.source_labels):
-        node_traces[lbl] = u_all[j].copy()
-    zeros = np.zeros(steps + 1)
-    for lbl in sys.grounded_labels:
-        node_traces[lbl] = zeros.copy()
+    nv = sys.n_node_unknowns
+    unknown_of = {lbl: i for i, lbl in enumerate(sys.unknown_labels[:nv])}
+    # every non-ground node is an unknown, a source node or tied to ground
+    labels = [nd.label for nd in network.nodes if nd.nid != GROUND]
+    branches = range(nv, len(sys.unknown_labels))
     if sim.output_nodes != "all":
-        missing = [lbl for lbl in sim.output_nodes if lbl not in node_traces]
+        missing = [lbl for lbl in sim.output_nodes if lbl not in labels]
         if missing:
             raise ParameterError(f"output_nodes not in network: {missing}")
-        node_traces = {lbl: node_traces[lbl] for lbl in sim.output_nodes}
-    else:
-        # deterministic column order: network node order
-        order = [nd.label for nd in network.nodes if nd.label in node_traces]
-        node_traces = {lbl: node_traces[lbl] for lbl in order}
+        labels, branches = list(dict.fromkeys(sim.output_nodes)), ()
+    keep = np.array([unknown_of[lbl] for lbl in labels if lbl in unknown_of]
+                    + list(branches), dtype=int)
 
-    branch_currents = {lbl: out[:, sys.n_node_unknowns + j]
-                       for j, lbl in enumerate(sys.branch_labels)}
+    times = np.arange(steps + 1) * sim.dt
+    drive = stimulus.values(times)
+    b = sys.B @ np.array(sys.source_driven, dtype=float)
+    x = _dc_solve(network, sys, b * drive[0])
+
+    theta = METHODS[sim.method]
+    first = _step_matrices(sys, b, sim.dt, 1.0)
+    rest = first if theta == 1.0 else _step_matrices(sys, b, sim.dt, theta)
+    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
+    w[0] = drive[1]
+
+    out = np.empty((steps + 1, len(keep)))
+    out[0] = x[keep]
+    for k in range(steps):
+        P, q = first if k == 0 else rest
+        x = P @ x + q * w[k]
+        if not np.isfinite(x).all():
+            raise SolverError(f"divergence: non-finite sample at "
+                              f"t={times[k + 1]:.6g} s")
+        out[k + 1] = x[keep]
+
+    # out's columns: the kept node unknowns in label order, then branches
+    columns = iter(out.T)
+    driven = dict(zip(sys.source_labels, sys.source_driven))
+    zeros = np.zeros(steps + 1)
+    node_traces = {lbl: next(columns) if lbl in unknown_of
+                   else (drive if driven.get(lbl) else zeros).copy()
+                   for lbl in labels}
+    branch_currents = dict(zip(sys.branch_labels, columns))
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}
     return WaveformSet(times=times, node_traces=node_traces,

@@ -250,6 +250,18 @@ class CoupledNetwork:
         return L
 
 
+def effective_terminations(lines: tuple[LineSpec, ...],
+                           terminations: dict | None = None
+                           ) -> dict[str, TerminationSpec]:
+    """The termination of every non-shield line: its entry in
+    ``terminations``, else the stock driver and load, driven by the
+    stimulus for an aggressor and quiet for any other line."""
+    terminations = terminations or {}
+    return {ln.name: terminations.get(ln.name) or TerminationSpec(
+                source_ref="stimulus" if ln.role == "aggressor" else "quiet")
+            for ln in lines if ln.role != "shield"}
+
+
 def _tap_segment(fraction: float, n_segments: int) -> int:
     """Map a tap fraction onto a segment boundary, exactly or not at all."""
     pos = fraction * n_segments
@@ -276,9 +288,8 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
     ``couplings`` maps unordered line-name pairs to dicts with optional
     ``m_total`` and ``cm_total`` entries (absent or zero means no
     coupling of that kind for the pair). ``terminations`` supplies a
-    TerminationSpec per non-shield line; missing entries default to the
-    stock driver/load with the source picked by role (aggressors driven,
-    victims quiet). ``taps`` applies to shield lines.
+    TerminationSpec per non-shield line; missing entries default as in
+    ``effective_terminations``. ``taps`` applies to shield lines.
     """
     lines = tuple(lines)
     if not lines:
@@ -302,10 +313,10 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
             raise ParameterError(f"coupling {k}: unknown keys {sorted(unknown)}")
         norm[k] = {kk: float(vv) for kk, vv in entry.items()}
 
-    terminations = dict(terminations or {})
-    for tname in terminations:
+    for tname in terminations or {}:
         if tname not in names:
             raise ParameterError(f"termination names unknown line {tname!r}")
+    terminations = effective_terminations(lines, terminations)
 
     shield_lines = [ln for ln in lines if ln.role == "shield"]
     if taps is not None and taps.fractions and not shield_lines:
@@ -332,10 +343,7 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
         seg_nodes = []
         if ln.role != "shield":
             src = add_node(f"{ln.name}_src", ln.name)
-            term = terminations.get(ln.name)
-            if term is None:
-                term = TerminationSpec(
-                    source_ref="stimulus" if ln.role == "aggressor" else "quiet")
+            term = terminations[ln.name]
             sources.append(VoltageSource(f"V{ln.name}", src,
                                          driven=term.source_ref == "stimulus"))
         for k in range(n_segments + 1):

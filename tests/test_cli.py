@@ -97,7 +97,9 @@ class TestResolve:
         assert resolve(cfg).sim.output_nodes == "all"
         cfg = apply_set_overrides(preset_config("no-shield"),
                                   ['output.nodes=[victim_12]'])
-        assert resolve(cfg).sim.output_nodes == ("victim_12",)
+        # the measured nodes follow the user's list
+        assert resolve(cfg).sim.output_nodes == (
+            "victim_12", "aggressor_src", "aggressor_12")
         with pytest.raises(ParameterError, match="output.nodes"):
             resolve(apply_set_overrides(preset_config("no-shield"),
                                         ["output.nodes=some"]))
@@ -132,6 +134,14 @@ class TestResolve:
             resolve(config_from_mapping({"scenario": {"preset": "shield"},
                                          "stimulus": {"kind": "smooth-edge",
                                                       "points": [[0, 0]]}}))
+
+    def test_rise_time_only_for_kinds_with_a_rise(self):
+        for kind, extra in (("step", {}),
+                            ("pwl", {"points": [[0, 0], [1e-9, 1]]})):
+            with pytest.raises(ParameterError, match="rise_time_s is not used"):
+                resolve_stimulus({"kind": kind, "rise_time_s": 5.0, **extra})
+        assert resolve_stimulus({"kind": "ramp", "rise_time_s": 5.0}
+                                ).rise_time_s == 5.0
 
     def test_explicit_lines_scenario(self):
         cfg = config_from_mapping({"scenario": {
@@ -233,6 +243,14 @@ class TestGeometryMapping:
             {"scenario": EXPLICIT_PAIR, **blocks})).params
         assert params["lines"]["a"]["r_total"] == approx(150.0)
         assert params["lines"]["v"]["r_total"] == approx(200.0)
+
+    def test_pair_override_is_in_formula_units(self):
+        # overrides.m_total is read in uH, the unit of the formula values
+        cfg = apply_set_overrides(preset_config("shield"),
+                                  ["overrides.m_total={aggressor:victim: 7.51}"])
+        pair = [c for c in resolve(cfg).params["couplings"]
+                if c["pair"] == ["aggressor", "victim"]][0]
+        assert pair["m_total"] == approx(7.51e-6, rel=1e-3)
 
     def test_pair_override_the_scenario_cannot_honour(self):
         cfg = apply_set_overrides(preset_config("shield"),
@@ -465,11 +483,13 @@ class TestCliOutputs:
         assert "8.21054" in report                # adjacent mutual bracket
         assert "7.51759" in report                # across-shield bracket
 
-    def test_extract_needs_geometry(self, tmp_path, capsys):
+    def test_extract_without_geometry_uses_default(self, tmp_path, capsys):
         cfg = tmp_path / "nogeom.yaml"
         cfg.write_text("scenario: {preset: shield}\n")
-        assert main(["extract", "--config", str(cfg)]) == 1
-        assert "geometry" in capsys.readouterr().err
+        assert main(["extract", "--config", str(cfg)]) == 0
+        default = capsys.readouterr().out
+        assert main(["extract", "--preset", "shield"]) == 0
+        assert default == capsys.readouterr().out
 
     def test_export_netlist(self, tmp_path, capsys):
         rc = main(["export-netlist", "--preset", "shield-3taps",
@@ -478,6 +498,32 @@ class TestCliOutputs:
         deck = (tmp_path / "shield-3taps.cir").read_text()
         assert deck.startswith("* coupled-interconnect ladder: shield-3taps")
         assert deck.rstrip().endswith(".end")
+
+    def test_run_keeps_measured_nodes(self, tmp_path):
+        rc = main(["run", "--preset", "shield", *_sets(),
+                   "--set", "output.nodes=[victim_12]", "--out", str(tmp_path)])
+        assert rc == 0
+        header = (tmp_path / "shield_waveforms.csv").read_text().split("\n")[0]
+        assert header == "time,victim_12,aggressor_src,aggressor_12"
+
+    def test_sweep_exits_1_when_no_row_succeeds(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "shield", *_sets(),
+                   "--set", "sim.method=foo", "--axis", "tap_count",
+                   "--values", "0,1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "first error: unknown method 'foo'" in capsys.readouterr().err
+        table = (tmp_path / "sweep_tap_count.csv").read_text().splitlines()
+        assert len(table) == 3
+
+    def test_sweep_checks_output_block_before_rows(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "shield", *_sets(),
+                   "--set", "output.bogus=1", "--axis", "tap_count",
+                   "--values", "0,1", "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "output block: unknown key(s) bogus" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "sweep_tap_count.csv").exists()
 
     def test_sweep_writes_table_and_reports_row_errors(self, tmp_path,
                                                        capsys):

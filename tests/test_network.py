@@ -11,8 +11,8 @@ from xtalksim.network import (Capacitor, Inductor, LineSpec,
                               STOCK_MUTUAL_ADJACENT_H,
                               STOCK_MUTUAL_SHIELDED_H, TapSchedule,
                               TerminationSpec, VoltageSource, build_ladder,
-                              preset_tables, scenario_preset, uniform_taps,
-                              validate_network)
+                              effective_terminations, preset_tables,
+                              scenario_preset, uniform_taps, validate_network)
 
 approx = pytest.approx
 
@@ -322,3 +322,13 @@ class TestTerminations:
         net = scenario_preset("no-shield")
         driven = {s.name: s.driven for s in net.sources}
         assert driven == {"Vaggressor": True, "Vvictim": False}
+
+    def test_default_rule_covers_every_signal_line(self):
+        lines = preset_tables("shield")["lines"]
+        custom = TerminationSpec(driver_resistance_ohm=50.0)
+        terms = effective_terminations(lines, {"victim": custom})
+        assert terms == {"aggressor": TerminationSpec(source_ref="stimulus"),
+                         "victim": custom}
+        terms = effective_terminations(lines)
+        assert terms["victim"] == TerminationSpec(source_ref="quiet")
+        assert "shield" not in terms
