@@ -21,19 +21,33 @@ Driven sources all follow the one stimulus s(t) and quiet ones hold
 x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
 q = (C/dt + theta G)^-1 b are built once per run.
+
+``sla`` stands in for ``scipy.linalg`` and imports it on the first
+attribute lookup, so commands that never solve (``extract``,
+``export-netlist``, ``--help``) start without it. Every LAPACK call goes
+through this one name, which perfbench swaps for a counting proxy.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import AssemblyError, ParameterError, SolverError
 from .network import GROUND, CoupledNetwork, validate_network
+
+
+class _FirstUseLinalg:
+    """``scipy.linalg``, imported on the first attribute lookup."""
+
+    def __getattr__(self, name: str):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
+
+
+sla = _FirstUseLinalg()
 
 METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 
@@ -329,6 +343,7 @@ def dc_operating_point(network: CoupledNetwork,
 
 def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
                  sim: SimConfig) -> str:
+    import hashlib
     blob = "|".join((repr(network), repr(stimulus),
                      repr((sim.dt, sim.t_end, sim.method))))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

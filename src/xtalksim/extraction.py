@@ -248,6 +248,18 @@ def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict[tuple
     return out
 
 
+def _override_value(label: str, where: str, value) -> float:
+    """An override as a float; a positive inductance below 1e-3 uH is
+    refused, since it is almost surely henries written into a uH field."""
+    value = float(value)
+    if label in ("l_total", "m_total") and 0.0 < value < 1e-3:
+        raise ParameterError(
+            f"overrides.{label} {where} = {value:g} is read in uH, the unit "
+            f"of the formula values, not H; for {value:g} H write "
+            f"{value * 1e6:.6g}")
+    return value
+
+
 def extract_all(geometries: dict[str, InterconnectGeometry],
                 pair_separations: dict[tuple[str, str], float] | None = None,
                 coeffs: CouplingCoefficients = TABLE_COMPAT,
@@ -263,10 +275,12 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
     ``overrides`` pins values directly, bypassing the formulas:
     keys ``r_total``/``l_total``/``c_total`` map either a scalar
     (applied to every line) or a per-line dict; ``m_total``/``cm_total``
-    map pair keys (tuples or "a:b" strings) to values. An override of 0
-    for a pair entry removes that coupling. The stock R of 500 ohms is
-    applied this way, since the sheet-resistance arithmetic gives a
-    different value at the default width.
+    map pair keys (tuples or "a:b" strings) to values, in the formula
+    units (``l_total``/``m_total`` in uH, so a positive value below 1e-3
+    is refused as henries). An override of 0 for a pair entry removes
+    that coupling. The stock R of 500 ohms is applied this way, since
+    the sheet-resistance arithmetic gives a different value at the
+    default width.
     """
     lines = tuple(geometries)
     if not lines:
@@ -314,13 +328,15 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
                 for line, value in ov.items():
                     if line not in table:
                         raise ParameterError(f"override {label} names unknown line {line!r}")
-                    table[line] = float(value)
+                    table[line] = _override_value(label, f"for {line}", value)
             else:
+                value = _override_value(label, "for every line", ov)
                 for line in table:
-                    table[line] = float(ov)
+                    table[line] = value
     for label, table in (("m_total", m), ("cm_total", cm)):
         if label in overrides:
             for key, value in _normalize_override_pairs(overrides[label], lines).items():
+                value = _override_value(label, f"for {key[0]}:{key[1]}", value)
                 if value == 0.0:
                     table.pop(key, None)
                 else:

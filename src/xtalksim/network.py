@@ -255,8 +255,16 @@ def effective_terminations(lines: tuple[LineSpec, ...],
                            ) -> dict[str, TerminationSpec]:
     """The termination of every non-shield line: its entry in
     ``terminations``, else the stock driver and load, driven by the
-    stimulus for an aggressor and quiet for any other line."""
+    stimulus for an aggressor and quiet for any other line. An entry
+    for an unknown line or a shield raises ParameterError."""
     terminations = terminations or {}
+    roles = {ln.name: ln.role for ln in lines}
+    for name in terminations:
+        if name not in roles:
+            raise ParameterError(f"termination names unknown line {name!r}")
+        if roles[name] == "shield":
+            raise ParameterError(f"line {name!r} is a shield; its ends are "
+                                 f"ground ties, not terminations")
     return {ln.name: terminations.get(ln.name) or TerminationSpec(
                 source_ref="stimulus" if ln.role == "aggressor" else "quiet")
             for ln in lines if ln.role != "shield"}
@@ -313,9 +321,6 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
             raise ParameterError(f"coupling {k}: unknown keys {sorted(unknown)}")
         norm[k] = {kk: float(vv) for kk, vv in entry.items()}
 
-    for tname in terminations or {}:
-        if tname not in names:
-            raise ParameterError(f"termination names unknown line {tname!r}")
     terminations = effective_terminations(lines, terminations)
 
     shield_lines = [ln for ln in lines if ln.role == "shield"]

@@ -161,6 +161,14 @@ class TestResolve:
         assert resolved.params["couplings"] == [
             {"pair": ["a", "v"], "m_total": 8.21e-6, "cm_total": 69.5e-12}]
 
+    def test_shield_termination_is_refused(self):
+        shield = {"name": "s", "role": "shield", "r_total": 500.0,
+                  "l_total": 83.24e-6, "c_total": 134.41e-12}
+        scenario = dict(EXPLICIT_PAIR, lines=[*EXPLICIT_PAIR["lines"], shield],
+                        terminations={"s": {"driver_resistance_ohm": 1.0}})
+        with pytest.raises(ParameterError, match="'s' is a shield"):
+            resolve(config_from_mapping({
+                "scenario": scenario, "sim": {"dt": 1e-9, "t_end": 4e-7}}))
 
     def test_missing_stimulus_block_echoes_what_ran(self):
         resolved = resolve(config_from_mapping({
@@ -251,6 +259,16 @@ class TestGeometryMapping:
         pair = [c for c in resolve(cfg).params["couplings"]
                 if c["pair"] == ["aggressor", "victim"]][0]
         assert pair["m_total"] == approx(7.51e-6, rel=1e-3)
+
+    def test_override_in_henries_is_refused(self):
+        cfg = apply_set_overrides(preset_config("shield"),
+                                  ["overrides.m_total={aggressor:victim: 7.51e-6}"])
+        with pytest.raises(ParameterError, match=r"uH.*7\.51\b"):
+            resolve(cfg)
+        cfg = apply_set_overrides(preset_config("shield"),
+                                  ["overrides.l_total=8.3e-5"])
+        with pytest.raises(ParameterError, match=r"l_total.*uH.*83"):
+            resolve(cfg)
 
     def test_pair_override_the_scenario_cannot_honour(self):
         cfg = apply_set_overrides(preset_config("shield"),

@@ -332,3 +332,10 @@ class TestTerminations:
         terms = effective_terminations(lines)
         assert terms["victim"] == TerminationSpec(source_ref="quiet")
         assert "shield" not in terms
+
+    def test_shield_termination_is_refused(self):
+        tables = preset_tables("shield")
+        with pytest.raises(ParameterError,
+                           match="'shield' is a shield; its ends are ground ties"):
+            build_ladder(tables["lines"], tables["couplings"], terminations={
+                "shield": TerminationSpec(driver_resistance_ohm=1.0)})
