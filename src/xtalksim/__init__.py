@@ -7,9 +7,9 @@ with a CLI for scenario presets, sweeps, and SPICE netlist export.
 """
 
 from .config import (ResolvedScenario, ToolkitConfig, apply_set_overrides,
-                     extraction_report, load_config, preset_config,
-                     read_waveforms_csv, resolve, run_scenario, run_sweep,
-                     write_summary_json, write_sweep_csv, write_waveforms_csv)
+                     extraction_report, load_config, preset_config, resolve,
+                     run_scenario, run_sweep, write_summary_json,
+                     write_sweep_csv, write_waveforms_csv)
 from .config import TOOLKIT_VERSION as __version__
 from .engine import (SimConfig, Stimulus, WaveformSet, assemble,
                      dc_operating_point, run_transient, smooth_edge)
@@ -18,14 +18,12 @@ from .extraction import (BUILTIN_COEFFICIENTS, PAPER_LITERAL, TABLE_COMPAT,
                          CouplingCoefficients, InterconnectGeometry,
                          LineElectricals, coupling_capacitance, extract_all,
                          line_capacitance, line_resistance,
-                         mutual_inductance, mutual_inductance_bracket,
-                         self_inductance)
+                         mutual_inductance_bracket, self_inductance)
 from .metrics import (ScenarioResult, TraceMeasurement, measure_scenario,
                       peak_noise, propagation_delay, rise_time)
 from .netlist import export_netlist
 from .network import (CoupledNetwork, LineSpec, TapSchedule, TerminationSpec,
-                      build_ladder, scenario_preset, uniform_taps,
-                      validate_network)
+                      build_ladder, preset_tables, validate_network)
 
 __all__ = [
     "AssemblyError", "BUILTIN_COEFFICIENTS", "CoupledNetwork",
@@ -37,10 +35,9 @@ __all__ = [
     "build_ladder", "coupling_capacitance", "dc_operating_point",
     "export_netlist", "extract_all", "extraction_report", "line_capacitance",
     "line_resistance", "load_config", "measure_scenario",
-    "mutual_inductance", "mutual_inductance_bracket", "peak_noise",
-    "preset_config", "propagation_delay", "read_waveforms_csv", "resolve",
-    "rise_time", "run_scenario", "run_sweep", "run_transient",
-    "scenario_preset", "self_inductance", "smooth_edge", "uniform_taps",
-    "validate_network", "write_summary_json", "write_sweep_csv",
-    "write_waveforms_csv", "__version__",
+    "mutual_inductance_bracket", "peak_noise", "preset_config",
+    "preset_tables", "propagation_delay", "resolve", "rise_time",
+    "run_scenario", "run_sweep", "run_transient", "self_inductance",
+    "smooth_edge", "validate_network", "write_summary_json",
+    "write_sweep_csv", "write_waveforms_csv", "__version__",
 ]

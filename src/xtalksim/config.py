@@ -30,7 +30,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .engine import (SimConfig, Stimulus, WaveformSet, run_transient,
                      smooth_edge)
@@ -146,6 +145,8 @@ def load_config(path) -> ToolkitConfig:
     Parse errors carry the line/column from the YAML parser; structural
     errors name the offending block.
     """
+    import yaml
+
     text = Path(path).read_text()
     try:
         data = yaml.safe_load(text)
@@ -179,8 +180,11 @@ def apply_set_overrides(config: ToolkitConfig,
     """Apply ``--set block.key[.subkey]=value`` pairs onto a config.
 
     Values parse as YAML scalars/collections, so ``--set sim.dt=1e-10``
-    and ``--set output.formats=[csv]`` both work.
+    and ``--set output.formats=[csv]`` both work. A key set on a block
+    the config lacks starts that block from its default.
     """
+    import yaml
+
     data = config.to_mapping()
     for item in assignments:
         key, sep, raw = item.partition("=")
@@ -206,15 +210,22 @@ def apply_set_overrides(config: ToolkitConfig,
                     value = float(value)
                 except ValueError:
                     pass
-        cursor = data.setdefault(path[0], {})
-        for part in path[1:-1]:
-            nxt = cursor.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                cursor[part] = nxt
-            cursor = nxt
-        cursor[path[-1]] = value
+        _set_key(data, path, value)
     return config_from_mapping(data, source=config.source or "--set")
+
+
+def _set_key(data: dict, path: list[str], value) -> None:
+    """Set ``block.key[.subkey]`` on a config mapping. A missing block
+    starts from its default, so one key set on it keeps the others."""
+    cursor = data.setdefault(path[0],
+                             _copy_tree(_DEFAULT_BLOCKS.get(path[0], {})))
+    for part in path[1:-1]:
+        nxt = cursor.get(part)
+        if not isinstance(nxt, dict):
+            nxt = {}
+            cursor[part] = nxt
+        cursor = nxt
+    cursor[path[-1]] = value
 
 
 # ---------------------------------------------------------------------------
@@ -668,24 +679,6 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
                comments="", newline="\n")
 
 
-def read_waveforms_csv(path) -> WaveformSet:
-    """Parse a waveform CSV back into a WaveformSet."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-    columns = header.split(",")
-    if not columns or columns[0] != "time" or len(columns) < 2:
-        raise ParameterError(f"{path}: expected header 'time,<node>,...', "
-                             f"got {header!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(columns):
-        raise ParameterError(f"{path}: {data.shape[1]} data columns under "
-                             f"{len(columns)} header fields")
-    return WaveformSet(
-        times=data[:, 0],
-        node_traces={lbl: data[:, i + 1] for i, lbl in enumerate(columns[1:])},
-        metadata={"source": str(path)})
-
-
 def write_summary_json(path, result: ScenarioResult,
                        timestamp: str | None = None) -> None:
     """Summary JSON; deterministic except for the timestamp field."""
@@ -723,14 +716,13 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
     if len(values) < 2:
         raise ParameterError("a sweep needs at least two axis values")
 
-    block, key = SWEEP_AXES[axis].split(".")
     data = config.to_mapping()
     rows = []
     for value in values:
         row = {"value": value, "victim_peak_v": None,
                "aggressor_delay_s": None, "victim_delay_s": None, "error": ""}
         try:
-            data[block] = {**(_block(config, block) or {}), key: value}
+            _set_key(data, SWEEP_AXES[axis].split("."), value)
             result = run_scenario(config_from_mapping(data, config.source))[0]
             if not result.measurements:
                 raise ParameterError("sweep needs one aggressor and one "

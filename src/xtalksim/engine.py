@@ -75,8 +75,12 @@ class Stimulus:
             raise ParameterError(f"unknown stimulus kind {self.kind!r}")
         if not math.isfinite(self.amplitude_v):
             raise ParameterError("stimulus amplitude must be finite")
-        if self.rise_time_s < 0:
-            raise ParameterError("rise_time_s must be >= 0")
+        if not (math.isfinite(self.rise_time_s) and self.rise_time_s >= 0):
+            raise ParameterError(f"stimulus rise_time_s must be finite and "
+                                 f">= 0, got {self.rise_time_s!r}")
+        if not math.isfinite(self.delay_s):
+            raise ParameterError(f"stimulus delay_s must be finite, "
+                                 f"got {self.delay_s!r}")
         if self.kind == "pwl":
             if not self.points or len(self.points) < 2:
                 raise ParameterError("pwl stimulus needs at least two points")
@@ -169,18 +173,6 @@ class WaveformSet:
             return self.node_traces[label]
         except KeyError:
             raise ParameterError(f"no node trace labeled {label!r}") from None
-
-    def allclose(self, other: "WaveformSet", rtol: float = 1e-8,
-                 atol: float = 1e-12) -> bool:
-        """Node-trace equality up to tolerance (what the CSV round-trips)."""
-        if self.times.shape != other.times.shape:
-            return False
-        if not np.allclose(self.times, other.times, rtol=rtol, atol=atol):
-            return False
-        if set(self.node_traces) != set(other.node_traces):
-            return False
-        return all(np.allclose(tr, other.node_traces[k], rtol=rtol, atol=atol)
-                   for k, tr in self.node_traces.items())
 
 
 @dataclass(frozen=True)

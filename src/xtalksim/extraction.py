@@ -7,14 +7,15 @@ bundles the results per line / per pair for network construction.
 
 Unit conventions
 ----------------
-Geometry is given in micrometers. The inductance expressions are
-evaluated exactly as printed in their closed form, with the wire length
-in micrometers and the leading 0.002 factor retained; the results are
-carried as "formula units" (the values the stock parameter set labels
-uH). Capacitances come out in farads per meter. The toolkit treats the
-stock parameter table values as the element values actually simulated,
-so no further unit conversion is applied downstream. A strict-SI
-re-derivation is deliberately out of scope.
+Geometry is given in micrometers. The self-inductance expression is
+evaluated exactly as printed in its closed form, with the wire length
+in micrometers and the leading 0.002 factor retained; the mutual
+inductance is its bracket alone, which is what the stock parameter set
+lists. Both are carried as "formula units" (the values the stock
+parameter set labels uH). Capacitances come out in farads per meter.
+The toolkit treats the stock parameter table values as the element
+values actually simulated, so no further unit conversion is applied
+downstream. A strict-SI re-derivation is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ def mutual_inductance_bracket(length_um: float, separation_um: float) -> float:
     ratio = length_um / separation_um
     inv = separation_um / length_um
     return math.log(ratio + math.sqrt(ratio * ratio)) - math.sqrt(1.0 + inv * inv) + inv
-
-
-def mutual_inductance(length_um: float, separation_um: float) -> float:
-    """Full mutual inductance 0.002*l*B in formula units."""
-    return 0.002 * length_um * mutual_inductance_bracket(length_um, separation_um)
 
 
 def line_capacitance(width_um: float, height_um: float, thickness_um: float,

@@ -76,10 +76,11 @@ class TerminationSpec:
     load_capacitance_f: float = STOCK_LOAD_CAPACITANCE_F
 
     def __post_init__(self) -> None:
-        if self.driver_resistance_ohm < 0:
-            raise ParameterError("driver_resistance_ohm must be >= 0")
-        if self.load_capacitance_f < 0:
-            raise ParameterError("load_capacitance_f must be >= 0")
+        for name in ("driver_resistance_ohm", "load_capacitance_f"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0, "
+                                     f"got {value!r}")
         if self.source_ref not in ("stimulus", "quiet"):
             raise ParameterError(f"source_ref must be 'stimulus' or 'quiet', "
                                  f"got {self.source_ref!r}")
@@ -106,26 +107,16 @@ class TapSchedule:
             if f <= last:
                 raise ParameterError("tap fractions must be strictly increasing")
             last = f
-        if self.tie_resistance_ohm < 0:
-            raise ParameterError("tie_resistance_ohm must be >= 0")
-
-
-def uniform_taps(count: int, tie_resistance_ohm: float = 0.0) -> TapSchedule:
-    """count interior taps at i/(count+1), the uniform placement rule."""
-    if count < 0:
-        raise ParameterError("tap count must be >= 0")
-    return TapSchedule(
-        fractions=tuple(Fraction(i, count + 1) for i in range(1, count + 1)),
-        tie_resistance_ohm=tie_resistance_ohm,
-    )
+        if not (math.isfinite(self.tie_resistance_ohm)
+                and self.tie_resistance_ohm >= 0):
+            raise ParameterError(f"tie_resistance_ohm must be finite and >= 0, "
+                                 f"got {self.tie_resistance_ohm!r}")
 
 
 @dataclass(frozen=True)
 class Node:
     nid: int
     label: str
-    line: str | None = None
-    seg: int | None = None
 
 
 @dataclass(frozen=True)
@@ -228,26 +219,12 @@ class CoupledNetwork:
         except KeyError:
             raise ParameterError(f"no node labeled {label!r} in this network") from None
 
-    def line_node(self, line: str, seg: int) -> int:
-        return self.node(f"{line}_{seg}")
-
     def line_by_role(self, role: str) -> LineSpec:
         matches = [ln for ln in self.lines if ln.role == role]
         if len(matches) != 1:
             raise ParameterError(
                 f"expected exactly one {role!r} line, found {len(matches)}")
         return matches[0]
-
-    def inductance_matrix(self) -> np.ndarray:
-        """Branch inductance matrix (self on diagonal, mutual off)."""
-        nb = len(self.inductors)
-        L = np.zeros((nb, nb))
-        for ind in self.inductors:
-            L[ind.branch, ind.branch] = ind.l_h
-        for m in self.mutuals:
-            L[m.branch_i, m.branch_j] = m.m_h
-            L[m.branch_j, m.branch_i] = m.m_h
-        return L
 
 
 def effective_terminations(lines: tuple[LineSpec, ...],
@@ -295,8 +272,9 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
 
     ``couplings`` maps unordered line-name pairs to dicts with optional
     ``m_total`` and ``cm_total`` entries (absent or zero means no
-    coupling of that kind for the pair). ``terminations`` supplies a
-    TerminationSpec per non-shield line; missing entries default as in
+    coupling of that kind for the pair); values must be finite, and
+    ``cm_total`` >= 0. ``terminations`` supplies a TerminationSpec per
+    non-shield line; missing entries default as in
     ``effective_terminations``. ``taps`` applies to shield lines.
     """
     lines = tuple(lines)
@@ -320,6 +298,13 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
         if unknown:
             raise ParameterError(f"coupling {k}: unknown keys {sorted(unknown)}")
         norm[k] = {kk: float(vv) for kk, vv in entry.items()}
+        for kk, vv in norm[k].items():
+            if not math.isfinite(vv):
+                raise ParameterError(f"coupling {k}: {kk} must be finite, "
+                                     f"got {vv!r}")
+        if norm[k].get("cm_total", 0.0) < 0:
+            raise ParameterError(f"coupling {k}: cm_total must be >= 0, "
+                                 f"got {norm[k]['cm_total']!r}")
 
     terminations = effective_terminations(lines, terminations)
 
@@ -330,9 +315,9 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
     nodes: list[Node] = [Node(GROUND, "0")]
     node_ids: dict[str, int] = {"0": GROUND}
 
-    def add_node(label: str, line: str | None = None, seg: int | None = None) -> int:
+    def add_node(label: str) -> int:
         nid = len(nodes)
-        nodes.append(Node(nid, label, line, seg))
+        nodes.append(Node(nid, label))
         node_ids[label] = nid
         return nid
 
@@ -347,12 +332,12 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
     for ln in lines:
         seg_nodes = []
         if ln.role != "shield":
-            src = add_node(f"{ln.name}_src", ln.name)
+            src = add_node(f"{ln.name}_src")
             term = terminations[ln.name]
             sources.append(VoltageSource(f"V{ln.name}", src,
                                          driven=term.source_ref == "stimulus"))
         for k in range(n_segments + 1):
-            seg_nodes.append(add_node(f"{ln.name}_{k}", ln.name, k))
+            seg_nodes.append(add_node(f"{ln.name}_{k}"))
         if ln.role != "shield":
             resistors.append(Resistor(f"Rdrv_{ln.name}", src, seg_nodes[0],
                                       term.driver_resistance_ohm))
@@ -443,7 +428,11 @@ def validate_network(network: CoupledNetwork) -> list[Finding]:
                                     f"{m.name} references a missing branch", (m.name,)))
 
     if not any(f.code == "bad-reference" for f in findings) and n_branches:
-        L = network.inductance_matrix()
+        L = np.zeros((n_branches, n_branches))
+        for ind in network.inductors:
+            L[ind.branch, ind.branch] = ind.l_h
+        for m in network.mutuals:
+            L[m.branch_i, m.branch_j] = L[m.branch_j, m.branch_i] = m.m_h
         # cheap per-pair screen first so the finding can name elements
         spd_named = False
         for m in network.mutuals:
@@ -508,8 +497,14 @@ def preset_tables(name: str, tap_count: int | None = None,
                   tie_resistance_ohm: float = 0.0) -> dict:
     """build_ladder inputs (lines, couplings, taps) for a named preset.
 
-    Split out of scenario_preset so sweeps can start from a preset's
-    tables and perturb individual values before building.
+    "no-shield": aggressor and victim side by side, full direct coupling.
+    "shield": a grounded shield line between them; the direct coupling
+    capacitance disappears while the direct mutual inductance remains.
+    "shield-3taps": the shield additionally grounded at 1/4, 1/2, 3/4.
+
+    ``tap_count`` overrides the interior tap count of the shielded
+    presets, placed uniformly at i/(tap_count+1); the default is the
+    preset's own (0 for "shield", 3 for "shield-3taps").
     """
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown scenario preset {name!r}; "
@@ -530,6 +525,8 @@ def preset_tables(name: str, tap_count: int | None = None,
     shield = _signal_line("shield", "shield")
     if tap_count is None:
         tap_count = 3 if name == "shield-3taps" else 0
+    if tap_count < 0:
+        raise ParameterError("tap count must be >= 0")
     return {
         "lines": (agg, shield, vic),
         "couplings": {
@@ -545,23 +542,8 @@ def preset_tables(name: str, tap_count: int | None = None,
             # signal-signal mutual inductance persists
             ("aggressor", "victim"): {"m_total": STOCK_MUTUAL_ADJACENT_H},
         },
-        "taps": uniform_taps(tap_count, tie_resistance_ohm),
+        "taps": TapSchedule(
+            fractions=tuple(Fraction(i, tap_count + 1)
+                            for i in range(1, tap_count + 1)),
+            tie_resistance_ohm=tie_resistance_ohm),
     }
-
-
-def scenario_preset(name: str, n_segments: int = 12,
-                    tie_resistance_ohm: float = 0.0,
-                    tap_count: int | None = None) -> CoupledNetwork:
-    """Build one of the three bundled comparison scenarios.
-
-    "no-shield": aggressor and victim side by side, full direct coupling.
-    "shield": a grounded shield line between them; the direct coupling
-    capacitance disappears while the direct mutual inductance remains.
-    "shield-3taps": the shield additionally grounded at 1/4, 1/2, 3/4.
-
-    ``tap_count`` overrides the interior tap count of the shielded
-    scenarios (uniform placement); the default is the scenario's own
-    (0 for "shield", 3 for "shield-3taps").
-    """
-    tables = preset_tables(name, tap_count, tie_resistance_ohm)
-    return build_ladder(n_segments=n_segments, scenario=name, **tables)

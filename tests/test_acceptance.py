@@ -23,7 +23,7 @@ from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  mutual_inductance_bracket, self_inductance)
 from xtalksim.netlist import export_netlist
 from xtalksim.network import (LineSpec, TerminationSpec, build_ladder,
-                              preset_tables, scenario_preset)
+                              preset_tables)
 
 PRESETS = ("no-shield", "shield", "shield-3taps")
 
@@ -109,8 +109,9 @@ def test_criterion_3_exact_lti_oracle():
     sim = SimConfig(dt=600e-9 / 5000, t_end=600e-9)
     stim = Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=60e-9)
     clauses = []
-    for name, net in (("2-line n=3", scenario_preset("no-shield", 3)),
-                      ("3-line n=4", scenario_preset("shield", 4))):
+    for name, preset, n in (("2-line n=3", "no-shield", 3),
+                            ("3-line n=4", "shield", 4)):
+        net = build_ladder(**preset_tables(preset), n_segments=n)
         waves = run_transient(net, stim, sim)
         err = engine_vs_oracle_error(net, stim, sim, waves)
         clauses.append((f"{name} ladder rel Linf <= 1e-3",
@@ -212,7 +213,7 @@ def test_criterion_8_property_suite(stock_runs):
             "no-shield": (2, 2, 1, 1, 0), "shield": (3, 2, 2, 3, 2),
             "shield-3taps": (3, 2, 2, 3, 5)}.items():
         n = 12
-        net = scenario_preset(name, n_segments=n)
+        net = build_ladder(**preset_tables(name), n_segments=n)
         got = (len(net.inductors), len(net.resistors),
                sum(c.kind == "shunt" for c in net.capacitors),
                sum(c.kind == "coupling" for c in net.capacitors),
@@ -239,7 +240,7 @@ def test_criterion_8_property_suite(stock_runs):
                     worst <= 1e-12, f"got {worst:.2e}"))
 
     # linearity under amplitude doubling
-    net = scenario_preset("no-shield", n_segments=2)
+    net = build_ladder(**preset_tables("no-shield"), n_segments=2)
     one = run_transient(net, edge, short)
     double = run_transient(net, Stimulus(kind="ramp", amplitude_v=2.0,
                                          rise_time_s=20e-9), short)
@@ -249,7 +250,7 @@ def test_criterion_8_property_suite(stock_runs):
                     lin_err < 1e-9, f"max deviation {lin_err:.2e}"))
 
     # reciprocity of the symmetric shielded scenario under drive swap
-    fwd = scenario_preset("shield", n_segments=4)
+    fwd = build_ladder(**preset_tables("shield"), n_segments=4)
     tables = preset_tables("shield")
     rev = build_ladder(
         tables["lines"], tables["couplings"],
@@ -277,9 +278,9 @@ def test_criterion_8_property_suite(stock_runs):
 
 
 def test_criterion_9_netlist_export(tmp_path):
-    from xtalksim.config import read_waveforms_csv, write_waveforms_csv
+    from xtalksim.config import write_waveforms_csv
 
-    net = scenario_preset("shield", n_segments=12)
+    net = build_ladder(**preset_tables("shield"), n_segments=12)
     stim = Stimulus(kind="ramp", rise_time_s=2e-7)
     sim = SimConfig(dt=5e-11, t_end=2.4e-6)
     deck = export_netlist(net, stim, sim)
@@ -308,12 +309,17 @@ def test_criterion_9_netlist_export(tmp_path):
     path = tmp_path / "w.csv"
     write_waveforms_csv(path, waves)
     header = path.read_text().splitlines()[0].split(",")[1:]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    expect = np.column_stack([waves.times, *waves.node_traces.values()])
+    round_trip = (header == list(waves.node_traces)
+                  and data.shape == expect.shape
+                  and np.allclose(data, expect, rtol=1e-8, atol=1e-12))
     tokens = set()
     for line in deck.splitlines():
         if line and not line.startswith(("*", ".")):
             tokens.update(line.split())
     missing = [lbl for lbl in header if lbl not in tokens]
     clauses.append(("waveform CSV node headers all appear in the deck",
-                    not missing and read_waveforms_csv(path).allclose(waves),
+                    not missing and round_trip,
                     f"header {header}, missing {missing}"))
     _check("criterion 9 (netlist export)", clauses)

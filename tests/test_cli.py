@@ -11,7 +11,7 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_STIMULUS, SWEEP_AXES,
                              apply_set_overrides, config_from_mapping,
                              extraction_report, load_config, preset_config,
-                             read_waveforms_csv, resolve, resolve_stimulus,
+                             resolve, resolve_stimulus,
                              run_scenario, run_sweep, summary_filename,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
@@ -20,8 +20,8 @@ from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance)
 from xtalksim.network import (PRESET_NAMES,
-                              STOCK_COUPLING_CAP_ADJACENT_F,
-                              scenario_preset)
+                              STOCK_COUPLING_CAP_ADJACENT_F, build_ladder,
+                              preset_tables)
 
 approx = pytest.approx
 
@@ -79,6 +79,23 @@ class TestConfigDocuments:
             apply_set_overrides(cfg, ["dt=1e-10"])
         with pytest.raises(ParameterError, match="must start with a config block"):
             apply_set_overrides(cfg, ["simulation.dt=1e-10"])
+
+    @pytest.mark.parametrize("assignment", [
+        "stimulus.amplitude_v=2",
+        "overrides.c_total=134.41e-12",
+        "sim.n_segments=24",
+    ])
+    def test_set_on_missing_block_starts_from_default(self, tmp_path,
+                                                      assignment):
+        # a --set on a block the config lacks keeps the block's other
+        # defaults, as a sweep row does
+        path = tmp_path / "scenario-only.yaml"
+        path.write_text("scenario: {preset: shield}\n")
+        bare = resolve(apply_set_overrides(load_config(path), [assignment]))
+        full = resolve(apply_set_overrides(preset_config("shield"),
+                                           [assignment]))
+        assert bare.params == full.params
+        assert bare.stimulus == full.stimulus
 
 
 class TestResolve:
@@ -297,17 +314,10 @@ class TestFileFormats:
         write_waveforms_csv(path, waves)
         header = path.read_text().splitlines()[0]
         assert header == "time," + ",".join(waves.node_traces)
-        back = read_waveforms_csv(path)
-        assert back.allclose(waves, rtol=1e-8, atol=1e-12)
-
-    def test_csv_header_rejections(self, tmp_path):
-        p = tmp_path / "x.csv"
-        p.write_text("volts,a\n0,1\n")
-        with pytest.raises(ParameterError, match="expected header"):
-            read_waveforms_csv(p)
-        p.write_text("time,a,b\n0,1\n")
-        with pytest.raises(ParameterError, match="columns"):
-            read_waveforms_csv(p)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        expect = np.column_stack([waves.times, *waves.node_traces.values()])
+        assert data.shape == expect.shape
+        assert np.allclose(data, expect, rtol=1e-8, atol=1e-12)
 
     def test_summary_json_deterministic_with_fixed_timestamp(self, tmp_path):
         result, _, _ = run_scenario(short_preset("no-shield"))
@@ -440,6 +450,19 @@ class TestCliExitCodes:
         assert rc == 2
         assert "positive value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, field", [
+        ("scenario.tie_resistance_ohm=.nan", "tie_resistance_ohm"),
+        ("stimulus.delay_s=.nan", "delay_s"),
+        ("stimulus.rise_time_s=.nan", "rise_time_s"),
+    ])
+    def test_non_finite_values_exit_1_naming_the_field(self, tmp_path, capsys,
+                                                       assignment, field):
+        rc = main(["run", "--preset", "shield", *_sets(), "--set", assignment,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_io_errors_exit_3(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 3
@@ -463,10 +486,11 @@ class TestCliOutputs:
         data = json.loads(json_path.read_text())
         assert data["waveform_files"] == ["shield_waveforms.csv"]
         assert "timestamp" in data
-        waves = read_waveforms_csv(csv_path)
-        assert list(waves.node_traces) == [
-            "aggressor_src", "aggressor_12", "shield_12",
-            "victim_src", "victim_12"]
+        header = csv_path.read_text().splitlines()[0]
+        assert header == ("time,aggressor_src,aggressor_12,shield_12,"
+                          "victim_src,victim_12")
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        assert data.shape == (401, 6)
 
     def test_run_round_trip_determinism(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -579,4 +603,5 @@ class TestCliOutputs:
 
 def test_scenario_preset_equals_config_path():
     resolved = resolve(preset_config("shield"))
-    assert resolved.network == scenario_preset("shield", n_segments=12)
+    assert resolved.network == build_ladder(**preset_tables("shield"),
+                                            n_segments=12, scenario="shield")

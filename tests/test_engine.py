@@ -15,7 +15,7 @@ from xtalksim.engine import (SimConfig, Stimulus, WaveformSet, assemble,
                              dc_operating_point, run_transient, smooth_edge)
 from xtalksim.errors import AssemblyError, ParameterError, SolverError
 from xtalksim.network import (Capacitor, Resistor, TerminationSpec,
-                              VoltageSource, scenario_preset)
+                              VoltageSource, build_ladder, preset_tables)
 
 approx = pytest.approx
 
@@ -41,12 +41,12 @@ class TestAssemble:
 
     def test_two_line_ladder_unknown_count(self):
         # 2 lines, n = 2: 3 ladder nodes each plus 2 branches each
-        sys = assemble(scenario_preset("no-shield", n_segments=2))
+        sys = assemble(build_ladder(**preset_tables("no-shield"), n_segments=2))
         assert sys.G.shape == (10, 10)
         assert sys.n_node_unknowns == 6
 
     def test_zero_ohm_ties_merge_with_ground(self):
-        sys = assemble(scenario_preset("shield", n_segments=2))
+        sys = assemble(build_ladder(**preset_tables("shield"), n_segments=2))
         assert set(sys.grounded_labels) == {"shield_0", "shield_2"}
         assert "shield_0" not in sys.unknown_labels
 
@@ -91,7 +91,8 @@ class TestDcOperatingPoint:
         assert dc["in"] == approx(1.0)
 
     def test_preset_rails(self):
-        dc = dc_operating_point(scenario_preset("no-shield", n_segments=4))
+        dc = dc_operating_point(build_ladder(**preset_tables("no-shield"),
+                                             n_segments=4))
         for k in range(5):
             assert dc[f"aggressor_{k}"] == approx(1.0, abs=1e-9)
             assert dc[f"victim_{k}"] == approx(0.0, abs=1e-12)
@@ -105,7 +106,8 @@ class TestDcOperatingPoint:
                                source_values={"Vx": 1.0})
 
     def test_shield_nodes_report_zero(self):
-        dc = dc_operating_point(scenario_preset("shield", n_segments=4))
+        dc = dc_operating_point(build_ladder(**preset_tables("shield"),
+                                             n_segments=4))
         assert dc["shield_0"] == 0.0
         assert dc["shield_2"] == approx(0.0, abs=1e-12)
 
@@ -159,13 +161,13 @@ def oracle_stim():
 
 class TestAgainstExactSolution:
     def test_two_line_ladder(self):
-        net = scenario_preset("no-shield", n_segments=3)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=3)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
 
     def test_three_line_shielded_ladder(self):
-        net = scenario_preset("shield", n_segments=4)
+        net = build_ladder(**preset_tables("shield"), n_segments=4)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
@@ -173,7 +175,7 @@ class TestAgainstExactSolution:
     def test_tapped_shield_ladder(self):
         # grounded interior taps: the stock-table tap result (the victim
         # peak does not fall with tap count) rests on this agreement
-        net = scenario_preset("shield-3taps", n_segments=4)
+        net = build_ladder(**preset_tables("shield-3taps"), n_segments=4)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
@@ -204,14 +206,14 @@ EDGE = Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=20e-9)
 
 class TestBehaviour:
     def test_zero_amplitude_is_identically_zero(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         waves = run_transient(net, Stimulus(kind="ramp", amplitude_v=0.0,
                                             rise_time_s=20e-9), SHORT)
         for tr in waves.node_traces.values():
             assert np.all(tr == 0.0)
 
     def test_linearity_in_amplitude(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         one = run_transient(net, EDGE, SHORT)
         two = run_transient(
             net, Stimulus(kind="ramp", amplitude_v=2.5, rise_time_s=20e-9),
@@ -221,7 +223,7 @@ class TestBehaviour:
                                rtol=1e-9, atol=1e-15)
 
     def test_uncoupled_victim_stays_quiet(self):
-        from xtalksim.network import LineSpec, build_ladder
+        from xtalksim.network import LineSpec
         lines = (LineSpec("aggressor", "aggressor", 500.0, 83.24e-6, 134.41e-12),
                  LineSpec("victim", "victim", 500.0, 83.24e-6, 134.41e-12))
         net = build_ladder(lines, couplings=None, n_segments=3,
@@ -234,10 +236,9 @@ class TestBehaviour:
     def test_reciprocity_under_drive_swap(self):
         # identical signal lines: driving the victim line instead must
         # produce the mirrored waveforms
-        fwd = scenario_preset("shield", n_segments=4)
+        fwd = build_ladder(**preset_tables("shield"), n_segments=4)
         swapped = {"aggressor": TerminationSpec(source_ref="quiet"),
                    "victim": TerminationSpec(source_ref="stimulus")}
-        from xtalksim.network import build_ladder, preset_tables
         tables = preset_tables("shield")
         rev = build_ladder(tables["lines"], tables["couplings"],
                            terminations=swapped, taps=tables["taps"],
@@ -256,7 +257,7 @@ class TestBehaviour:
                 assert abs(tr[-1] - dc[label]) < 1e-3, (name, label)
 
     def test_output_node_filter(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         sim = SimConfig(dt=1e-9, t_end=100e-9, output_nodes=("victim_2",))
         waves = run_transient(net, EDGE, sim)
         assert list(waves.node_traces) == ["victim_2"]
@@ -265,7 +266,7 @@ class TestBehaviour:
             run_transient(net, EDGE, bad)
 
     def test_tuple_output_stores_only_kept_unknowns(self):
-        net = scenario_preset("shield", n_segments=2)
+        net = build_ladder(**preset_tables("shield"), n_segments=2)
         sim = SimConfig(dt=1e-9, t_end=100e-9,
                         output_nodes=("victim_2", "aggressor_1"))
         waves = run_transient(net, EDGE, sim)
@@ -281,7 +282,7 @@ class TestBehaviour:
             assert np.array_equal(tr, every.trace(label))
 
     def test_all_output_returns_every_branch_current(self):
-        net = scenario_preset("shield", n_segments=2)
+        net = build_ladder(**preset_tables("shield"), n_segments=2)
         waves = run_transient(net, EDGE, SHORT)
         assert list(waves.branch_currents) == [ind.name
                                                for ind in net.inductors]
@@ -303,7 +304,8 @@ class TestBehaviour:
                                                output_nodes=("out", "nope")))
 
     def test_deterministic_metadata(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2,
+                           scenario="no-shield")
         a = run_transient(net, EDGE, SHORT)
         b = run_transient(net, EDGE, SHORT)
         assert a.metadata == b.metadata
@@ -312,7 +314,7 @@ class TestBehaviour:
         assert other.metadata["config_hash"] != a.metadata["config_hash"]
 
     def test_dc_ic_matches_first_sample(self):
-        net = scenario_preset("shield", n_segments=2)
+        net = build_ladder(**preset_tables("shield"), n_segments=2)
         waves = run_transient(net, EDGE, SHORT)
         dc = dc_operating_point(net, source_values={"Vaggressor": 0.0})
         for label, tr in waves.node_traces.items():
@@ -352,6 +354,19 @@ class TestStimulus:
         with pytest.raises(ParameterError, match="only valid"):
             Stimulus(kind="ramp", points=((0.0, 0.0), (1.0, 1.0)))
 
+    def test_non_finite_delay_is_refused(self):
+        # a NaN delay would only surface as a divergence at the first step
+        with pytest.raises(ParameterError, match="delay_s must be finite"):
+            Stimulus(kind="ramp", delay_s=np.nan)
+        with pytest.raises(ParameterError, match="delay_s must be finite"):
+            smooth_edge(2e-7, delay_s=np.nan)
+
+    def test_non_finite_rise_time_is_refused(self):
+        with pytest.raises(ParameterError, match="rise_time_s must be finite"):
+            Stimulus(kind="ramp", rise_time_s=np.nan)
+        with pytest.raises(ParameterError, match="rise_time_s must be finite"):
+            smooth_edge(np.nan)
+
     def test_smooth_edge_shape(self):
         s = smooth_edge(100e-9, amplitude_v=1.5, samples=32)
         start, end, mid = s.values([0.0, 100e-9, 50e-9])
@@ -382,12 +397,3 @@ class TestSimConfigAndWaveformSet:
         ws = WaveformSet(times=t, node_traces={"a": np.zeros(4)})
         with pytest.raises(ParameterError, match="no node trace"):
             ws.trace("b")
-
-    def test_waveform_allclose(self):
-        t = np.arange(4) * 1.0
-        a = WaveformSet(times=t, node_traces={"x": np.ones(4)})
-        b = WaveformSet(times=t, node_traces={"x": np.ones(4) * (1 + 1e-10)})
-        c = WaveformSet(times=t, node_traces={"x": np.ones(4) * 1.1})
-        assert a.allclose(b)
-        assert not a.allclose(c)
-        assert not a.allclose(WaveformSet(times=t, node_traces={"y": np.ones(4)}))

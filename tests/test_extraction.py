@@ -17,7 +17,6 @@ from xtalksim.extraction import (BUILTIN_COEFFICIENTS, EPS0_F_PER_M,
                                  PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance, extract_all,
                                  line_capacitance, line_resistance,
-                                 mutual_inductance,
                                  mutual_inductance_bracket, pair_key,
                                  self_inductance)
 
@@ -64,12 +63,6 @@ class TestMutualInductance:
             7.517593111416241, rel=1e-12)
         assert mutual_inductance_bracket(5000.0, 4.0) == approx(
             6.824845690856343, rel=1e-12)
-
-    def test_full_form_includes_prefactor(self):
-        assert mutual_inductance(100.0, 100.0) == approx(
-            0.05578672363737003, rel=1e-12)
-        assert mutual_inductance(5000.0, 1.0) == approx(
-            0.002 * 5000.0 * 8.210540351976183, rel=1e-12)
 
     @given(st.floats(min_value=0.5, max_value=50.0),
            st.floats(min_value=1.01, max_value=4.0))

@@ -1,4 +1,5 @@
-"""Import hygiene: scipy.linalg and OpenSSL load on the first transient.
+"""Import hygiene: scipy.linalg and OpenSSL load on the first transient,
+and yaml on the first config file or --set.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported scipy (through tests/_reference.py and the runs).
@@ -45,6 +46,8 @@ def test_commands_without_a_transient_skip_scipy_and_openssl(tmp_path, argv):
     assert out["rc"] == (0 if argv else None)
     assert "scipy" not in out["modules"]
     assert "_hashlib" not in out["modules"]
+    # a bare --preset reads no YAML
+    assert "yaml" not in out["modules"]
 
 
 def test_first_transient_loads_scipy_linalg(tmp_path):

@@ -9,7 +9,7 @@ from xtalksim.engine import SimConfig, Stimulus, run_transient, smooth_edge
 from xtalksim.errors import ParameterError
 from xtalksim.netlist import TIE_OHMS_FLOOR, export_netlist
 from xtalksim.network import (Inductor, LineSpec, Mutual, Resistor,
-                              VoltageSource, build_ladder, scenario_preset)
+                              VoltageSource, build_ladder, preset_tables)
 
 approx = pytest.approx
 
@@ -36,7 +36,7 @@ class TestDeckShape:
         assert deck.endswith(".end\n")
 
     def test_series_resistance_split_through_internal_node(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         deck = export_netlist(net, EDGE, SIM)
         # R card into the internal mid node, L card out of it
         assert "Raggressor_1 aggressor_0 aggressor_m1 250" in deck
@@ -53,14 +53,15 @@ class TestDeckShape:
         assert "Rm" not in deck
 
     def test_tie_cards_get_resistance_floor(self):
-        net = scenario_preset("shield-3taps", n_segments=12)
+        net = build_ladder(**preset_tables("shield-3taps"), n_segments=12)
         deck = export_netlist(net, EDGE, SIM)
         for seg in (0, 3, 6, 9, 12):
             assert f"Rtie_shield_{seg} shield_{seg} 0 1e-09" in deck
         assert _count_prefix(deck, "Rtie_") == 5
 
     def test_resistive_ties_keep_their_value(self):
-        net = scenario_preset("shield", n_segments=4, tie_resistance_ohm=3.5)
+        net = build_ladder(**preset_tables("shield", tie_resistance_ohm=3.5),
+                           n_segments=4)
         deck = export_netlist(net, EDGE, SIM)
         assert "Rtie_shield_0 shield_0 0 3.5" in deck
 
@@ -71,7 +72,7 @@ def _count_prefix(deck: str, prefix: str) -> int:
 
 class TestCouplingCards:
     def test_k_matches_value_ratio(self):
-        net = scenario_preset("no-shield", n_segments=12)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=12)
         deck = export_netlist(net, EDGE, SIM)
         k_cards = [ln for ln in deck.splitlines() if ln.startswith("K")]
         assert len(k_cards) == 12
@@ -82,7 +83,7 @@ class TestCouplingCards:
             assert float(k) == approx(8.21 / 83.24, rel=1e-9)
 
     def test_shield_preset_keeps_signal_signal_coupling(self):
-        deck = export_netlist(scenario_preset("shield"), EDGE, SIM)
+        deck = export_netlist(build_ladder(**preset_tables("shield")), EDGE, SIM)
         assert _count_prefix(deck, "Kaggressor_victim_") == 12
         assert _count_prefix(deck, "Kaggressor_shield_") == 12
         assert _count_prefix(deck, "Kshield_victim_") == 12
@@ -104,7 +105,7 @@ class TestCouplingCards:
 
 class TestSourceCards:
     def net(self):
-        return scenario_preset("no-shield", n_segments=1)
+        return build_ladder(**preset_tables("no-shield"), n_segments=1)
 
     def test_quiet_source_is_dc_zero(self):
         deck = export_netlist(self.net(), EDGE, SIM)
@@ -129,19 +130,19 @@ class TestSourceCards:
 
 class TestStability:
     def test_byte_stable_across_calls(self):
-        net = scenario_preset("shield-3taps")
+        net = build_ladder(**preset_tables("shield-3taps"))
         a = export_netlist(net, EDGE, SIM)
         b = export_netlist(net, EDGE, SIM)
         assert a == b
 
     def test_byte_stable_across_rebuilds(self):
-        a = export_netlist(scenario_preset("shield"), EDGE, SIM)
-        b = export_netlist(scenario_preset("shield"), smooth_edge(2e-7),
-                           SimConfig(dt=5e-11, t_end=2.4e-6))
+        a = export_netlist(build_ladder(**preset_tables("shield")), EDGE, SIM)
+        b = export_netlist(build_ladder(**preset_tables("shield")),
+                           smooth_edge(2e-7), SimConfig(dt=5e-11, t_end=2.4e-6))
         assert a == b
 
     def test_waveform_labels_all_appear_in_deck(self):
-        net = scenario_preset("no-shield", n_segments=2)
+        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         waves = run_transient(net, Stimulus(kind="ramp", rise_time_s=20e-9),
                               SimConfig(dt=1e-9, t_end=100e-9))
         deck = export_netlist(net, EDGE, SIM)

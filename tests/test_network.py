@@ -1,8 +1,12 @@
 """Structural tests for ladder construction and validation."""
 
+import math
+
+import numpy as np
 import pytest
 
 from _reference import make_network
+from xtalksim.engine import assemble
 from xtalksim.errors import ParameterError
 from xtalksim.network import (Capacitor, Inductor, LineSpec,
                               Mutual, Resistor, STOCK_COUPLING_CAP_ADJACENT_F,
@@ -12,7 +16,7 @@ from xtalksim.network import (Capacitor, Inductor, LineSpec,
                               STOCK_MUTUAL_SHIELDED_H, TapSchedule,
                               TerminationSpec, VoltageSource, build_ladder,
                               effective_terminations, preset_tables,
-                              scenario_preset, uniform_taps, validate_network)
+                              validate_network)
 
 approx = pytest.approx
 
@@ -30,7 +34,7 @@ def test_element_count_identities(name, n):
     if name == "shield-3taps" and n % 4:
         n = 4 * n                      # quarter-point taps need 4 | n
     total, signal, cm_pairs, m_pairs, ties = PRESET_SHAPE[name]
-    net = scenario_preset(name, n_segments=n)
+    net = build_ladder(**preset_tables(name), n_segments=n)
 
     assert len(net.inductors) == total * n
     assert all(ind.r_series_ohm == approx(ind_line.r_total / n)
@@ -51,7 +55,7 @@ def test_element_count_identities(name, n):
 
 
 def test_segment_values_sum_to_totals():
-    net = scenario_preset("shield", n_segments=12)
+    net = build_ladder(**preset_tables("shield"), n_segments=12)
     cm_by_pair = {}
     for c in net.capacitors:
         if c.kind == "coupling":
@@ -81,7 +85,7 @@ def test_segment_values_sum_to_totals():
 
 
 def test_no_shield_cm_total_is_stock_adjacent():
-    net = scenario_preset("no-shield", n_segments=12)
+    net = build_ladder(**preset_tables("no-shield"), n_segments=12)
     cm = sum(c.farads for c in net.capacitors if c.kind == "coupling")
     assert cm == approx(STOCK_COUPLING_CAP_ADJACENT_F, rel=1e-12)
 
@@ -109,14 +113,15 @@ def test_shield_removal_reproduces_no_shield_exactly():
     }}
     rebuilt = build_ladder(lines, couplings, n_segments=12,
                            scenario="no-shield")
-    assert rebuilt == scenario_preset("no-shield", n_segments=12)
+    assert rebuilt == build_ladder(**preset_tables("no-shield"), n_segments=12,
+                                   scenario="no-shield")
 
 
 def test_shield_preset_symmetric_under_role_swap():
     """Exchanging the aggressor and victim labels maps the shielded
     network onto itself (same elements at the same places), so the two
     signal lines are electrically interchangeable up to drive."""
-    net = scenario_preset("shield", n_segments=6)
+    net = build_ladder(**preset_tables("shield"), n_segments=6)
 
     def sw(label):
         if label.startswith("aggressor"):
@@ -147,12 +152,18 @@ def test_shield_preset_symmetric_under_role_swap():
 
 class TestTaps:
     def test_uniform_fractions(self):
-        assert uniform_taps(3).fractions == approx((0.25, 0.5, 0.75))
-        assert uniform_taps(0).fractions == ()
-        assert uniform_taps(1).fractions == approx((0.5,))
+        def fractions(tap_count):
+            return preset_tables("shield", tap_count)["taps"].fractions
+
+        assert fractions(3) == approx((0.25, 0.5, 0.75))
+        assert fractions(0) == ()
+        assert fractions(1) == approx((0.5,))
+        assert preset_tables("shield-3taps")["taps"].fractions == fractions(3)
+        with pytest.raises(ParameterError, match="tap count must be >= 0"):
+            preset_tables("shield", -1)
 
     def test_three_tap_tie_segments(self):
-        net = scenario_preset("shield-3taps", n_segments=12)
+        net = build_ladder(**preset_tables("shield-3taps"), n_segments=12)
         assert {t.name for t in net.ties} == {
             "Rtie_shield_0", "Rtie_shield_3", "Rtie_shield_6",
             "Rtie_shield_9", "Rtie_shield_12"}
@@ -161,11 +172,12 @@ class TestTaps:
     def test_off_grid_tap_rejected_with_suggestion(self):
         with pytest.raises(ParameterError,
                            match=r"multiple of 8 \(for example n_segments=16\)"):
-            scenario_preset("shield", n_segments=12, tap_count=7)
+            build_ladder(**preset_tables("shield", 7), n_segments=12)
 
     def test_resistive_ties(self):
-        net = scenario_preset("shield-3taps", n_segments=12,
-                              tie_resistance_ohm=2.5)
+        net = build_ladder(**preset_tables("shield-3taps",
+                                           tie_resistance_ohm=2.5),
+                           n_segments=12)
         assert all(t.ohms == approx(2.5) for t in net.ties)
 
     def test_schedule_validation(self):
@@ -176,12 +188,17 @@ class TestTaps:
         with pytest.raises(ParameterError):
             TapSchedule(fractions=(0.5,), tie_resistance_ohm=-1.0)
 
+    def test_non_finite_tie_resistance_is_refused(self):
+        # NaN passes a bare >= 0 check, and assemble would drop every tie
+        with pytest.raises(ParameterError, match="tie_resistance_ohm"):
+            preset_tables("shield", tie_resistance_ohm=math.nan)
+
     def test_taps_need_a_shield(self):
         with pytest.raises(ParameterError, match="shield"):
             preset_tables("no-shield", tap_count=1)
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
         with pytest.raises(ParameterError, match="no shield line"):
-            build_ladder((line,), taps=uniform_taps(1), n_segments=4)
+            build_ladder((line,), taps=TapSchedule((0.5,)), n_segments=4)
 
 
 class TestBuildErrors:
@@ -212,6 +229,18 @@ class TestBuildErrors:
     def test_empty(self):
         with pytest.raises(ParameterError, match="at least one line"):
             build_ladder(())
+
+    @pytest.mark.parametrize("key", ["m_total", "cm_total"])
+    def test_non_finite_coupling_is_refused(self, key):
+        with pytest.raises(ParameterError, match=f"{key} must be finite"):
+            build_ladder((self.line(), self.line("b", "victim")),
+                         {("a", "b"): {key: math.nan}})
+
+    def test_negative_coupling_capacitance_is_refused(self):
+        # a negative Cm makes C indefinite and the run diverges
+        with pytest.raises(ParameterError, match="cm_total must be >= 0"):
+            build_ladder((self.line(), self.line("b", "victim")),
+                         {("a", "b"): {"cm_total": -69.5e-12}})
 
     def test_overtight_coupling_fails_validation(self):
         with pytest.raises(ParameterError, match="inductance-not-spd"):
@@ -274,28 +303,28 @@ class TestValidateNetwork:
 
     def test_clean_presets_have_no_findings(self):
         for name in PRESET_SHAPE:
-            assert validate_network(scenario_preset(name)) == []
+            assert validate_network(build_ladder(**preset_tables(name))) == []
 
 
 class TestAccessors:
     def test_node_lookup_round_trip(self):
-        net = scenario_preset("shield", n_segments=4)
-        nid = net.line_node("victim", 4)
+        net = build_ladder(**preset_tables("shield"), n_segments=4)
+        nid = net.node("victim_4")
         assert net.label(nid) == "victim_4"
-        assert net.node("victim_4") == nid
         with pytest.raises(ParameterError, match="no node labeled"):
             net.node("victim_99")
 
     def test_line_by_role(self):
-        net = scenario_preset("shield")
+        net = build_ladder(**preset_tables("shield"))
         assert net.line_by_role("shield").name == "shield"
         with pytest.raises(ParameterError, match="exactly one"):
-            scenario_preset("no-shield").line_by_role("shield")
+            build_ladder(**preset_tables("no-shield")).line_by_role("shield")
 
     def test_inductance_matrix_is_spd_and_symmetric(self):
-        import numpy as np
-        net = scenario_preset("shield", n_segments=2)
-        L = net.inductance_matrix()
+        # the inductor block of the assembled C holds -L
+        sys = assemble(build_ladder(**preset_tables("shield"), n_segments=2))
+        nv = sys.n_node_unknowns
+        L = -sys.C[nv:, nv:]
         assert L.shape == (6, 6)
         assert np.allclose(L, L.T)
         np.linalg.cholesky(L)                 # raises if not SPD
@@ -318,8 +347,18 @@ class TestTerminations:
         with pytest.raises(ParameterError, match="source_ref"):
             TerminationSpec(source_ref="sine")
 
+    def test_non_finite_load_is_refused(self):
+        # a NaN load would be left out of the ladder in silence
+        with pytest.raises(ParameterError, match="load_capacitance_f"):
+            TerminationSpec(load_capacitance_f=math.nan)
+
+    def test_non_finite_driver_is_refused(self):
+        # a NaN driver would only fail inside the LU factorization
+        with pytest.raises(ParameterError, match="driver_resistance_ohm"):
+            TerminationSpec(driver_resistance_ohm=math.nan)
+
     def test_quiet_source_for_victim_by_default(self):
-        net = scenario_preset("no-shield")
+        net = build_ladder(**preset_tables("no-shield"))
         driven = {s.name: s.driven for s in net.sources}
         assert driven == {"Vaggressor": True, "Vvictim": False}
 
