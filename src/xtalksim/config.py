@@ -394,12 +394,28 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 # scenario / stimulus / sim resolution
 
 
+def _numbers(entry: dict, keys: tuple[str, ...], name: str) -> dict:
+    """``entry`` with each of ``keys`` it holds read as a float. YAML 1.1
+    leaves dotless scientific notation ("76e-15") as a string."""
+    out = dict(entry)
+    for key in keys:
+        if key in out:
+            try:
+                out[key] = float(out[key])
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name}.{key} must be a number, "
+                                     f"got {out[key]!r}") from None
+    return out
+
+
 def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ParameterError("scenario.lines must be a non-empty list")
     out = []
     for i, entry in enumerate(entries):
         _require_mapping(entry, f"scenario.lines[{i}]")
+        entry = _numbers(entry, ("r_total", "l_total", "c_total"),
+                         f"scenario.lines[{i}]")
         try:
             out.append(LineSpec(**entry))
         except TypeError as exc:
@@ -422,7 +438,8 @@ def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
             raise ParameterError(f"scenario.couplings[{i}] needs "
                                  f"pair: [line_a, line_b]")
         _check_keys(entry, {"m_total", "cm_total"}, f"scenario.couplings[{i}]")
-        out[pair_key(*pair)] = {k: float(v) for k, v in entry.items()}
+        out[pair_key(*pair)] = _numbers(entry, ("m_total", "cm_total"),
+                                        f"scenario.couplings[{i}]")
     return out
 
 
@@ -433,6 +450,8 @@ def _parse_terminations(entries) -> dict[str, TerminationSpec]:
     out = {}
     for name, entry in entries.items():
         _require_mapping(entry, f"scenario.terminations[{name}]")
+        entry = _numbers(entry, ("driver_resistance_ohm", "load_capacitance_f"),
+                         f"scenario.terminations[{name}]")
         try:
             out[name] = TerminationSpec(**entry)
         except TypeError as exc:
@@ -669,14 +688,25 @@ def run_scenario(config: ToolkitConfig
 # file formats
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_waveforms_csv(path, waves: WaveformSet) -> None:
-    """CSV with header ``time,<node>,...``, 9 significant digits."""
+    """CSV with header ``time,<node>,...``, 9 significant digits.
+
+    The bytes equal ``np.savetxt(fmt="%.9g", delimiter=",")``'s; one
+    ``%`` format per chunk of rows is about twice as fast, and the chunks
+    keep the formatted text small.
+    """
     labels = list(waves.node_traces)
     data = np.column_stack([waves.times]
                            + [waves.node_traces[lbl] for lbl in labels])
-    header = ",".join(["time"] + labels)
-    np.savetxt(path, data, fmt="%.9g", delimiter=",", header=header,
-               comments="", newline="\n")
+    row_fmt = ",".join(["%.9g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(["time"] + labels) + "\n")
+        for start in range(0, len(data), _CSV_CHUNK_ROWS):
+            blk = data[start:start + _CSV_CHUNK_ROWS]
+            fh.write((row_fmt * len(blk)) % tuple(blk.ravel().tolist()))
 
 
 def write_summary_json(path, result: ScenarioResult,

@@ -20,12 +20,10 @@ Driven sources all follow the one stimulus s(t) and quiet ones hold
 0 V, so B u(t) = b s(t) and each step is the recurrence
 x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
-q = (C/dt + theta G)^-1 b are built once per run.
+q = (C/dt + theta G)^-1 b are built once per run by one solve.
 
-``sla`` stands in for ``scipy.linalg`` and imports it on the first
-attribute lookup, so commands that never solve (``extract``,
-``export-netlist``, ``--help``) start without it. Every LAPACK call goes
-through this one name, which perfbench swaps for a counting proxy.
+``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
+this one name, which perfbench swaps for a counting proxy.
 """
 
 from __future__ import annotations
@@ -39,15 +37,7 @@ from .errors import AssemblyError, ParameterError, SolverError
 from .network import GROUND, CoupledNetwork, validate_network
 
 
-class _FirstUseLinalg:
-    """``scipy.linalg``, imported on the first attribute lookup."""
-
-    def __getattr__(self, name: str):
-        import scipy.linalg
-        return getattr(scipy.linalg, name)
-
-
-sla = _FirstUseLinalg()
+sla = np.linalg
 
 METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 
@@ -299,8 +289,8 @@ def _dc_solve(network: CoupledNetwork, sys: MnaSystem,
               rhs: np.ndarray) -> np.ndarray:
     """Solve G x = rhs; a singular G names the floating nodes."""
     try:
-        return np.linalg.solve(sys.G, rhs)
-    except np.linalg.LinAlgError:
+        return sla.solve(sys.G, rhs)
+    except sla.LinAlgError:
         where = "".join(f" ({f.message})" for f in validate_network(network)
                         if f.code == "floating-node")
         raise SolverError("singular DC system; a subnetwork floats with no "
@@ -345,12 +335,16 @@ def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
                    theta: float) -> tuple[np.ndarray, np.ndarray]:
     """P and q of the theta-method step (see the module docstring)."""
     Cdt = sys.C / dt
+    rhs = np.column_stack((Cdt - (1.0 - theta) * sys.G, b))
     try:
-        lu = sla.lu_factor(Cdt + theta * sys.G)
-    except (ValueError, sla.LinAlgError) as exc:
-        raise SolverError(f"LU factorization failed: {exc}")
-    return (sla.lu_solve(lu, Cdt - (1.0 - theta) * sys.G),
-            sla.lu_solve(lu, b))
+        Pq = sla.solve(Cdt + theta * sys.G, rhs)
+    except sla.LinAlgError:
+        raise SolverError(f"singular step matrix C/dt + theta G "
+                          f"(theta={theta:g}, dt={dt:g} s)") from None
+    if not np.isfinite(Pq).all():
+        raise SolverError(f"non-finite step matrices P, q "
+                          f"(theta={theta:g}, dt={dt:g} s)")
+    return np.ascontiguousarray(Pq[:, :-1]), Pq[:, -1]
 
 
 def run_transient(network: CoupledNetwork, stimulus: Stimulus,

@@ -16,6 +16,7 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
                              write_waveforms_csv)
+from xtalksim.engine import WaveformSet
 from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance)
@@ -52,6 +53,52 @@ class TestConfigDocuments:
         empty.write_text("\n")
         with pytest.raises(ParameterError, match="empty"):
             load_config(empty)
+
+    def test_dotless_exponents_read_as_numbers(self, tmp_path):
+        # YAML 1.1 reads "3e2" and "76e-15" as strings
+        cfg = tmp_path / "pair.yaml"
+        cfg.write_text(
+            "scenario:\n"
+            "  name: pair\n"
+            "  lines:\n"
+            "    - {name: a, role: aggressor, r_total: 3e2, l_total: 7e-5,"
+            " c_total: 12e-11}\n"
+            "    - {name: v, role: victim, r_total: 4e2, l_total: 8e-5,"
+            " c_total: 13e-11}\n"
+            "  couplings:\n"
+            "    - {pair: [a, v], m_total: 6e-6, cm_total: 5e-11}\n"
+            "  terminations:\n"
+            "    a: {driver_resistance_ohm: 5e1, load_capacitance_f: 76e-15}\n"
+            "sim: {dt: 1e-9, t_end: 4e-7}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        params = json.loads(
+            (tmp_path / summary_filename("pair")).read_text())["params"]
+        assert params["lines"]["a"] == {"role": "aggressor", "r_total": 300.0,
+                                        "l_total": 7e-5, "c_total": 12e-11}
+        assert params["couplings"] == [
+            {"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 5e-11}]
+        assert params["terminations"]["a"] == {
+            "driver_resistance_ohm": 50.0, "source_ref": "stimulus",
+            "load_capacitance_f": 76e-15}
+
+    @pytest.mark.parametrize("entry, field", [
+        ("lines", "scenario.lines[0].r_total"),
+        ("couplings", "scenario.couplings[0].cm_total"),
+        ("terminations", "scenario.terminations[a].load_capacitance_f"),
+    ])
+    def test_non_number_field_exits_1_naming_it(self, tmp_path, capsys,
+                                                entry, field):
+        scenario = json.loads(json.dumps(EXPLICIT_PAIR))
+        scenario["terminations"] = {"a": {"load_capacitance_f": 76e-15}}
+        target = scenario[entry]
+        target = target[0] if isinstance(target, list) else target["a"]
+        target[field.rsplit(".", 1)[1]] = "lots"
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(json.dumps({"scenario": scenario,
+                                   "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{field} must be a number, got 'lots'" in capsys.readouterr().err
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ParameterError, match="unknown config block"):
@@ -318,6 +365,22 @@ class TestFileFormats:
         expect = np.column_stack([waves.times, *waves.node_traces.values()])
         assert data.shape == expect.shape
         assert np.allclose(data, expect, rtol=1e-8, atol=1e-12)
+
+    def test_waveform_csv_matches_savetxt(self, tmp_path, stock_runs):
+        edge = [0.0, -0.0, 5e-324, 1e300, -1e300, -1.797e308, -3.3e-13]
+        rows = 2 * 4096 + 5            # not a multiple of the writer's chunk
+        traces = {f"n{i}": np.roll(np.resize(edge, rows), i) for i in range(3)}
+        cases = [waves for _, waves, _ in stock_runs.values()]
+        cases.append(WaveformSet(times=np.arange(rows) * 1e-9,
+                                 node_traces=traces))
+        for i, waves in enumerate(cases):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            write_waveforms_csv(got, waves)
+            np.savetxt(want, np.column_stack([waves.times,
+                                              *waves.node_traces.values()]),
+                       fmt="%.9g", delimiter=",", comments="",
+                       header=",".join(["time", *waves.node_traces]))
+            assert got.read_bytes() == want.read_bytes(), i
 
     def test_summary_json_deterministic_with_fixed_timestamp(self, tmp_path):
         result, _, _ = run_scenario(short_preset("no-shield"))

@@ -11,8 +11,9 @@ import pytest
 from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
-from xtalksim.engine import (SimConfig, Stimulus, WaveformSet, assemble,
-                             dc_operating_point, run_transient, smooth_edge)
+from xtalksim.engine import (MnaSystem, SimConfig, Stimulus, WaveformSet,
+                             _step_matrices, assemble, dc_operating_point,
+                             run_transient, smooth_edge)
 from xtalksim.errors import AssemblyError, ParameterError, SolverError
 from xtalksim.network import (Capacitor, Resistor, TerminationSpec,
                               VoltageSource, build_ladder, preset_tables)
@@ -319,6 +320,33 @@ class TestBehaviour:
         dc = dc_operating_point(net, source_values={"Vaggressor": 0.0})
         for label, tr in waves.node_traces.items():
             assert tr[0] == approx(dc[label], abs=1e-12)
+
+
+class TestStepMatrices:
+    """The failures of the one solve behind P and q."""
+
+    @staticmethod
+    def _system(G, C) -> MnaSystem:
+        n = len(G)
+        return MnaSystem(G=np.array(G, dtype=float), C=np.array(C, dtype=float),
+                         B=np.ones((n, 1)),
+                         unknown_labels=tuple(f"x{i}" for i in range(n)),
+                         n_node_unknowns=n, source_names=("V",),
+                         source_driven=(True,), source_labels=("in",),
+                         grounded_labels=(), branch_labels=())
+
+    def test_singular_step_matrix(self):
+        theta, dt = 0.5, 0.25
+        G = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        sys = self._system(G, -theta * dt * G)       # C/dt + theta G = 0
+        with pytest.raises(SolverError, match=r"singular step matrix C/dt "
+                                              r"\+ theta G \(theta=0.5"):
+            _step_matrices(sys, np.ones(2), dt, theta)
+
+    def test_non_finite_step_matrices(self):
+        sys = self._system(np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(SolverError, match="non-finite step matrices P, q"):
+            _step_matrices(sys, np.ones(2), 0.25, 1.0)
 
 
 # ------------------------------------------------------------- input guards
