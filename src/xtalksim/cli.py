@@ -23,10 +23,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (SWEEP_AXES, ToolkitConfig, apply_set_overrides,
-                     extraction_report, load_config, preset_config, resolve,
-                     resolve_output, run_scenario, run_sweep,
-                     summary_filename, sweep_filename, waveforms_filename,
-                     write_summary_json, write_sweep_csv, write_waveforms_csv)
+                     extraction_report, load_config, parse_scalar,
+                     preset_config, resolve, resolve_output, run_scenario,
+                     run_sweep, summary_filename, sweep_filename,
+                     waveforms_filename, write_summary_json, write_sweep_csv,
+                     write_waveforms_csv)
 from .errors import AssemblyError, ParameterError, SolverError
 from .netlist import export_netlist
 from .network import PRESET_NAMES
@@ -111,17 +112,12 @@ def cmd_run(args) -> int:
 
 
 def _parse_values(raw: str) -> list[float]:
-    import yaml
-
     values = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
-        try:
-            value = yaml.safe_load(part)
-        except yaml.YAMLError:
-            raise ParameterError(f"--values: unparseable entry {part!r}")
+        value = parse_scalar(part, "--values")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParameterError(f"--values entries must be numbers, "
                                  f"got {part!r}")

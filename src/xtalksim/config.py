@@ -108,7 +108,6 @@ class ToolkitConfig:
     stimulus: dict | None = None
     sim: dict | None = None
     output: dict | None = None
-    source: str = ""                      # where it came from, for messages
 
     def to_mapping(self) -> dict:
         out = {}
@@ -127,7 +126,7 @@ def _copy_tree(value):
     return value
 
 
-def config_from_mapping(data: dict, source: str = "") -> ToolkitConfig:
+def config_from_mapping(data: dict) -> ToolkitConfig:
     _require_mapping(data, "config root")
     unknown = set(data) - set(CONFIG_BLOCKS)
     if unknown:
@@ -136,7 +135,7 @@ def config_from_mapping(data: dict, source: str = "") -> ToolkitConfig:
             f"expected some of: {', '.join(CONFIG_BLOCKS)}")
     blocks = {name: _require_mapping(data[name], name)
               for name in CONFIG_BLOCKS if data.get(name) is not None}
-    return ToolkitConfig(source=source, **blocks)
+    return ToolkitConfig(**blocks)
 
 
 def load_config(path) -> ToolkitConfig:
@@ -156,7 +155,7 @@ def load_config(path) -> ToolkitConfig:
         raise ParameterError(f"config parse error in {path}{where}: {exc}")
     if data is None:
         raise ParameterError(f"config file {path} is empty")
-    return config_from_mapping(data, source=str(path))
+    return config_from_mapping(data)
 
 
 def preset_config(name: str) -> ToolkitConfig:
@@ -171,7 +170,6 @@ def preset_config(name: str) -> ToolkitConfig:
         stimulus=dict(DEFAULT_STIMULUS),
         sim=dict(DEFAULT_SIM),
         output=_copy_tree(DEFAULT_OUTPUT),
-        source=f"preset:{name}",
     )
 
 
@@ -179,12 +177,10 @@ def apply_set_overrides(config: ToolkitConfig,
                         assignments: list[str]) -> ToolkitConfig:
     """Apply ``--set block.key[.subkey]=value`` pairs onto a config.
 
-    Values parse as YAML scalars/collections, so ``--set sim.dt=1e-10``
-    and ``--set output.formats=[csv]`` both work. A key set on a block
-    the config lacks starts that block from its default.
+    Values parse as by ``parse_scalar``, so ``--set sim.dt=1e-10`` and
+    ``--set output.formats=[csv]`` both work. A key set on a block the
+    config lacks starts that block from its default.
     """
-    import yaml
-
     data = config.to_mapping()
     for item in assignments:
         key, sep, raw = item.partition("=")
@@ -195,23 +191,27 @@ def apply_set_overrides(config: ToolkitConfig,
             raise ParameterError(
                 f"--set path {key.strip()!r} must start with a config block "
                 f"({', '.join(CONFIG_BLOCKS)}) and name a key inside it")
-        try:
-            value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
-            raise ParameterError(f"--set {key.strip()}: unparseable value "
-                                 f"{raw!r}: {exc}")
-        if isinstance(value, str):
-            # YAML 1.1 leaves dotless scientific notation ("1e-10") as a
-            # string; treat anything numeric-looking as a number
+        _set_key(data, path, parse_scalar(raw, f"--set {key.strip()}"))
+    return config_from_mapping(data)
+
+
+def parse_scalar(raw: str, where: str):
+    """A command-line value read as YAML. YAML 1.1 leaves dotless
+    scientific notation ("1e-10") a string, so a string that reads as
+    an int or float becomes that number."""
+    import yaml
+
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
+    if isinstance(value, str):
+        for kind in (int, float):
             try:
-                value = int(value)
+                return kind(value)
             except ValueError:
-                try:
-                    value = float(value)
-                except ValueError:
-                    pass
-        _set_key(data, path, value)
-    return config_from_mapping(data, source=config.source or "--set")
+                pass
+    return value
 
 
 def _set_key(data: dict, path: list[str], value) -> None:
@@ -252,17 +252,19 @@ def resolve_geometry(block: dict
             f"available: {', '.join(sorted(BUILTIN_COEFFICIENTS))}")
     coeffs = BUILTIN_COEFFICIENTS[name]
     shield_sep = b.pop("shield_separation_um", None)
-    width_scale = float(b.pop("shield_width_scale", 1.0))
+    width_scale = _number(b.pop("shield_width_scale", 1.0),
+                          "geometry.shield_width_scale")
     if not width_scale > 0:
         raise ParameterError("geometry block: shield_width_scale must be > 0")
     allowed = {"length_um", "width_um", "thickness_um", "height_um",
                "separation_um", "eps_rel", "sheet_res_ohm_sq", "lam"}
     _check_keys(b, allowed, "geometry")
-    geometry = InterconnectGeometry(**{k: float(v) for k, v in b.items()})
+    geometry = InterconnectGeometry(**{k: _number(v, f"geometry.{k}")
+                                       for k, v in b.items()})
     if shield_sep is None:
         shield_sep = 2.0 * geometry.separation_um
     else:
-        shield_sep = float(shield_sep)
+        shield_sep = _number(shield_sep, "geometry.shield_separation_um")
         if not shield_sep > 0:
             raise ParameterError("geometry block: shield_separation_um must be > 0")
     return geometry, coeffs, shield_sep, width_scale
@@ -394,18 +396,26 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 # scenario / stimulus / sim resolution
 
 
+def _number(value, where: str, kind: type = float):
+    """A config value read as a float, or as an int with ``kind=int``;
+    ``where`` names the field in the error. A bool is refused. YAML 1.1
+    leaves dotless scientific notation ("76e-15") a string, so a numeric
+    string is read."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ParameterError(f"{where} must be a number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ParameterError(f"{where} must be an integer, got {value!r}")
+    return kind(number)
+
+
 def _numbers(entry: dict, keys: tuple[str, ...], name: str) -> dict:
-    """``entry`` with each of ``keys`` it holds read as a float. YAML 1.1
-    leaves dotless scientific notation ("76e-15") as a string."""
-    out = dict(entry)
-    for key in keys:
-        if key in out:
-            try:
-                out[key] = float(out[key])
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name}.{key} must be a number, "
-                                     f"got {out[key]!r}") from None
-    return out
+    """``entry`` with each of ``keys`` it holds read by ``_number``."""
+    return {k: _number(v, f"{name}.{k}") if k in keys else v
+            for k, v in entry.items()}
 
 
 def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
@@ -466,7 +476,8 @@ def _parse_taps(entry) -> TapSchedule | None:
     _check_keys(entry, {"fractions", "tie_resistance_ohm"}, "scenario.taps")
     return TapSchedule(
         fractions=tuple(entry.get("fractions", ())),
-        tie_resistance_ohm=float(entry.get("tie_resistance_ohm", 0.0)))
+        tie_resistance_ohm=_number(entry.get("tie_resistance_ohm", 0.0),
+                                   "scenario.taps.tie_resistance_ohm"))
 
 
 def _tables_params(tables: dict, n_segments: int) -> dict:
@@ -483,7 +494,7 @@ def _tables_params(tables: dict, n_segments: int) -> dict:
         "lines": lines,
         "couplings": couplings,
         "taps": None if taps is None else {
-            "fractions": [float(f) for f in taps.fractions],
+            "fractions": list(taps.fractions),
             "tie_resistance_ohm": taps.tie_resistance_ohm},
         "terminations": {name: {
             "driver_resistance_ohm": t.driver_resistance_ohm,
@@ -512,10 +523,11 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
                                      f"scenario.preset; pick one form")
         tap_count = scen.get("tap_count")
         if tap_count is not None:
-            tap_count = _as_int(tap_count, "scenario.tap_count")
+            tap_count = _number(tap_count, "scenario.tap_count", int)
         tables = preset_tables(
             scen["preset"], tap_count=tap_count,
-            tie_resistance_ohm=float(scen.get("tie_resistance_ohm", 0.0)))
+            tie_resistance_ohm=_number(scen.get("tie_resistance_ohm", 0.0),
+                                       "scenario.tie_resistance_ohm"))
         return tables, scen["preset"]
     for key in ("tap_count", "tie_resistance_ohm"):
         if scen.get(key) is not None:
@@ -530,46 +542,39 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
     return tables, str(scen.get("name") or "custom")
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or (not isinstance(value, int)
-                                   and not (isinstance(value, float)
-                                            and value.is_integer())):
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def resolve_stimulus(block: dict) -> Stimulus:
     """Stimulus block -> engine Stimulus (smooth-edge expands to pwl)."""
     b = dict(block)
     _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",
                     "points", "samples"}, "stimulus")
     kind = b.pop("kind", "ramp")
-    if kind == "smooth-edge":
-        if "points" in b:
-            raise ParameterError("stimulus: points are only valid for kind=pwl")
-        return smooth_edge(
-            rise_time_s=float(b.pop("rise_time_s", DEFAULT_STIMULUS["rise_time_s"])),
-            amplitude_v=float(b.pop("amplitude_v", 1.0)),
-            delay_s=float(b.pop("delay_s", 0.0)),
-            samples=_as_int(b.pop("samples", 64), "stimulus.samples"))
-    if "samples" in b:
+    if "samples" in b and kind != "smooth-edge":
         raise ParameterError("stimulus: samples is only valid for kind=smooth-edge")
     if kind in ("step", "pwl") and "rise_time_s" in b:
         raise ParameterError(f"stimulus: rise_time_s is not used by "
                              f"kind={kind}; only ramp and smooth-edge have "
                              f"a rise time")
+    amplitude_v = _number(b.pop("amplitude_v", 1.0), "stimulus.amplitude_v")
+    delay_s = _number(b.pop("delay_s", 0.0), "stimulus.delay_s")
+    rise_time_s = _number(b.pop("rise_time_s", DEFAULT_STIMULUS["rise_time_s"]
+                                if kind == "smooth-edge" else 1e-9),
+                          "stimulus.rise_time_s")
+    if kind == "smooth-edge":
+        if "points" in b:
+            raise ParameterError("stimulus: points are only valid for kind=pwl")
+        return smooth_edge(rise_time_s, amplitude_v, delay_s,
+                           _number(b.pop("samples", 64), "stimulus.samples", int))
     points = b.pop("points", None)
     if points is not None:
         try:
-            points = tuple((float(t), float(v)) for t, v in points)
+            points = tuple((_number(t, f"stimulus.points[{i}]"),
+                            _number(v, f"stimulus.points[{i}]"))
+                           for i, (t, v) in enumerate(points))
         except (TypeError, ValueError):
             raise ParameterError("stimulus.points must be a list of "
                                  "[time, value] pairs")
-    return Stimulus(kind=kind,
-                    amplitude_v=float(b.pop("amplitude_v", 1.0)),
-                    rise_time_s=float(b.pop("rise_time_s", 1e-9)),
-                    delay_s=float(b.pop("delay_s", 0.0)),
-                    points=points)
+    return Stimulus(kind=kind, amplitude_v=amplitude_v, rise_time_s=rise_time_s,
+                    delay_s=delay_s, points=points)
 
 
 def resolve_output(block: dict | None) -> dict:
@@ -595,7 +600,7 @@ def end_labels(network: CoupledNetwork) -> tuple[str, ...]:
     labels = []
     for ln in network.lines:
         src = f"{ln.name}_src"
-        if src in network.node_ids:
+        if src in network.nodes:
             labels.append(src)
         labels.append(f"{ln.name}_{network.n_segments}")
     return tuple(labels)
@@ -633,7 +638,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
-    n_segments = _as_int(sim_block.pop("n_segments", 12), "sim.n_segments")
+    n_segments = _number(sim_block.pop("n_segments", 12), "sim.n_segments", int)
 
     tables, scenario_name = _scenario_tables(config.scenario)
     tables = _map_tables(tables, config)
@@ -655,7 +660,8 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     else:
         raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
                              f"list of node labels, got {nodes!r}")
-    sim = SimConfig(dt=float(sim_block["dt"]), t_end=float(sim_block["t_end"]),
+    sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
+                    t_end=_number(sim_block["t_end"], "sim.t_end"),
                     method=str(sim_block.get("method", "trapezoidal")),
                     output_nodes=out_nodes)
 
@@ -753,7 +759,7 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
                "aggressor_delay_s": None, "victim_delay_s": None, "error": ""}
         try:
             _set_key(data, SWEEP_AXES[axis].split("."), value)
-            result = run_scenario(config_from_mapping(data, config.source))[0]
+            result = run_scenario(config_from_mapping(data))[0]
             if not result.measurements:
                 raise ParameterError("sweep needs one aggressor and one "
                                      "victim line to measure")

@@ -178,7 +178,6 @@ class MnaSystem:
     source_driven: tuple[bool, ...]
     source_labels: tuple[str, ...]        # node labels of the source nodes
     grounded_labels: tuple[str, ...]      # labels merged with ground (0-ohm ties)
-    branch_labels: tuple[str, ...]
 
 
 def assemble(network: CoupledNetwork) -> MnaSystem:
@@ -193,7 +192,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
     for s in network.sources:
         if s.node in source_node:
             raise AssemblyError(f"two sources drive node "
-                                f"{network.label(s.node)!r}")
+                                f"{network.nodes[s.node]!r}")
         if s.node in aliased:
             raise AssemblyError(f"source {s.name} drives a ground-tied node")
         source_node[s.node] = s
@@ -204,8 +203,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
     sources = list(network.sources)
     for j, s in enumerate(sources):
         kind[s.node] = ("src", j)
-    unknown_nodes = [nd.nid for nd in network.nodes
-                     if nd.nid != GROUND and nd.nid not in kind]
+    unknown_nodes = [nid for nid in range(len(network.nodes)) if nid not in kind]
     for i, nid in enumerate(unknown_nodes):
         kind[nid] = ("unk", i)
 
@@ -249,8 +247,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
     for c in network.capacitors:
         stamp_two_terminal(C, c.a, c.b, c.farads, c.name, allow_source=False)
 
-    for ind in network.inductors:
-        row = nv + ind.branch
+    for row, ind in enumerate(network.inductors, start=nv):
         for node, sign in ((ind.a, 1.0), (ind.b, -1.0)):
             k = kind[node]
             if k[0] == "unk":
@@ -264,7 +261,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
         C[nv + m.branch_i, nv + m.branch_j] -= m.m_h
         C[nv + m.branch_j, nv + m.branch_i] -= m.m_h
 
-    labels = tuple([network.label(nid) for nid in unknown_nodes]
+    labels = tuple([network.nodes[nid] for nid in unknown_nodes]
                    + [ind.name for ind in network.inductors])
     # structural screen: an unknown with an all-zero row or column can
     # never be solved for; name it rather than failing inside LU
@@ -279,9 +276,8 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
         G=G, C=C, B=B, unknown_labels=labels, n_node_unknowns=nv,
         source_names=tuple(s.name for s in sources),
         source_driven=tuple(s.driven for s in sources),
-        source_labels=tuple(network.label(s.node) for s in sources),
-        grounded_labels=tuple(sorted(network.label(nid) for nid in aliased)),
-        branch_labels=tuple(ind.name for ind in network.inductors),
+        source_labels=tuple(network.nodes[s.node] for s in sources),
+        grounded_labels=tuple(sorted(network.nodes[nid] for nid in aliased)),
     )
 
 
@@ -366,7 +362,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     nv = sys.n_node_unknowns
     unknown_of = {lbl: i for i, lbl in enumerate(sys.unknown_labels[:nv])}
     # every non-ground node is an unknown, a source node or tied to ground
-    labels = [nd.label for nd in network.nodes if nd.nid != GROUND]
+    labels = list(network.nodes[1:])
     branches = range(nv, len(sys.unknown_labels))
     if sim.output_nodes != "all":
         missing = [lbl for lbl in sim.output_nodes if lbl not in labels]
@@ -404,7 +400,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     node_traces = {lbl: next(columns) if lbl in unknown_of
                    else (drive if driven.get(lbl) else zeros).copy()
                    for lbl in labels}
-    branch_currents = dict(zip(sys.branch_labels, columns))
+    branch_currents = dict(zip(sys.unknown_labels[nv:], columns))
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}
     return WaveformSet(times=times, node_traces=node_traces,

@@ -226,9 +226,10 @@ class LineElectricals:
                     f"the pair inductance matrix would not be positive definite")
 
 
-def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict[tuple[str, str], float]:
-    """Accept pair overrides keyed by tuple or by "a:b" strings."""
-    out: dict[tuple[str, str], float] = {}
+def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict:
+    """Accept pair overrides keyed by tuple or by "a:b" strings; the
+    values stay as given, for ``_override_value`` to read."""
+    out = {}
     for key, value in table.items():
         if isinstance(key, str):
             parts = key.split(":")
@@ -240,20 +241,28 @@ def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict[tuple
         for name in key:
             if name not in lines:
                 raise ParameterError(f"pair override names unknown line {name!r}")
-        out[key] = float(value)
+        out[key] = value
     return out
 
 
 def _override_value(label: str, where: str, value) -> float:
-    """An override as a float; a positive inductance below 1e-3 uH is
-    refused, since it is almost surely henries written into a uH field."""
-    value = float(value)
-    if label in ("l_total", "m_total") and 0.0 < value < 1e-3:
+    """An override as a float, named ``overrides.<label><where>`` in
+    errors; a bool or non-number is refused, and so is a positive
+    inductance below 1e-3 uH, since it is almost surely henries written
+    into a uH field."""
+    field = f"overrides.{label}{where}"
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ParameterError(f"{field} must be a number, got {value!r}")
+    if label in ("l_total", "m_total") and 0.0 < number < 1e-3:
         raise ParameterError(
-            f"overrides.{label} {where} = {value:g} is read in uH, the unit "
-            f"of the formula values, not H; for {value:g} H write "
-            f"{value * 1e6:.6g}")
-    return value
+            f"{field} = {number:g} is read in uH, the unit "
+            f"of the formula values, not H; for {number:g} H write "
+            f"{number * 1e6:.6g}")
+    return number
 
 
 def extract_all(geometries: dict[str, InterconnectGeometry],
@@ -324,15 +333,15 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
                 for line, value in ov.items():
                     if line not in table:
                         raise ParameterError(f"override {label} names unknown line {line!r}")
-                    table[line] = _override_value(label, f"for {line}", value)
+                    table[line] = _override_value(label, f"[{line}]", value)
             else:
-                value = _override_value(label, "for every line", ov)
+                value = _override_value(label, "", ov)
                 for line in table:
                     table[line] = value
     for label, table in (("m_total", m), ("cm_total", cm)):
         if label in overrides:
             for key, value in _normalize_override_pairs(overrides[label], lines).items():
-                value = _override_value(label, f"for {key[0]}:{key[1]}", value)
+                value = _override_value(label, f"[{key[0]}:{key[1]}]", value)
                 if value == 0.0:
                     table.pop(key, None)
                 else:

@@ -58,7 +58,7 @@ def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
                    sim_config: SimConfig) -> str:
     """Serialize a network plus drive and analysis window to deck text."""
     title = network.scenario or "custom"
-    name = {nd.nid: nd.label for nd in network.nodes}
+    name = network.nodes
 
     lines = [
         f"* coupled-interconnect ladder: {title}",
@@ -89,10 +89,9 @@ def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
         else:
             lines.append(f"{ind.name} {name[ind.a]} {name[ind.b]} {_f(ind.l_h)}")
 
-    by_branch = {ind.branch: ind for ind in network.inductors}
     for m in network.mutuals:
-        li = by_branch[m.branch_i]
-        lj = by_branch[m.branch_j]
+        li = network.inductors[m.branch_i]
+        lj = network.inductors[m.branch_j]
         k = m.m_h / math.sqrt(li.l_h * lj.l_h)
         if not abs(k) < 1.0:
             raise ParameterError(

@@ -16,7 +16,7 @@ any scheduled interior taps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -114,12 +114,6 @@ class TapSchedule:
 
 
 @dataclass(frozen=True)
-class Node:
-    nid: int
-    label: str
-
-
-@dataclass(frozen=True)
 class Resistor:
     name: str
     a: int
@@ -140,7 +134,6 @@ class Capacitor:
 class Inductor:
     """One ladder segment: L plus its series resistance on one branch."""
 
-    branch: int
     name: str
     a: int
     b: int
@@ -196,9 +189,11 @@ class Finding:
 
 @dataclass(frozen=True)
 class CoupledNetwork:
-    """Immutable element-level circuit produced by build_ladder."""
+    """Immutable element-level circuit produced by build_ladder. A node's
+    id is its label's position in ``nodes`` (ground is "0" at 0); a
+    branch's id is its inductor's position in ``inductors``."""
 
-    nodes: tuple[Node, ...]
+    nodes: tuple[str, ...]
     resistors: tuple[Resistor, ...]
     capacitors: tuple[Capacitor, ...]
     inductors: tuple[Inductor, ...]
@@ -208,15 +203,11 @@ class CoupledNetwork:
     lines: tuple[LineSpec, ...]
     n_segments: int
     scenario: str = ""
-    node_ids: dict[str, int] = field(default_factory=dict)   # label -> id
-
-    def label(self, nid: int) -> str:
-        return self.nodes[nid].label
 
     def node(self, label: str) -> int:
         try:
-            return self.node_ids[label]
-        except KeyError:
+            return self.nodes.index(label)
+        except ValueError:
             raise ParameterError(f"no node labeled {label!r} in this network") from None
 
     def line_by_role(self, role: str) -> LineSpec:
@@ -312,14 +303,13 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
     if taps is not None and taps.fractions and not shield_lines:
         raise ParameterError("tap schedule given but the network has no shield line")
 
-    nodes: list[Node] = [Node(GROUND, "0")]
+    nodes: list[str] = ["0"]
     node_ids: dict[str, int] = {"0": GROUND}
 
     def add_node(label: str) -> int:
-        nid = len(nodes)
-        nodes.append(Node(nid, label))
-        node_ids[label] = nid
-        return nid
+        node_ids[label] = len(nodes)
+        nodes.append(label)
+        return node_ids[label]
 
     resistors: list[Resistor] = []
     capacitors: list[Capacitor] = []
@@ -345,9 +335,8 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
                 capacitors.append(Capacitor(f"Cload_{ln.name}", seg_nodes[-1], GROUND,
                                             term.load_capacitance_f, kind="load"))
         for k in range(1, n_segments + 1):
-            branch = len(inductors)
-            branch_of[(ln.name, k)] = branch
-            inductors.append(Inductor(branch, f"L{ln.name}_{k}",
+            branch_of[(ln.name, k)] = len(inductors)
+            inductors.append(Inductor(f"L{ln.name}_{k}",
                                       seg_nodes[k - 1], seg_nodes[k],
                                       ln.l_total / n_segments,
                                       ln.r_total / n_segments))
@@ -388,7 +377,6 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
         capacitors=tuple(capacitors), inductors=tuple(inductors),
         mutuals=tuple(mutuals), sources=tuple(sources), ties=tuple(ties),
         lines=lines, n_segments=n_segments, scenario=scenario,
-        node_ids=node_ids,
     )
     findings = validate_network(net)
     if findings:
@@ -429,8 +417,8 @@ def validate_network(network: CoupledNetwork) -> list[Finding]:
 
     if not any(f.code == "bad-reference" for f in findings) and n_branches:
         L = np.zeros((n_branches, n_branches))
-        for ind in network.inductors:
-            L[ind.branch, ind.branch] = ind.l_h
+        for b, ind in enumerate(network.inductors):
+            L[b, b] = ind.l_h
         for m in network.mutuals:
             L[m.branch_i, m.branch_j] = L[m.branch_j, m.branch_i] = m.m_h
         # cheap per-pair screen first so the finding can name elements
@@ -476,7 +464,7 @@ def validate_network(network: CoupledNetwork) -> list[Finding]:
         union(t.node, GROUND)
     for s in network.sources:
         union(s.node, GROUND)
-    floating = [network.nodes[i].label for i in range(1, n_nodes)
+    floating = [network.nodes[i] for i in range(1, n_nodes)
                 if find(i) != find(GROUND)]
     if floating:
         findings.append(Finding(
@@ -512,8 +500,9 @@ def preset_tables(name: str, tap_count: int | None = None,
     agg = _signal_line("aggressor", "aggressor")
     vic = _signal_line("victim", "victim")
     if name == "no-shield":
-        if tap_count:
-            raise ParameterError("tap_count needs a shield; use a shielded preset")
+        if tap_count or tie_resistance_ohm:
+            raise ParameterError("tap_count and tie_resistance_ohm need a "
+                                 "shield; use a shielded preset")
         return {
             "lines": (agg, vic),
             "couplings": {("aggressor", "victim"): {

@@ -17,20 +17,19 @@ from scipy.linalg import expm
 
 from xtalksim.engine import assemble
 from xtalksim.network import (Capacitor, CoupledNetwork, GroundTie, Inductor,
-                              Mutual, Node, Resistor, VoltageSource)
+                              Mutual, Resistor, VoltageSource)
 
 
 def make_network(labels, *, resistors=(), capacitors=(), inductors=(),
                  mutuals=(), sources=(), ties=(), scenario="test"):
     """Hand-built CoupledNetwork; node ids are 0 (ground) then 1.. in
-    label order, so element records use those integers directly."""
-    nodes = [Node(0, "0")] + [Node(i + 1, lbl) for i, lbl in enumerate(labels)]
+    label order, and branch ids are positions in ``inductors``, so
+    element records use those integers directly."""
     return CoupledNetwork(
-        nodes=tuple(nodes), resistors=tuple(resistors),
+        nodes=("0", *labels), resistors=tuple(resistors),
         capacitors=tuple(capacitors), inductors=tuple(inductors),
         mutuals=tuple(mutuals), sources=tuple(sources), ties=tuple(ties),
-        lines=(), n_segments=1, scenario=scenario,
-        node_ids={nd.label: nd.nid for nd in nodes})
+        lines=(), n_segments=1, scenario=scenario)
 
 
 def rc_network(r_ohm: float, c_f: float) -> CoupledNetwork:
@@ -48,7 +47,7 @@ def rl_network(r_ohm: float, l_h: float) -> CoupledNetwork:
     return make_network(
         ["in", "mid"],
         resistors=[Resistor("R1", 1, 2, r_ohm)],
-        inductors=[Inductor(0, "L1", 2, 0, l_h)],
+        inductors=[Inductor("L1", 2, 0, l_h)],
         sources=[VoltageSource("Vin", 1, driven=True)],
         scenario="rl")
 

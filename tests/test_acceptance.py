@@ -287,13 +287,12 @@ def test_criterion_9_netlist_export(tmp_path):
     clauses = [("deck is byte-stable across exports",
                 deck == export_netlist(net, stim, sim), "re-exported")]
 
-    by_branch = {ind.branch: ind for ind in net.inductors}
     k_cards = [ln.split() for ln in deck.splitlines() if ln.startswith("K")]
     by_name = {c[0]: float(c[3]) for c in k_cards}
     worst = 0.0
     ok = len(k_cards) == len(net.mutuals) > 0
     for m in net.mutuals:
-        li, lj = by_branch[m.branch_i], by_branch[m.branch_j]
+        li, lj = net.inductors[m.branch_i], net.inductors[m.branch_j]
         expect = m.m_h / (li.l_h * lj.l_h) ** 0.5
         got = by_name.get(m.name)
         ok &= got is not None and abs(got) < 1.0

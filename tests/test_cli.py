@@ -85,20 +85,40 @@ class TestConfigDocuments:
         ("lines", "scenario.lines[0].r_total"),
         ("couplings", "scenario.couplings[0].cm_total"),
         ("terminations", "scenario.terminations[a].load_capacitance_f"),
+        ("set", "geometry.width_um"),
+        ("set", "geometry.shield_width_scale"),
+        ("set", "overrides.r_total"),
+        ("set", "scenario.tie_resistance_ohm"),
+        ("set", "stimulus.amplitude_v"),
+        ("set", "sim.dt"),
     ])
     def test_non_number_field_exits_1_naming_it(self, tmp_path, capsys,
                                                 entry, field):
-        scenario = json.loads(json.dumps(EXPLICIT_PAIR))
-        scenario["terminations"] = {"a": {"load_capacitance_f": 76e-15}}
-        target = scenario[entry]
-        target = target[0] if isinstance(target, list) else target["a"]
-        target[field.rsplit(".", 1)[1]] = "lots"
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text(json.dumps({"scenario": scenario,
-                                   "sim": {"dt": 1e-9, "t_end": 4e-7}}))
-        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        if entry == "set":
+            source = ["--preset", "shield", "--set", f"{field}=lots"]
+        else:
+            scenario = json.loads(json.dumps(EXPLICIT_PAIR))
+            scenario["terminations"] = {"a": {"load_capacitance_f": 76e-15}}
+            target = scenario[entry]
+            target = target[0] if isinstance(target, list) else target["a"]
+            target[field.rsplit(".", 1)[1]] = "lots"
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(json.dumps({"scenario": scenario,
+                                       "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+            source = ["--config", str(cfg)]
+        rc = main(["run", *source, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"{field} must be a number, got 'lots'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment", [
+        "sim.t_end=true", "sim.n_segments=true", "overrides.r_total=true",
+        "overrides.m_total={aggressor:victim: true}",
+    ])
+    def test_bool_is_not_a_number(self, assignment):
+        # resolve only: a run of sim.t_end=true read as 1 s is 2e10 steps
+        cfg = apply_set_overrides(preset_config("shield"), [assignment])
+        with pytest.raises(ParameterError, match="must be a number, got True"):
+            resolve(cfg)
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ParameterError, match="unknown config block"):
@@ -493,8 +513,17 @@ class TestCliExitCodes:
                      "--values", "3"]) == 1                # single value
         assert main(["sweep", "--preset", "shield", "--axis", "tap_count",
                      "--values", "1,2x"]) == 1             # non-number
+        assert main(["sweep", "--preset", "shield", "--axis", "tap_count",
+                     "--values", "0,true"]) == 1           # a bool
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_values_read_numbers_as_set_does(self, tmp_path, capsys):
+        # dotless "1e0" is a number on --values as it is on --set
+        rc = main(["sweep", "--preset", "shield", *_sets(), "--axis",
+                   "tap_count", "--values", "0,1e0", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "tap_count=1.0: victim peak" in capsys.readouterr().out
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "dead-short.yaml"

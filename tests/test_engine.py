@@ -287,7 +287,7 @@ class TestBehaviour:
         waves = run_transient(net, EDGE, SHORT)
         assert list(waves.branch_currents) == [ind.name
                                                for ind in net.inductors]
-        assert list(waves.node_traces) == [nd.label for nd in net.nodes[1:]]
+        assert list(waves.node_traces) == list(net.nodes[1:])
 
     def test_missing_output_label_raises_before_dc_solve(self):
         # "float" hangs on a capacitor alone: G is singular, so the DC
@@ -323,7 +323,8 @@ class TestBehaviour:
 
 
 class TestStepMatrices:
-    """The failures of the one solve behind P and q."""
+    """The failures of the step recurrence: the one solve behind P and q,
+    and a run whose samples overflow."""
 
     @staticmethod
     def _system(G, C) -> MnaSystem:
@@ -333,7 +334,7 @@ class TestStepMatrices:
                          unknown_labels=tuple(f"x{i}" for i in range(n)),
                          n_node_unknowns=n, source_names=("V",),
                          source_driven=(True,), source_labels=("in",),
-                         grounded_labels=(), branch_labels=())
+                         grounded_labels=())
 
     def test_singular_step_matrix(self):
         theta, dt = 0.5, 0.25
@@ -347,6 +348,16 @@ class TestStepMatrices:
         sys = self._system(np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(SolverError, match="non-finite step matrices P, q"):
             _step_matrices(sys, np.ones(2), 0.25, 1.0)
+
+    def test_divergence_names_the_time(self):
+        # C < 0 puts the RC pole in the right half plane: finite P and q
+        # whose powers overflow
+        net = rc_network(1.0, -2e-9)
+        with np.errstate(over="ignore"), pytest.raises(
+                SolverError,
+                match=r"divergence: non-finite sample at t=1\.39e-06 s"):
+            run_transient(net, Stimulus(kind="step"),
+                          SimConfig(dt=1e-9, t_end=10e-6))
 
 
 # ------------------------------------------------------------- input guards

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from _reference import make_network
 from xtalksim.engine import SimConfig, Stimulus, run_transient, smooth_edge
@@ -45,7 +47,7 @@ class TestDeckShape:
     def test_zero_series_resistance_keeps_single_card(self):
         net = make_network(
             ["a", "b"],
-            inductors=[Inductor(0, "L1", 1, 2, 2e-6)],
+            inductors=[Inductor("L1", 1, 2, 2e-6)],
             resistors=[Resistor("R1", 2, 0, 5.0)],
             sources=[VoltageSource("V1", 1, driven=True)])
         deck = export_netlist(net, Stimulus(kind="step"), SimConfig(1e-9, 1e-6))
@@ -94,13 +96,35 @@ class TestCouplingCards:
     def test_overtight_coupling_refused(self):
         net = make_network(
             ["a1", "a2", "b1", "b2"],
-            inductors=[Inductor(0, "La", 1, 2, 1e-6),
-                       Inductor(1, "Lb", 3, 4, 1e-6)],
+            inductors=[Inductor("La", 1, 2, 1e-6),
+                       Inductor("Lb", 3, 4, 1e-6)],
             mutuals=[Mutual("Kab", 0, 1, 1.0e-6)],
             resistors=[Resistor("Ra", 1, 0, 1.0), Resistor("Rb", 3, 0, 1.0),
                        Resistor("Rc", 2, 0, 1.0), Resistor("Rd", 4, 0, 1.0)])
         with pytest.raises(ParameterError, match="not < 1"):
             export_netlist(net, Stimulus(kind="step"), SimConfig(1e-9, 1e-6))
+
+
+    def test_branch_currents_and_k_card_name_the_same_inductors(self):
+        # the quiet Lb comes first, so it is branch 0 and the driven La
+        # is branch 1
+        net = make_network(
+            ["a1", "a2", "b1", "b2"],
+            inductors=[Inductor("Lb", 3, 4, 1e-6),
+                       Inductor("La", 1, 2, 1e-6)],
+            mutuals=[Mutual("Kab", 1, 0, 0.5e-6)],
+            resistors=[Resistor("Ra", 2, 0, 1.0), Resistor("Rb1", 3, 0, 1.0),
+                       Resistor("Rb2", 4, 0, 1.0)],
+            sources=[VoltageSource("Va", 1, driven=True)])
+        stim, sim = Stimulus(kind="step"), SimConfig(dt=1e-9, t_end=1e-6)
+        waves = run_transient(net, stim, sim)
+        # L i' = -R i + (1 V across La), so i(t) = (1 - expm(-L^-1 R t)) e_a
+        L = np.array([[1e-6, 0.5e-6], [0.5e-6, 1e-6]])
+        R = np.diag([1.0, 2.0])
+        i_end = (np.eye(2) - expm(-np.linalg.solve(L, R) * 1e-6)) @ [1.0, 0.0]
+        assert waves.branch_currents["La"][-1] == approx(i_end[0], rel=1e-5)
+        assert waves.branch_currents["Lb"][-1] == approx(i_end[1], rel=1e-5)
+        assert "Kab La Lb 0.5" in export_netlist(net, stim, sim)
 
 
 class TestSourceCards:

@@ -93,7 +93,7 @@ def test_no_shield_cm_total_is_stock_adjacent():
 def test_single_line_minimal_ladder():
     line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
     net = build_ladder((line,), n_segments=1, scenario="one")
-    labels = {nd.label for nd in net.nodes}
+    labels = set(net.nodes)
     assert labels == {"0", "sig_src", "sig_0", "sig_1"}
     assert len(net.resistors) == 1 and len(net.inductors) == 1
     assert len(net.capacitors) == 2          # shunt + load
@@ -130,19 +130,19 @@ def test_shield_preset_symmetric_under_role_swap():
             return "aggressor" + label[len("victim"):]
         return label
 
-    lab = net.label
-    res = {(frozenset((lab(r.a), lab(r.b))), r.ohms) for r in net.resistors}
-    assert res == {(frozenset((sw(lab(r.a)), sw(lab(r.b)))), r.ohms)
+    lab = net.nodes
+    res = {(frozenset((lab[r.a], lab[r.b])), r.ohms) for r in net.resistors}
+    assert res == {(frozenset((sw(lab[r.a]), sw(lab[r.b]))), r.ohms)
                    for r in net.resistors}
-    caps = {(c.kind, frozenset((lab(c.a), lab(c.b))), c.farads)
+    caps = {(c.kind, frozenset((lab[c.a], lab[c.b])), c.farads)
             for c in net.capacitors}
-    assert caps == {(c.kind, frozenset((sw(lab(c.a)), sw(lab(c.b)))),
+    assert caps == {(c.kind, frozenset((sw(lab[c.a]), sw(lab[c.b]))),
                      c.farads) for c in net.capacitors}
-    inds = {((lab(i.a), lab(i.b)), i.l_h, i.r_series_ohm)
+    inds = {((lab[i.a], lab[i.b]), i.l_h, i.r_series_ohm)
             for i in net.inductors}
-    assert inds == {((sw(lab(i.a)), sw(lab(i.b))), i.l_h, i.r_series_ohm)
+    assert inds == {((sw(lab[i.a]), sw(lab[i.b])), i.l_h, i.r_series_ohm)
                     for i in net.inductors}
-    seg_of = {i.branch: (lab(i.a), lab(i.b)) for i in net.inductors}
+    seg_of = [(lab[i.a], lab[i.b]) for i in net.inductors]
     muts = {(frozenset((seg_of[m.branch_i], seg_of[m.branch_j])), m.m_h)
             for m in net.mutuals}
     assert muts == {(frozenset((tuple(map(sw, seg_of[m.branch_i])),
@@ -196,6 +196,8 @@ class TestTaps:
     def test_taps_need_a_shield(self):
         with pytest.raises(ParameterError, match="shield"):
             preset_tables("no-shield", tap_count=1)
+        with pytest.raises(ParameterError, match="shield"):
+            preset_tables("no-shield", tie_resistance_ohm=5.0)
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
         with pytest.raises(ParameterError, match="no shield line"):
             build_ladder((line,), taps=TapSchedule((0.5,)), n_segments=4)
@@ -260,8 +262,8 @@ class TestValidateNetwork:
     def test_pairwise_spd_finding_names_the_mutual(self):
         net = make_network(
             ["a1", "a2", "b1", "b2"],
-            inductors=[Inductor(0, "La", 1, 2, 1.0),
-                       Inductor(1, "Lb", 3, 4, 1.0)],
+            inductors=[Inductor("La", 1, 2, 1.0),
+                       Inductor("Lb", 3, 4, 1.0)],
             mutuals=[Mutual("Kab", 0, 1, 1.2)],
             resistors=[Resistor("Ra", 1, 0, 1.0), Resistor("Rb", 3, 0, 1.0),
                        Resistor("Rc", 2, 0, 1.0), Resistor("Rd", 4, 0, 1.0)])
@@ -273,9 +275,9 @@ class TestValidateNetwork:
         # each pair has k = 0.9 < 1 but the 3x3 matrix is indefinite
         net = make_network(
             ["n1", "n2", "n3", "n4"],
-            inductors=[Inductor(0, "L1", 1, 2, 1.0),
-                       Inductor(1, "L2", 2, 3, 1.0),
-                       Inductor(2, "L3", 3, 4, 1.0)],
+            inductors=[Inductor("L1", 1, 2, 1.0),
+                       Inductor("L2", 2, 3, 1.0),
+                       Inductor("L3", 3, 4, 1.0)],
             mutuals=[Mutual("K12", 0, 1, 0.9), Mutual("K23", 1, 2, 0.9)],
             resistors=[Resistor("Rg", 1, 0, 1.0), Resistor("Rh", 4, 0, 1.0)])
         findings = validate_network(net)
@@ -310,7 +312,7 @@ class TestAccessors:
     def test_node_lookup_round_trip(self):
         net = build_ladder(**preset_tables("shield"), n_segments=4)
         nid = net.node("victim_4")
-        assert net.label(nid) == "victim_4"
+        assert net.nodes[nid] == "victim_4"
         with pytest.raises(ParameterError, match="no node labeled"):
             net.node("victim_99")
 
