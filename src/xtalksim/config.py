@@ -18,7 +18,9 @@ byte-stable).
 
 Every command maps the scenario's element values onto the geometry and
 overrides blocks through ``_map_tables``. A missing geometry,
-overrides, stimulus or sim block means its ``DEFAULT_*``.
+overrides, stimulus or sim block is a copy of its ``DEFAULT_*``, a
+written block is read as written, and the keys of ``output`` take
+their defaults one by one.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .engine import (SimConfig, Stimulus, WaveformSet, run_transient,
                      smooth_edge)
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
-                         InterconnectGeometry, LineElectricals, extract_all,
-                         pair_key)
+                         InterconnectGeometry, LineElectricals, _number,
+                         extract_all, pair_key)
 from .metrics import ScenarioResult, measure_scenario
 from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
                       TerminationSpec, build_ladder, effective_terminations,
@@ -77,12 +79,6 @@ _DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
                    "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
 
 
-def _block(config: ToolkitConfig, name: str) -> dict | None:
-    """A config block, or its default when the block is missing."""
-    block = getattr(config, name)
-    return _DEFAULT_BLOCKS.get(name) if block is None else block
-
-
 def _require_mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ParameterError(f"config block {name!r} must be a mapping, "
@@ -108,6 +104,11 @@ class ToolkitConfig:
     stimulus: dict | None = None
     sim: dict | None = None
     output: dict | None = None
+
+    def __post_init__(self) -> None:
+        for name, default in _DEFAULT_BLOCKS.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _copy_tree(default))
 
     def to_mapping(self) -> dict:
         out = {}
@@ -163,14 +164,8 @@ def preset_config(name: str) -> ToolkitConfig:
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown scenario preset {name!r}; "
                              f"choose one of {', '.join(PRESET_NAMES)}")
-    return ToolkitConfig(
-        scenario={"preset": name},
-        geometry=dict(DEFAULT_GEOMETRY),
-        overrides=dict(DEFAULT_OVERRIDES),
-        stimulus=dict(DEFAULT_STIMULUS),
-        sim=dict(DEFAULT_SIM),
-        output=_copy_tree(DEFAULT_OUTPUT),
-    )
+    return ToolkitConfig(scenario={"preset": name},
+                         output=_copy_tree(DEFAULT_OUTPUT))
 
 
 def apply_set_overrides(config: ToolkitConfig,
@@ -178,8 +173,7 @@ def apply_set_overrides(config: ToolkitConfig,
     """Apply ``--set block.key[.subkey]=value`` pairs onto a config.
 
     Values parse as by ``parse_scalar``, so ``--set sim.dt=1e-10`` and
-    ``--set output.formats=[csv]`` both work. A key set on a block the
-    config lacks starts that block from its default.
+    ``--set output.formats=[csv]`` both work.
     """
     data = config.to_mapping()
     for item in assignments:
@@ -215,10 +209,8 @@ def parse_scalar(raw: str, where: str):
 
 
 def _set_key(data: dict, path: list[str], value) -> None:
-    """Set ``block.key[.subkey]`` on a config mapping. A missing block
-    starts from its default, so one key set on it keeps the others."""
-    cursor = data.setdefault(path[0],
-                             _copy_tree(_DEFAULT_BLOCKS.get(path[0], {})))
+    """Set ``block.key[.subkey]`` on a config mapping."""
+    cursor = data.setdefault(path[0], {})
     for part in path[1:-1]:
         nxt = cursor.get(part)
         if not isinstance(nxt, dict):
@@ -246,9 +238,9 @@ def resolve_geometry(block: dict
     """
     b = dict(block)
     name = b.pop("coefficients", "table-compat")
-    if name not in BUILTIN_COEFFICIENTS:
+    if not isinstance(name, str) or name not in BUILTIN_COEFFICIENTS:
         raise ParameterError(
-            f"geometry block: unknown coefficient set {name!r}; "
+            f"geometry.coefficients: unknown coefficient set {name!r}; "
             f"available: {', '.join(sorted(BUILTIN_COEFFICIENTS))}")
     coeffs = BUILTIN_COEFFICIENTS[name]
     shield_sep = b.pop("shield_separation_um", None)
@@ -270,14 +262,18 @@ def resolve_geometry(block: dict
     return geometry, coeffs, shield_sep, width_scale
 
 
-def _extract(roles: dict[str, str], pairs, geometry_block: dict,
+_DEFAULT_RESOLVED = resolve_geometry(DEFAULT_GEOMETRY)
+
+
+def _extract(roles: dict[str, str], pairs, resolved: tuple,
              overrides: dict | None) -> LineElectricals:
-    """extract_all over named lines (name -> role) and coupled pairs.
+    """extract_all over named lines (name -> role) and coupled pairs, at
+    a ``resolve_geometry`` result.
 
     Shield lines get the scaled width; pairs that touch a shield sit at
     the shield-case spacing, every other pair at ``separation_um``.
     """
-    geometry, coeffs, shield_sep, width_scale = resolve_geometry(geometry_block)
+    geometry, coeffs, shield_sep, width_scale = resolved
     shield = replace(geometry, width_um=geometry.width_um * width_scale)
     geometries = {name: shield if role == "shield" else geometry
                   for name, role in roles.items()}
@@ -297,16 +293,15 @@ def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
     what extraction should give there. At the defaults both ratios are
     x/x == 1.0, so the presets keep their stock values bit for bit.
     """
-    geometry, overrides = _block(config, "geometry"), _block(config, "overrides")
     roles = {ln.name: ln.role for ln in tables["lines"]}
-    if "shield_width_scale" in geometry and "shield" not in roles.values():
+    if "shield_width_scale" in config.geometry and "shield" not in roles.values():
         raise ParameterError("geometry.shield_width_scale needs a shielded "
                              "preset (a line with role shield)")
     pairs = tuple(tables["couplings"])
-    f = _extract(roles, pairs, geometry, None)
-    f0 = _extract(roles, pairs, DEFAULT_GEOMETRY, None)
-    e = _extract(roles, pairs, DEFAULT_GEOMETRY, overrides)
-    e0 = _extract(roles, pairs, DEFAULT_GEOMETRY, DEFAULT_OVERRIDES)
+    f = _extract(roles, pairs, resolve_geometry(config.geometry), None)
+    f0 = _extract(roles, pairs, _DEFAULT_RESOLVED, None)
+    e = _extract(roles, pairs, _DEFAULT_RESOLVED, config.overrides)
+    e0 = _extract(roles, pairs, _DEFAULT_RESOLVED, DEFAULT_OVERRIDES)
 
     def scaled(label: str, key, value: float) -> float:
         ratio = getattr(f, label)[key] / getattr(f0, label)[key]
@@ -377,7 +372,7 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
     roles = {"aggressor": "aggressor", "shield": "shield", "victim": "victim"}
     pairs = (("aggressor", "victim"), ("aggressor", "shield"),
              ("shield", "victim"))
-    stock = _extract(roles, pairs, DEFAULT_GEOMETRY, DEFAULT_OVERRIDES)
+    stock = _extract(roles, pairs, _DEFAULT_RESOLVED, DEFAULT_OVERRIDES)
     tables = {
         "lines": tuple(LineSpec(name, role, stock.r_total[name],
                                 stock.l_total[name], stock.c_total[name])
@@ -386,8 +381,7 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
                              "cm_total": stock.cm_total[pair]}
                       for pair in pairs},
     }
-    geometry, coeffs, shield_sep, _ = resolve_geometry(
-        _block(config, "geometry"))
+    geometry, coeffs, shield_sep, _ = resolve_geometry(config.geometry)
     return ExtractionReport(_map_tables(tables, config), coeffs.name, geometry,
                             shield_sep)
 
@@ -396,41 +390,23 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 # scenario / stimulus / sim resolution
 
 
-def _number(value, where: str, kind: type = float):
-    """A config value read as a float, or as an int with ``kind=int``;
-    ``where`` names the field in the error. A bool is refused. YAML 1.1
-    leaves dotless scientific notation ("76e-15") a string, so a numeric
-    string is read."""
+def _record(cls, entry, where: str, numbers: tuple[str, ...]):
+    """``cls(**entry)`` for a mapping ``entry``, each of ``numbers`` it
+    holds read by ``_number``; ``where`` names the entry in errors."""
+    _require_mapping(entry, where)
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ParameterError(f"{where} must be a number, got {value!r}")
-    if kind is int and not number.is_integer():
-        raise ParameterError(f"{where} must be an integer, got {value!r}")
-    return kind(number)
-
-
-def _numbers(entry: dict, keys: tuple[str, ...], name: str) -> dict:
-    """``entry`` with each of ``keys`` it holds read by ``_number``."""
-    return {k: _number(v, f"{name}.{k}") if k in keys else v
-            for k, v in entry.items()}
+        return cls(**{k: _number(v, f"{where}.{k}") if k in numbers else v
+                      for k, v in entry.items()})
+    except TypeError as exc:
+        raise ParameterError(f"{where}: {exc}")
 
 
 def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ParameterError("scenario.lines must be a non-empty list")
-    out = []
-    for i, entry in enumerate(entries):
-        _require_mapping(entry, f"scenario.lines[{i}]")
-        entry = _numbers(entry, ("r_total", "l_total", "c_total"),
-                         f"scenario.lines[{i}]")
-        try:
-            out.append(LineSpec(**entry))
-        except TypeError as exc:
-            raise ParameterError(f"scenario.lines[{i}]: {exc}")
-    return tuple(out)
+    return tuple(_record(LineSpec, entry, f"scenario.lines[{i}]",
+                         ("r_total", "l_total", "c_total"))
+                 for i, entry in enumerate(entries))
 
 
 def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
@@ -448,8 +424,8 @@ def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
             raise ParameterError(f"scenario.couplings[{i}] needs "
                                  f"pair: [line_a, line_b]")
         _check_keys(entry, {"m_total", "cm_total"}, f"scenario.couplings[{i}]")
-        out[pair_key(*pair)] = _numbers(entry, ("m_total", "cm_total"),
-                                        f"scenario.couplings[{i}]")
+        out[pair_key(*pair)] = {k: _number(v, f"scenario.couplings[{i}].{k}")
+                                for k, v in entry.items()}
     return out
 
 
@@ -457,16 +433,10 @@ def _parse_terminations(entries) -> dict[str, TerminationSpec]:
     if entries is None:
         return {}
     _require_mapping(entries, "scenario.terminations")
-    out = {}
-    for name, entry in entries.items():
-        _require_mapping(entry, f"scenario.terminations[{name}]")
-        entry = _numbers(entry, ("driver_resistance_ohm", "load_capacitance_f"),
-                         f"scenario.terminations[{name}]")
-        try:
-            out[name] = TerminationSpec(**entry)
-        except TypeError as exc:
-            raise ParameterError(f"scenario.terminations[{name}]: {exc}")
-    return out
+    return {name: _record(TerminationSpec, entry,
+                          f"scenario.terminations[{name}]",
+                          ("driver_resistance_ohm", "load_capacitance_f"))
+            for name, entry in entries.items()}
 
 
 def _parse_taps(entry) -> TapSchedule | None:
@@ -474,10 +444,14 @@ def _parse_taps(entry) -> TapSchedule | None:
         return None
     _require_mapping(entry, "scenario.taps")
     _check_keys(entry, {"fractions", "tie_resistance_ohm"}, "scenario.taps")
-    return TapSchedule(
-        fractions=tuple(entry.get("fractions", ())),
-        tie_resistance_ohm=_number(entry.get("tie_resistance_ohm", 0.0),
-                                   "scenario.taps.tie_resistance_ohm"))
+    fractions = entry.get("fractions", ())
+    if not isinstance(fractions, (list, tuple)):
+        raise ParameterError(f"scenario.taps.fractions must be a list, "
+                             f"got {fractions!r}")
+    fractions = tuple(_number(f, f"scenario.taps.fractions[{i}]")
+                      for i, f in enumerate(fractions))
+    return _record(TapSchedule, dict(entry, fractions=fractions),
+                   "scenario.taps", ("tie_resistance_ohm",))
 
 
 def _tables_params(tables: dict, n_segments: int) -> dict:
@@ -586,10 +560,12 @@ def resolve_output(block: dict | None) -> dict:
     formats = b["formats"]
     if isinstance(formats, str):
         formats = [formats]
-    unknown = set(formats) - set(OUTPUT_FORMATS)
+    if not isinstance(formats, (list, tuple)):
+        raise ParameterError(f"output.formats must be a list, got {formats!r}")
+    unknown = [f for f in formats if f not in OUTPUT_FORMATS]
     if unknown:
         raise ParameterError(f"output.formats: unknown format(s) "
-                             f"{sorted(unknown)}; allowed: {OUTPUT_FORMATS}")
+                             f"{unknown}; allowed: {OUTPUT_FORMATS}")
     b["formats"] = tuple(formats)
     b["directory"] = str(b["directory"])
     return b
@@ -634,7 +610,7 @@ class ResolvedScenario:
 
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
     """Validate a config and build the network/stimulus/sim triple."""
-    sim_block = dict(_block(config, "sim"))
+    sim_block = dict(config.sim)
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
@@ -644,8 +620,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     tables = _map_tables(tables, config)
     network = build_ladder(n_segments=n_segments, scenario=scenario_name,
                            **tables)
-    stimulus_block = _block(config, "stimulus")
-    stimulus = resolve_stimulus(stimulus_block)
+    stimulus = resolve_stimulus(config.stimulus)
     output = resolve_output(config.output)
     roles = _measurement_roles(network)
 
@@ -666,7 +641,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
                     output_nodes=out_nodes)
 
     params = _tables_params(tables, n_segments)
-    params["stimulus"] = _copy_tree(stimulus_block)
+    params["stimulus"] = _copy_tree(config.stimulus)
     params["sim"] = {"dt": sim.dt, "t_end": sim.t_end, "method": sim.method,
                      "n_segments": n_segments}
     return ResolvedScenario(network=network, stimulus=stimulus, sim=sim,

@@ -226,18 +226,18 @@ class LineElectricals:
                     f"the pair inductance matrix would not be positive definite")
 
 
-def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict:
+def _normalize_override_pairs(label: str, table, lines: tuple[str, ...]) -> dict:
     """Accept pair overrides keyed by tuple or by "a:b" strings; the
     values stay as given, for ``_override_value`` to read."""
+    if not isinstance(table, dict):
+        raise ParameterError(f"overrides.{label} must be a mapping of "
+                             f"'a:b' pairs to values, got {table!r}")
     out = {}
     for key, value in table.items():
-        if isinstance(key, str):
-            parts = key.split(":")
-            if len(parts) != 2:
-                raise ParameterError(f"pair override key {key!r} is not of the form 'a:b'")
-            key = pair_key(parts[0], parts[1])
-        else:
-            key = pair_key(*key)
+        parts = key.split(":") if isinstance(key, str) else key
+        if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+            raise ParameterError(f"pair override key {key!r} is not of the form 'a:b'")
+        key = pair_key(*parts)
         for name in key:
             if name not in lines:
                 raise ParameterError(f"pair override names unknown line {name!r}")
@@ -245,18 +245,28 @@ def _normalize_override_pairs(table: dict, lines: tuple[str, ...]) -> dict:
     return out
 
 
-def _override_value(label: str, where: str, value) -> float:
-    """An override as a float, named ``overrides.<label><where>`` in
-    errors; a bool or non-number is refused, and so is a positive
-    inductance below 1e-3 uH, since it is almost surely henries written
-    into a uH field."""
-    field = f"overrides.{label}{where}"
+def _number(value, where: str, kind: type = float):
+    """A config value read as a float, or as an int with ``kind=int``;
+    ``where`` names the field in the error. A bool is refused. YAML 1.1
+    leaves dotless scientific notation ("76e-15") a string, so a numeric
+    string is read."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or isinstance(value, bool):
-        raise ParameterError(f"{field} must be a number, got {value!r}")
+        raise ParameterError(f"{where} must be a number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ParameterError(f"{where} must be an integer, got {value!r}")
+    return kind(number)
+
+
+def _override_value(label: str, where: str, value) -> float:
+    """An override read by ``_number`` as ``overrides.<label><where>``;
+    a positive inductance below 1e-3 uH is refused too, since it is
+    almost surely henries written into a uH field."""
+    field = f"overrides.{label}{where}"
+    number = _number(value, field)
     if label in ("l_total", "m_total") and 0.0 < number < 1e-3:
         raise ParameterError(
             f"{field} = {number:g} is read in uH, the unit "
@@ -340,7 +350,8 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
                     table[line] = value
     for label, table in (("m_total", m), ("cm_total", cm)):
         if label in overrides:
-            for key, value in _normalize_override_pairs(overrides[label], lines).items():
+            pairs = _normalize_override_pairs(label, overrides[label], lines)
+            for key, value in pairs.items():
                 value = _override_value(label, f"[{key[0]}:{key[1]}]", value)
                 if value == 0.0:
                     table.pop(key, None)

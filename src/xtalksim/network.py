@@ -204,6 +204,14 @@ class CoupledNetwork:
     n_segments: int
     scenario: str = ""
 
+    def __post_init__(self) -> None:
+        if not self.nodes or self.nodes[0] != "0":
+            raise ParameterError(f"node 0 must be ground, labeled '0'; got "
+                                 f"{self.nodes[:1]!r}")
+        if len(set(self.nodes)) < len(self.nodes):
+            dups = sorted({x for x in self.nodes if self.nodes.count(x) > 1})
+            raise ParameterError(f"duplicate node label(s) {dups}")
+
     def node(self, label: str) -> int:
         try:
             return self.nodes.index(label)

@@ -8,8 +8,8 @@ import pytest
 
 from xtalksim.cli import main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
-                             DEFAULT_STIMULUS, SWEEP_AXES,
-                             apply_set_overrides, config_from_mapping,
+                             DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
+                             ToolkitConfig, apply_set_overrides, config_from_mapping,
                              extraction_report, load_config, preset_config,
                              resolve, resolve_stimulus,
                              run_scenario, run_sweep, summary_filename,
@@ -30,6 +30,17 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # enough window for complete measurements, cheap enough to run freely
 SHORT = ["sim.dt=1e-9", "sim.t_end=4e-7"]
+
+EXPLICIT_PAIR = {
+    "name": "pair",
+    "lines": [
+        {"name": "a", "role": "aggressor", "r_total": 300.0,
+         "l_total": 70e-6, "c_total": 120e-12},
+        {"name": "v", "role": "victim", "r_total": 400.0,
+         "l_total": 80e-6, "c_total": 130e-12},
+    ],
+    "couplings": [{"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 50e-12}],
+}
 
 
 def short_preset(name: str, *extra: str):
@@ -110,6 +121,36 @@ class TestConfigDocuments:
         assert rc == 1
         assert f"{field} must be a number, got 'lots'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, field", [
+        ("overrides.m_total=5", "overrides.m_total"),
+        ("overrides.cm_total=[1]", "overrides.cm_total"),
+        ("output.formats=5", "output.formats"),
+        ("output.formats=[[1]]", "output.formats"),
+        ("geometry.coefficients=[1]", "geometry.coefficients"),
+        ({"taps": {"fractions": "abc"}}, "scenario.taps.fractions"),
+        ({"taps": {"fractions": 0.5}}, "scenario.taps.fractions"),
+        ({"taps": {"fractions": ["abc"]}}, "scenario.taps.fractions[0]"),
+        ({"lines": [EXPLICIT_PAIR["lines"][0],
+                    {"name": "v", "role": "victim", "r_total": 4e2,
+                     "l_total": 8e-5}]}, "scenario.lines[1]"),
+        ({"lines": [EXPLICIT_PAIR["lines"][0],
+                    dict(EXPLICIT_PAIR["lines"][1], bogus=1)]},
+         "scenario.lines[1]"),
+    ])
+    def test_wrong_shape_exits_1_naming_it(self, tmp_path, capsys, edit,
+                                           field):
+        # a --set on the shield preset, or a change to an explicit scenario
+        if isinstance(edit, str):
+            source = ["--preset", "shield", "--set", edit]
+        else:
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(json.dumps({"scenario": {**EXPLICIT_PAIR, **edit},
+                                       "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+            source = ["--config", str(cfg)]
+        rc = main(["run", *source, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("assignment", [
         "sim.t_end=true", "sim.n_segments=true", "overrides.r_total=true",
         "overrides.m_total={aggressor:victim: true}",
@@ -119,6 +160,12 @@ class TestConfigDocuments:
         cfg = apply_set_overrides(preset_config("shield"), [assignment])
         with pytest.raises(ParameterError, match="must be a number, got True"):
             resolve(cfg)
+
+    def test_missing_block_is_a_copy_of_its_default(self):
+        cfg = ToolkitConfig(scenario={"preset": "shield"})
+        assert cfg.sim == DEFAULT_SIM
+        cfg.sim["dt"] = 1.0
+        assert DEFAULT_SIM["dt"] == 5e-11
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ParameterError, match="unknown config block"):
@@ -261,17 +308,6 @@ class TestResolve:
         assert resolved.params["stimulus"] == DEFAULT_STIMULUS
         assert resolved.stimulus == resolve_stimulus(resolved.params["stimulus"])
 
-
-EXPLICIT_PAIR = {
-    "name": "pair",
-    "lines": [
-        {"name": "a", "role": "aggressor", "r_total": 300.0,
-         "l_total": 70e-6, "c_total": 120e-12},
-        {"name": "v", "role": "victim", "r_total": 400.0,
-         "l_total": 80e-6, "c_total": 130e-12},
-    ],
-    "couplings": [{"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 50e-12}],
-}
 
 
 class TestGeometryMapping:

@@ -1,6 +1,7 @@
 """Structural tests for ladder construction and validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,6 +303,21 @@ class TestValidateNetwork:
         findings = validate_network(net)
         assert any(f.code == "bad-reference" and "Rbad" in f.elements
                    for f in findings)
+
+    def test_duplicate_node_labels_are_refused(self):
+        # the deck would short R1 across one node; the engine would fold
+        # both nodes into one trace
+        with pytest.raises(ParameterError,
+                           match=r"duplicate node label\(s\) \['in'\]"):
+            make_network(["in", "in"], resistors=[Resistor("R1", 1, 2, 1.0)],
+                         capacitors=[Capacitor("C1", 2, 0, 1e-9)],
+                         sources=[VoltageSource("Vin", 1, True)])
+
+    def test_ground_must_be_labeled_0(self):
+        # the deck would leave a "gnd" node floating
+        net = make_network(["in", "out"])
+        with pytest.raises(ParameterError, match="node 0 must be ground"):
+            replace(net, nodes=("gnd", "in", "out"))
 
     def test_clean_presets_have_no_findings(self):
         for name in PRESET_SHAPE:
