@@ -20,21 +20,22 @@ Every command maps the scenario's element values onto the geometry and
 overrides blocks through ``_map_tables``. A missing geometry,
 overrides, stimulus or sim block is a copy of its ``DEFAULT_*``, a
 written block is read as written, and the keys of ``output`` take
-their defaults one by one.
+their defaults one by one. In every block a null value is a key not set.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .engine import (SimConfig, Stimulus, WaveformSet, run_transient,
-                     smooth_edge)
+from .engine import (STEP_EDGE_S, SimConfig, Stimulus, WaveformSet,
+                     run_transient, smooth_edge)
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, _number,
@@ -106,9 +107,14 @@ class ToolkitConfig:
     output: dict | None = None
 
     def __post_init__(self) -> None:
-        for name, default in _DEFAULT_BLOCKS.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, _copy_tree(default))
+        for name in CONFIG_BLOCKS:
+            block = getattr(self, name)
+            if block is None:
+                block = _copy_tree(_DEFAULT_BLOCKS.get(name))
+            else:                         # a null value is a key not set
+                block = {k: v for k, v in _require_mapping(block, name).items()
+                         if v is not None}
+            object.__setattr__(self, name, block)
 
     def to_mapping(self) -> dict:
         out = {}
@@ -134,9 +140,7 @@ def config_from_mapping(data: dict) -> ToolkitConfig:
         raise ParameterError(
             f"unknown config block(s) {', '.join(sorted(map(str, unknown)))}; "
             f"expected some of: {', '.join(CONFIG_BLOCKS)}")
-    blocks = {name: _require_mapping(data[name], name)
-              for name in CONFIG_BLOCKS if data.get(name) is not None}
-    return ToolkitConfig(**blocks)
+    return ToolkitConfig(**{name: data.get(name) for name in CONFIG_BLOCKS})
 
 
 def load_config(path) -> ToolkitConfig:
@@ -410,8 +414,6 @@ def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
 
 
 def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
-    if entries is None:
-        return {}
     if not isinstance(entries, (list, tuple)):
         raise ParameterError("scenario.couplings must be a list")
     out: dict[tuple[str, str], dict] = {}
@@ -430,8 +432,6 @@ def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
 
 
 def _parse_terminations(entries) -> dict[str, TerminationSpec]:
-    if entries is None:
-        return {}
     _require_mapping(entries, "scenario.terminations")
     return {name: _record(TerminationSpec, entry,
                           f"scenario.terminations[{name}]",
@@ -485,14 +485,12 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
     _check_keys(scen, {"preset", "tap_count", "tie_resistance_ohm", "name",
                        "lines", "couplings", "terminations", "taps"},
                 "scenario")
-    has_preset = scen.get("preset") is not None
-    has_lines = scen.get("lines") is not None
-    if has_preset == has_lines:
+    if ("preset" in scen) == ("lines" in scen):
         raise ParameterError("scenario block needs exactly one of "
                              "'preset' or explicit 'lines'")
-    if has_preset:
-        for key in ("lines", "couplings", "terminations", "taps", "name"):
-            if scen.get(key) is not None:
+    if "preset" in scen:
+        for key in ("couplings", "terminations", "taps", "name"):
+            if key in scen:
                 raise ParameterError(f"scenario.{key} conflicts with "
                                      f"scenario.preset; pick one form")
         tap_count = scen.get("tap_count")
@@ -504,26 +502,35 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
                                        "scenario.tie_resistance_ohm"))
         return tables, scen["preset"]
     for key in ("tap_count", "tie_resistance_ohm"):
-        if scen.get(key) is not None:
+        if key in scen:
             raise ParameterError(f"scenario.{key} belongs to the preset form; "
                                  f"explicit scenarios use the taps block")
     tables = {
         "lines": _parse_line_specs(scen["lines"]),
-        "couplings": _parse_couplings(scen.get("couplings")),
-        "terminations": _parse_terminations(scen.get("terminations")),
+        "couplings": _parse_couplings(scen.get("couplings", [])),
+        "terminations": _parse_terminations(scen.get("terminations", {})),
         "taps": _parse_taps(scen.get("taps")),
     }
     return tables, str(scen.get("name") or "custom")
 
 
 def resolve_stimulus(block: dict) -> Stimulus:
-    """Stimulus block -> engine Stimulus (smooth-edge expands to pwl)."""
+    """Stimulus block -> engine Stimulus, the one reader of a kind.
+
+    ``step`` is the edge ``((0, 0), (STEP_EDGE_S, 1))``; ``ramp`` the
+    edge ``((0, 0), (rise_time_s, 1))``, a zero rise being a step;
+    ``pwl`` the points as given; ``smooth-edge`` ``engine.smooth_edge``.
+    """
     b = dict(block)
     _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",
                     "points", "samples"}, "stimulus")
     kind = b.pop("kind", "ramp")
+    if kind not in ("step", "ramp", "pwl", "smooth-edge"):
+        raise ParameterError(f"unknown stimulus kind {kind!r}")
     if "samples" in b and kind != "smooth-edge":
         raise ParameterError("stimulus: samples is only valid for kind=smooth-edge")
+    if "points" in b and kind != "pwl":
+        raise ParameterError("stimulus: points are only valid for kind=pwl")
     if kind in ("step", "pwl") and "rise_time_s" in b:
         raise ParameterError(f"stimulus: rise_time_s is not used by "
                              f"kind={kind}; only ramp and smooth-edge have "
@@ -533,22 +540,25 @@ def resolve_stimulus(block: dict) -> Stimulus:
     rise_time_s = _number(b.pop("rise_time_s", DEFAULT_STIMULUS["rise_time_s"]
                                 if kind == "smooth-edge" else 1e-9),
                           "stimulus.rise_time_s")
+    if not math.isfinite(rise_time_s) or (kind == "ramp" and rise_time_s < 0):
+        raise ParameterError(f"stimulus rise_time_s must be finite and "
+                             f">= 0, got {rise_time_s!r}")
     if kind == "smooth-edge":
-        if "points" in b:
-            raise ParameterError("stimulus: points are only valid for kind=pwl")
         return smooth_edge(rise_time_s, amplitude_v, delay_s,
                            _number(b.pop("samples", 64), "stimulus.samples", int))
-    points = b.pop("points", None)
-    if points is not None:
+    if kind == "pwl":
         try:
             points = tuple((_number(t, f"stimulus.points[{i}]"),
                             _number(v, f"stimulus.points[{i}]"))
-                           for i, (t, v) in enumerate(points))
+                           for i, (t, v) in enumerate(b.pop("points", ())))
         except (TypeError, ValueError):
             raise ParameterError("stimulus.points must be a list of "
                                  "[time, value] pairs")
-    return Stimulus(kind=kind, amplitude_v=amplitude_v, rise_time_s=rise_time_s,
-                    delay_s=delay_s, points=points)
+    elif kind == "ramp" and rise_time_s > 0.0:
+        points = ((0.0, 0.0), (rise_time_s, 1.0))
+    else:                                 # step, or a zero-rise ramp
+        points = ((0.0, 0.0), (STEP_EDGE_S, 1.0))
+    return Stimulus(points, amplitude_v, delay_s)
 
 
 def resolve_output(block: dict | None) -> dict:

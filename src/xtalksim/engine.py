@@ -22,6 +22,9 @@ x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
 q = (C/dt + theta G)^-1 b are built once per run by one solve.
 
+Every stimulus s(t) is one piecewise-linear waveform (a step is a
+STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
+
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
 this one name, which perfbench swaps for a counting proxy.
 """
@@ -42,60 +45,46 @@ sla = np.linalg
 METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 
 
+# Width of a step's edge. A PWL card needs an edge of nonzero width,
+# and 1 fs is far below any sample interval in use.
+STEP_EDGE_S = 1e-15
+
+
 @dataclass(frozen=True)
 class Stimulus:
     """Drive waveform for the driven sources of a network.
 
-    Kinds: ``step`` switches from 0 to amplitude just after ``delay_s``
-    (the sample at exactly t = delay is still 0, which is also what the
-    DC initial condition sees); ``ramp`` rises linearly over
-    ``rise_time_s``; ``pwl`` interpolates the given (time, value) points
-    linearly, scaled by ``amplitude_v`` and shifted by ``delay_s``,
-    holding the first/last value outside the covered span.
+    Every drive is piecewise linear: the (time, value) ``points`` are
+    interpolated linearly, scaled by ``amplitude_v`` and shifted by
+    ``delay_s``, holding the first/last value outside the covered span.
+    A step is the edge ``((0, 0), (STEP_EDGE_S, 1))``, so the engine and
+    an exported deck read the same breakpoints.
     """
 
-    kind: str = "ramp"
+    points: tuple[tuple[float, float], ...]
     amplitude_v: float = 1.0
-    rise_time_s: float = 1e-9
     delay_s: float = 0.0
-    points: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("step", "ramp", "pwl"):
-            raise ParameterError(f"unknown stimulus kind {self.kind!r}")
         if not math.isfinite(self.amplitude_v):
             raise ParameterError("stimulus amplitude must be finite")
-        if not (math.isfinite(self.rise_time_s) and self.rise_time_s >= 0):
-            raise ParameterError(f"stimulus rise_time_s must be finite and "
-                                 f">= 0, got {self.rise_time_s!r}")
         if not math.isfinite(self.delay_s):
             raise ParameterError(f"stimulus delay_s must be finite, "
                                  f"got {self.delay_s!r}")
-        if self.kind == "pwl":
-            if not self.points or len(self.points) < 2:
-                raise ParameterError("pwl stimulus needs at least two points")
-            pts = tuple((float(t), float(v)) for t, v in self.points)
-            object.__setattr__(self, "points", pts)
-            times = [p[0] for p in pts]
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                raise ParameterError("pwl point times must be strictly increasing")
-            if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
-                raise ParameterError("pwl points must be finite")
-        elif self.points is not None:
-            raise ParameterError(f"points are only valid for kind='pwl'")
+        if not self.points or len(self.points) < 2:
+            raise ParameterError("pwl stimulus needs at least two points")
+        pts = tuple((float(t), float(v)) for t, v in self.points)
+        object.__setattr__(self, "points", pts)
+        if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
+            raise ParameterError("pwl point times must be strictly increasing")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
+            raise ParameterError("pwl points must be finite")
 
     def values(self, times: np.ndarray) -> np.ndarray:
         """Waveform sampled at the given times (vectorized)."""
-        t = np.asarray(times, dtype=float) - self.delay_s
-        if self.kind == "step":
-            return np.where(t > 0.0, self.amplitude_v, 0.0)
-        if self.kind == "ramp":
-            if self.rise_time_s == 0.0:
-                return np.where(t > 0.0, self.amplitude_v, 0.0)
-            return self.amplitude_v * np.clip(t / self.rise_time_s, 0.0, 1.0)
-        tk = np.array([p[0] for p in self.points])
-        vk = np.array([p[1] for p in self.points])
-        return self.amplitude_v * np.interp(t, tk, vk)
+        tk, vk = np.array(self.points).T
+        return self.amplitude_v * np.interp(
+            np.asarray(times, dtype=float) - self.delay_s, tk, vk)
 
 
 def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
@@ -110,15 +99,14 @@ def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
     negligible energy at those frequencies and makes peak readings
     stable under segment-count refinement.
     """
-    if rise_time_s <= 0:
+    if not rise_time_s > 0:
         raise ParameterError("smooth_edge needs a positive rise time")
     if samples < 2:
         raise ParameterError("smooth_edge needs at least 2 samples")
     s = np.linspace(0.0, 1.0, samples + 1)
     v = 3.0 * s ** 2 - 2.0 * s ** 3
     pts = tuple((float(rise_time_s * si), float(vi)) for si, vi in zip(s, v))
-    return Stimulus(kind="pwl", amplitude_v=amplitude_v, delay_s=delay_s,
-                    rise_time_s=rise_time_s, points=pts)
+    return Stimulus(pts, amplitude_v, delay_s)
 
 
 @dataclass(frozen=True)
@@ -348,7 +336,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     """Integrate the network response to the stimulus.
 
     The initial condition is the DC solution with every source at its
-    t = 0 value (0 for the step/ramp/pwl-from-zero presets). The first
+    t = 0 value (0 for an edge that starts from zero). The first
     step is always backward Euler; subsequent steps use the configured
     method. Deterministic for fixed inputs. Only the unknowns behind the
     requested traces are stored, and the branch currents only with

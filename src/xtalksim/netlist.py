@@ -13,6 +13,9 @@ inductor branch into a separate R card through an internal node named
 ``<line>_m<seg>``; every node label that appears in a WaveformSet
 appears verbatim in the deck, with ground as node 0.
 
+A driven source's PWL card is the stimulus breakpoints shifted and
+scaled: the waveform the engine samples, a step's STEP_EDGE_S edge too.
+
 Output is byte-stable: the same network, stimulus, and sim config
 always serialize to the identical text.
 """
@@ -26,7 +29,6 @@ from .errors import ParameterError
 from .network import CoupledNetwork
 
 TIE_OHMS_FLOOR = 1e-9
-STEP_EDGE_S = 1e-15
 
 
 def _f(x: float) -> str:
@@ -36,14 +38,8 @@ def _f(x: float) -> str:
 def _pwl_points(stimulus: Stimulus) -> list[tuple[float, float]]:
     """Breakpoints of the source voltage as a PWL card understands them
     (value held flat after the last point)."""
-    amp = stimulus.amplitude_v
-    t0 = stimulus.delay_s
-    if stimulus.kind == "pwl":
-        pts = [(t0 + t, amp * v) for t, v in stimulus.points]
-    elif stimulus.kind == "ramp" and stimulus.rise_time_s > 0.0:
-        pts = [(t0, 0.0), (t0 + stimulus.rise_time_s, amp)]
-    else:                                 # step, or a zero-rise ramp
-        pts = [(t0, 0.0), (t0 + STEP_EDGE_S, amp)]
+    pts = [(stimulus.delay_s + t, stimulus.amplitude_v * v)
+           for t, v in stimulus.points]
     if pts[0][0] > 0.0:
         pts.insert(0, (0.0, pts[0][1]))
     out = []

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from _reference import engine_vs_oracle_error, rc_network
-from xtalksim.config import preset_config, run_scenario
-from xtalksim.engine import (SimConfig, Stimulus, dc_operating_point,
-                             run_transient)
+from xtalksim.config import preset_config, resolve_stimulus, run_scenario
+from xtalksim.engine import SimConfig, dc_operating_point, run_transient
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance, line_capacitance,
                                  mutual_inductance_bracket, self_inductance)
@@ -70,7 +69,8 @@ def test_criterion_1_parasitic_formula_regression():
 
 
 def _rc_max_error(method: str, dt: float) -> float:
-    waves = run_transient(rc_network(1.0, 1.0), Stimulus(kind="step"),
+    waves = run_transient(rc_network(1.0, 1.0),
+                          resolve_stimulus({"kind": "step"}),
                           SimConfig(dt=dt, t_end=5.0, method=method))
     exact = np.where(waves.times > 0, 1.0 - np.exp(-waves.times), 0.0)
     return float(np.max(np.abs(waves.trace("out") - exact)))
@@ -107,7 +107,8 @@ def test_criterion_3_exact_lti_oracle():
     """Engine runs against the independent piecewise-exact solution on
     the 2-line n=3 and 3-line n=4 ladders, relative L-inf <= 1e-3."""
     sim = SimConfig(dt=600e-9 / 5000, t_end=600e-9)
-    stim = Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=60e-9)
+    stim = resolve_stimulus({"kind": "ramp", "amplitude_v": 1.0,
+                             "rise_time_s": 60e-9})
     clauses = []
     for name, preset, n in (("2-line n=3", "no-shield", 3),
                             ("3-line n=4", "shield", 4)):
@@ -232,7 +233,7 @@ def test_criterion_8_property_suite(stock_runs):
     net = build_ladder(lines, couplings=None, n_segments=3,
                        scenario="uncoupled")
     short = SimConfig(dt=1e-9, t_end=200e-9)
-    edge = Stimulus(kind="ramp", rise_time_s=20e-9)
+    edge = resolve_stimulus({"kind": "ramp", "rise_time_s": 20e-9})
     waves = run_transient(net, edge, short)
     worst = max(float(np.max(np.abs(waves.trace(f"victim_{k}"))))
                 for k in range(4))
@@ -242,8 +243,10 @@ def test_criterion_8_property_suite(stock_runs):
     # linearity under amplitude doubling
     net = build_ladder(**preset_tables("no-shield"), n_segments=2)
     one = run_transient(net, edge, short)
-    double = run_transient(net, Stimulus(kind="ramp", amplitude_v=2.0,
-                                         rise_time_s=20e-9), short)
+    double = run_transient(net, resolve_stimulus({"kind": "ramp",
+                                                  "amplitude_v": 2.0,
+                                                  "rise_time_s": 20e-9}),
+                           short)
     lin_err = max(float(np.max(np.abs(2.0 * tr - double.node_traces[lbl])))
                   for lbl, tr in one.node_traces.items())
     clauses.append(("amplitude doubling doubles every trace",
@@ -281,7 +284,7 @@ def test_criterion_9_netlist_export(tmp_path):
     from xtalksim.config import write_waveforms_csv
 
     net = build_ladder(**preset_tables("shield"), n_segments=12)
-    stim = Stimulus(kind="ramp", rise_time_s=2e-7)
+    stim = resolve_stimulus({"kind": "ramp", "rise_time_s": 2e-7})
     sim = SimConfig(dt=5e-11, t_end=2.4e-6)
     deck = export_netlist(net, stim, sim)
     clauses = [("deck is byte-stable across exports",

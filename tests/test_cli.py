@@ -167,6 +167,18 @@ class TestConfigDocuments:
         cfg.sim["dt"] = 1.0
         assert DEFAULT_SIM["dt"] == 5e-11
 
+    def test_null_is_a_key_not_set(self, tmp_path):
+        cfg = tmp_path / "nulls.yaml"
+        cfg.write_text("scenario: {preset: shield, tap_count: null}\n"
+                       "stimulus: {kind: ramp, samples: null}\n"
+                       "output: {directory: null}\n")
+        direct = ToolkitConfig(scenario={"preset": "shield", "tap_count": None},
+                               stimulus={"kind": "ramp", "samples": None},
+                               output={"directory": None})
+        assert load_config(cfg) == direct
+        assert direct.stimulus == {"kind": "ramp"}
+        assert resolve(direct).output["directory"] == "out"
+
     def test_unknown_block_rejected(self):
         with pytest.raises(ParameterError, match="unknown config block"):
             config_from_mapping({"scenari": {"preset": "shield"}})
@@ -272,7 +284,7 @@ class TestResolve:
             with pytest.raises(ParameterError, match="rise_time_s is not used"):
                 resolve_stimulus({"kind": kind, "rise_time_s": 5.0, **extra})
         assert resolve_stimulus({"kind": "ramp", "rise_time_s": 5.0}
-                                ).rise_time_s == 5.0
+                                ).points == ((0.0, 0.0), (5.0, 1.0))
 
     def test_explicit_lines_scenario(self):
         cfg = config_from_mapping({"scenario": {
@@ -591,6 +603,13 @@ class TestCliExitCodes:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_unknown_stimulus_kind_is_named(self, tmp_path, capsys):
+        # the kind is read before the preset's smooth-edge keys are checked
+        rc = main(["export-netlist", "--preset", "shield", "--set",
+                   "stimulus.kind=bogus", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown stimulus kind 'bogus'" in capsys.readouterr().err
+
     def test_io_errors_exit_3(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 3
@@ -668,6 +687,28 @@ class TestCliOutputs:
         deck = (tmp_path / "shield-3taps.cir").read_text()
         assert deck.startswith("* coupled-interconnect ladder: shield-3taps")
         assert deck.rstrip().endswith(".end")
+
+    @pytest.mark.parametrize("kind, unset, card", [
+        ("ramp", ["stimulus.samples=null"], "PWL(0 0 2e-07 1)"),
+        ("step", ["stimulus.samples=null", "stimulus.rise_time_s=null"],
+         "PWL(0 0 1e-15 1)"),
+    ])
+    def test_set_switches_a_preset_kind(self, tmp_path, kind, unset, card):
+        sets = [arg for item in [f"stimulus.kind={kind}", *unset]
+                for arg in ("--set", item)]
+        assert main(["export-netlist", "--preset", "shield", *sets,
+                     "--out", str(tmp_path)]) == 0
+        assert f"aggressor_src 0 {card}" in (tmp_path / "shield.cir").read_text()
+        assert main(["run", "--preset", "shield", *_sets(), *sets,
+                     "--out", str(tmp_path)]) == 0
+
+    def test_null_output_directory_is_the_default(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["export-netlist", "--preset", "shield",
+                     "--set", "output.directory=null"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert (tmp_path / "out" / "shield.cir").exists()
 
     def test_run_keeps_measured_nodes(self, tmp_path):
         rc = main(["run", "--preset", "shield", *_sets(),

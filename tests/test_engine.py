@@ -11,9 +11,10 @@ import pytest
 from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
-from xtalksim.engine import (MnaSystem, SimConfig, Stimulus, WaveformSet,
-                             _step_matrices, assemble, dc_operating_point,
-                             run_transient, smooth_edge)
+from xtalksim.config import resolve_stimulus
+from xtalksim.engine import (MnaSystem, SimConfig, WaveformSet, _step_matrices,
+                             assemble, dc_operating_point, run_transient,
+                             smooth_edge)
 from xtalksim.errors import AssemblyError, ParameterError, SolverError
 from xtalksim.network import (Capacitor, Resistor, TerminationSpec,
                               VoltageSource, build_ladder, preset_tables)
@@ -117,7 +118,8 @@ class TestDcOperatingPoint:
 
 def rc_max_error(method: str, dt: float, r=1.0, c=1.0, t_end=5.0) -> float:
     net = rc_network(r, c)
-    waves = run_transient(net, Stimulus(kind="step", amplitude_v=1.0),
+    waves = run_transient(net, resolve_stimulus({"kind": "step",
+                                                 "amplitude_v": 1.0}),
                           SimConfig(dt=dt, t_end=t_end, method=method))
     t = waves.times
     exact = np.where(t > 0, 1.0 - np.exp(-t / (r * c)), 0.0)
@@ -130,7 +132,7 @@ class TestRcStep:
 
     def test_value_at_one_tau(self):
         net = rc_network(1.0, 1.0)
-        waves = run_transient(net, Stimulus(kind="step"),
+        waves = run_transient(net, resolve_stimulus({"kind": "step"}),
                               SimConfig(dt=0.01, t_end=5.0))
         k = int(round(1.0 / 0.01))
         assert waves.times[k] == approx(1.0)
@@ -157,7 +159,8 @@ def oracle_sim():
 
 
 def oracle_stim():
-    return Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=60e-9)
+    return resolve_stimulus({"kind": "ramp", "amplitude_v": 1.0,
+                             "rise_time_s": 60e-9})
 
 
 class TestAgainstExactSolution:
@@ -186,8 +189,8 @@ class TestAgainstExactSolution:
         # left is pure truncation error. The ramp starts one sample in,
         # keeping the always-backward-Euler first step trivial.
         net = rc_network(1.0, 1.0)
-        stim = Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=0.5,
-                        delay_s=0.01)
+        stim = resolve_stimulus({"kind": "ramp", "amplitude_v": 1.0,
+                                 "rise_time_s": 0.5, "delay_s": 0.01})
         errs = {}
         for method in ("trapezoidal", "backward-euler"):
             sim = SimConfig(dt=0.01, t_end=2.0, method=method)
@@ -202,14 +205,17 @@ class TestAgainstExactSolution:
 # --------------------------------------------------------------- behaviour
 
 SHORT = SimConfig(dt=1e-9, t_end=200e-9)
-EDGE = Stimulus(kind="ramp", amplitude_v=1.0, rise_time_s=20e-9)
+EDGE = resolve_stimulus({"kind": "ramp", "amplitude_v": 1.0,
+                         "rise_time_s": 20e-9})
 
 
 class TestBehaviour:
     def test_zero_amplitude_is_identically_zero(self):
         net = build_ladder(**preset_tables("no-shield"), n_segments=2)
-        waves = run_transient(net, Stimulus(kind="ramp", amplitude_v=0.0,
-                                            rise_time_s=20e-9), SHORT)
+        waves = run_transient(net, resolve_stimulus({"kind": "ramp",
+                                                     "amplitude_v": 0.0,
+                                                     "rise_time_s": 20e-9}),
+                              SHORT)
         for tr in waves.node_traces.values():
             assert np.all(tr == 0.0)
 
@@ -217,7 +223,8 @@ class TestBehaviour:
         net = build_ladder(**preset_tables("no-shield"), n_segments=2)
         one = run_transient(net, EDGE, SHORT)
         two = run_transient(
-            net, Stimulus(kind="ramp", amplitude_v=2.5, rise_time_s=20e-9),
+            net, resolve_stimulus({"kind": "ramp", "amplitude_v": 2.5,
+                                   "rise_time_s": 20e-9}),
             SHORT)
         for label, tr in one.node_traces.items():
             assert np.allclose(2.5 * tr, two.node_traces[label],
@@ -297,7 +304,7 @@ class TestBehaviour:
             resistors=[Resistor("R1", 1, 2, 1.0)],
             capacitors=[Capacitor("C1", 2, 0, 1.0), Capacitor("C2", 3, 0, 1.0)],
             sources=[VoltageSource("Vin", 1, driven=True)])
-        stim = Stimulus(kind="step")
+        stim = resolve_stimulus({"kind": "step"})
         with pytest.raises(SolverError, match="singular DC system"):
             run_transient(net, stim, SimConfig(dt=0.01, t_end=1.0))
         with pytest.raises(ParameterError, match="output_nodes"):
@@ -356,7 +363,7 @@ class TestStepMatrices:
         with np.errstate(over="ignore"), pytest.raises(
                 SolverError,
                 match=r"divergence: non-finite sample at t=1\.39e-06 s"):
-            run_transient(net, Stimulus(kind="step"),
+            run_transient(net, resolve_stimulus({"kind": "step"}),
                           SimConfig(dt=1e-9, t_end=10e-6))
 
 
@@ -364,20 +371,23 @@ class TestStepMatrices:
 
 class TestStimulus:
     def test_step_switches_after_delay(self):
-        s = Stimulus(kind="step", amplitude_v=2.0, delay_s=1e-9)
+        s = resolve_stimulus({"kind": "step", "amplitude_v": 2.0,
+                              "delay_s": 1e-9})
         assert s.values([1e-9, 1.0001e-9]).tolist() == [0.0, 2.0]
 
     def test_zero_rise_ramp_is_step(self):
-        s = Stimulus(kind="ramp", rise_time_s=0.0)
+        s = resolve_stimulus({"kind": "ramp", "rise_time_s": 0.0})
         assert s.values([0.0, 1e-15]).tolist() == [0.0, 1.0]
 
     def test_ramp_clips(self):
-        s = Stimulus(kind="ramp", amplitude_v=3.0, rise_time_s=10e-9)
+        s = resolve_stimulus({"kind": "ramp", "amplitude_v": 3.0,
+                              "rise_time_s": 10e-9})
         assert s.values([5e-9, 50e-9]) == approx([1.5, 3.0])
 
     def test_pwl_scales_shifts_and_holds(self):
-        s = Stimulus(kind="pwl", amplitude_v=2.0, delay_s=1.0,
-                     points=((0.0, 0.0), (1.0, 1.0)))
+        s = resolve_stimulus({"kind": "pwl", "amplitude_v": 2.0,
+                              "delay_s": 1.0,
+                              "points": ((0.0, 0.0), (1.0, 1.0))})
         before, mid, after = s.values([0.5, 1.5, 10.0])
         assert before == 0.0                       # held before the span
         assert mid == approx(1.0)                  # mid-ramp, scaled
@@ -385,26 +395,28 @@ class TestStimulus:
 
     def test_validation(self):
         with pytest.raises(ParameterError, match="unknown stimulus"):
-            Stimulus(kind="sine")
+            resolve_stimulus({"kind": "sine"})
         with pytest.raises(ParameterError, match="at least two"):
-            Stimulus(kind="pwl", points=((0.0, 0.0),))
+            resolve_stimulus({"kind": "pwl", "points": ((0.0, 0.0),)})
         with pytest.raises(ParameterError, match="strictly increasing"):
-            Stimulus(kind="pwl", points=((0.0, 0.0), (0.0, 1.0)))
+            resolve_stimulus({"kind": "pwl",
+                              "points": ((0.0, 0.0), (0.0, 1.0))})
         with pytest.raises(ParameterError, match="only valid"):
-            Stimulus(kind="ramp", points=((0.0, 0.0), (1.0, 1.0)))
+            resolve_stimulus({"kind": "ramp",
+                              "points": ((0.0, 0.0), (1.0, 1.0))})
 
     def test_non_finite_delay_is_refused(self):
         # a NaN delay would only surface as a divergence at the first step
         with pytest.raises(ParameterError, match="delay_s must be finite"):
-            Stimulus(kind="ramp", delay_s=np.nan)
+            resolve_stimulus({"kind": "ramp", "delay_s": np.nan})
         with pytest.raises(ParameterError, match="delay_s must be finite"):
             smooth_edge(2e-7, delay_s=np.nan)
 
     def test_non_finite_rise_time_is_refused(self):
         with pytest.raises(ParameterError, match="rise_time_s must be finite"):
-            Stimulus(kind="ramp", rise_time_s=np.nan)
+            resolve_stimulus({"kind": "ramp", "rise_time_s": np.nan})
         with pytest.raises(ParameterError, match="rise_time_s must be finite"):
-            smooth_edge(np.nan)
+            resolve_stimulus({"kind": "smooth-edge", "rise_time_s": np.nan})
 
     def test_smooth_edge_shape(self):
         s = smooth_edge(100e-9, amplitude_v=1.5, samples=32)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtalksim.engine import SimConfig, Stimulus, run_transient
+from xtalksim.config import resolve_stimulus
+from xtalksim.engine import SimConfig, run_transient
 from xtalksim.errors import ParameterError
 from xtalksim.metrics import (ScenarioResult, TraceMeasurement,
                               first_crossing, measure_scenario, peak_noise,
@@ -177,7 +178,8 @@ def uncoupled_run():
     net = build_ladder(lines, couplings=None, n_segments=3,
                        scenario="uncoupled")
     return run_transient(net,
-                         Stimulus(kind="ramp", rise_time_s=20e-9),
+                         resolve_stimulus({"kind": "ramp",
+                                           "rise_time_s": 20e-9}),
                          SimConfig(dt=1e-9, t_end=400e-9))
 
 

@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from _reference import make_network
-from xtalksim.engine import SimConfig, Stimulus, run_transient, smooth_edge
+from xtalksim.config import resolve_stimulus
+from xtalksim.engine import SimConfig, run_transient, smooth_edge
 from xtalksim.errors import ParameterError
-from xtalksim.netlist import TIE_OHMS_FLOOR, export_netlist
+from xtalksim.netlist import TIE_OHMS_FLOOR, _pwl_points, export_netlist
 from xtalksim.network import (Inductor, LineSpec, Mutual, Resistor,
                               VoltageSource, build_ladder, preset_tables)
 
@@ -17,6 +18,7 @@ approx = pytest.approx
 
 SIM = SimConfig(dt=5e-11, t_end=2.4e-6)
 EDGE = smooth_edge(2e-7)
+STEP = resolve_stimulus({"kind": "step"})
 
 
 def element_cards(deck: str) -> list[str]:
@@ -50,7 +52,7 @@ class TestDeckShape:
             inductors=[Inductor("L1", 1, 2, 2e-6)],
             resistors=[Resistor("R1", 2, 0, 5.0)],
             sources=[VoltageSource("V1", 1, driven=True)])
-        deck = export_netlist(net, Stimulus(kind="step"), SimConfig(1e-9, 1e-6))
+        deck = export_netlist(net, STEP, SimConfig(1e-9, 1e-6))
         assert "L1 a b 2e-06" in deck
         assert "Rm" not in deck
 
@@ -102,7 +104,7 @@ class TestCouplingCards:
             resistors=[Resistor("Ra", 1, 0, 1.0), Resistor("Rb", 3, 0, 1.0),
                        Resistor("Rc", 2, 0, 1.0), Resistor("Rd", 4, 0, 1.0)])
         with pytest.raises(ParameterError, match="not < 1"):
-            export_netlist(net, Stimulus(kind="step"), SimConfig(1e-9, 1e-6))
+            export_netlist(net, STEP, SimConfig(1e-9, 1e-6))
 
 
     def test_branch_currents_and_k_card_name_the_same_inductors(self):
@@ -116,7 +118,7 @@ class TestCouplingCards:
             resistors=[Resistor("Ra", 2, 0, 1.0), Resistor("Rb1", 3, 0, 1.0),
                        Resistor("Rb2", 4, 0, 1.0)],
             sources=[VoltageSource("Va", 1, driven=True)])
-        stim, sim = Stimulus(kind="step"), SimConfig(dt=1e-9, t_end=1e-6)
+        stim, sim = STEP, SimConfig(dt=1e-9, t_end=1e-6)
         waves = run_transient(net, stim, sim)
         # L i' = -R i + (1 V across La), so i(t) = (1 - expm(-L^-1 R t)) e_a
         L = np.array([[1e-6, 0.5e-6], [0.5e-6, 1e-6]])
@@ -136,14 +138,36 @@ class TestSourceCards:
         assert "Vvictim victim_src 0 DC 0" in deck
 
     def test_step_gets_subsample_edge(self):
-        deck = export_netlist(self.net(), Stimulus(kind="step",
-                                                   amplitude_v=2.0), SIM)
+        deck = export_netlist(self.net(), resolve_stimulus(
+            {"kind": "step", "amplitude_v": 2.0}), SIM)
         assert "Vaggressor aggressor_src 0 PWL(0 0 1e-15 2)" in deck
 
     def test_delayed_ramp_holds_initial_value(self):
-        stim = Stimulus(kind="ramp", rise_time_s=1e-7, delay_s=2e-7)
+        stim = resolve_stimulus({"kind": "ramp", "rise_time_s": 1e-7,
+                                 "delay_s": 2e-7})
         deck = export_netlist(self.net(), stim, SIM)
         assert "PWL(0 0 2e-07 0 3e-07 1)" in deck
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "step"},
+        {"kind": "ramp", "rise_time_s": 2.0 ** -24},
+        {"kind": "pwl", "points": [[0.0, 0.25], [2.0 ** -26, 0.75],
+                                   [2.0 ** -25, -0.5], [2.0 ** -24, 1.0]]},
+        {"kind": "smooth-edge", "rise_time_s": 2.0 ** -24},
+    ])
+    def test_card_breakpoints_give_the_engine_drive(self, block):
+        # Binary fractions for the delay, the times and the amplitude make
+        # every shift and scaling exact, so the card's breakpoints must
+        # give the engine's samples bit for bit. The delay is under 1 fs:
+        # only there is delay + STEP_EDGE_S exact.
+        delay = 2.0 ** -50
+        stim = resolve_stimulus(dict(block, amplitude_v=2.0, delay_s=delay))
+        times = np.concatenate([
+            delay + np.arange(-8, 100) * 2.0 ** -56,    # across the 1 fs edge
+            np.arange(160) * 2.0 ** -30])                # past the rise
+        card_t, card_v = zip(*_pwl_points(stim))
+        np.testing.assert_array_equal(np.interp(times, card_t, card_v),
+                                      stim.values(times))
 
     def test_smooth_edge_point_count(self):
         deck = export_netlist(self.net(), smooth_edge(2e-7, samples=64), SIM)
@@ -167,7 +191,8 @@ class TestStability:
 
     def test_waveform_labels_all_appear_in_deck(self):
         net = build_ladder(**preset_tables("no-shield"), n_segments=2)
-        waves = run_transient(net, Stimulus(kind="ramp", rise_time_s=20e-9),
+        waves = run_transient(net, resolve_stimulus({"kind": "ramp",
+                                                     "rise_time_s": 20e-9}),
                               SimConfig(dt=1e-9, t_end=100e-9))
         deck = export_netlist(net, EDGE, SIM)
         tokens = set()
