@@ -76,6 +76,9 @@ DEFAULT_SIM = {
     "dt": 5.0e-11, "t_end": 2.4e-6, "method": "trapezoidal", "n_segments": 12,
 }
 DEFAULT_OUTPUT = {"directory": "out", "formats": ["csv", "json"], "nodes": "ends"}
+# Largest run resolve accepts, in the bytes _check_run_size estimates;
+# each preset at n_segments = 48 with output.nodes=all estimates 0.11 GiB.
+_MAX_RUN_BYTES = 4 * 2**30
 _DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
                    "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
 
@@ -606,6 +609,34 @@ def _measurement_roles(network: CoupledNetwork) -> dict[str, str]:
             "victim": f"{vic.name}_{n}"}
 
 
+def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
+                    nodes, stimulus: dict) -> None:
+    """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
+    the network or the stimulus is built, naming the field that weighs
+    most. The estimate counts eight dense n x n arrays (G, C, P and the
+    arrays of its solve) over at most 2 n_segments + 2 unknowns per
+    line, the stored traces with the time axis and drive, and 256 bytes
+    per stimulus breakpoint (a pair of Python floats, held twice while
+    the Stimulus is built, and its array copies)."""
+    unknowns = n_lines * (2 * max(n_segments, 1) + 2)
+    if nodes == "ends":
+        traces = 2 * n_lines
+    elif isinstance(nodes, (list, tuple)):
+        traces = len(nodes) + 3
+    else:
+        traces = unknowns
+    samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
+    need = {"sim.n_segments": 64.0 * unknowns ** 2,
+            "sim.dt": 8.0 * (sim.t_end / sim.dt + 1) * (traces + 3),
+            "stimulus.samples": 256.0 * (samples + 1)}
+    total = sum(need.values())
+    if total > _MAX_RUN_BYTES:
+        field = max(need, key=need.get)
+        raise ParameterError(f"{field}: the run would hold about "
+                             f"{total / 2**30:.3g} GiB, over the "
+                             f"{_MAX_RUN_BYTES / 2**30:g} GiB limit")
+
+
 @dataclass(frozen=True)
 class ResolvedScenario:
     """Everything a run needs, derived from one config."""
@@ -625,13 +656,18 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
     n_segments = _number(sim_block.pop("n_segments", 12), "sim.n_segments", int)
+    sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
+                    t_end=_number(sim_block["t_end"], "sim.t_end"),
+                    method=str(sim_block.get("method", "trapezoidal")))
 
     tables, scenario_name = _scenario_tables(config.scenario)
     tables = _map_tables(tables, config)
+    output = resolve_output(config.output)
+    _check_run_size(len(tables["lines"]), n_segments, sim, output["nodes"],
+                    config.stimulus)
     network = build_ladder(n_segments=n_segments, scenario=scenario_name,
                            **tables)
     stimulus = resolve_stimulus(config.stimulus)
-    output = resolve_output(config.output)
     roles = _measurement_roles(network)
 
     nodes = output["nodes"]
@@ -645,10 +681,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     else:
         raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
                              f"list of node labels, got {nodes!r}")
-    sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
-                    t_end=_number(sim_block["t_end"], "sim.t_end"),
-                    method=str(sim_block.get("method", "trapezoidal")),
-                    output_nodes=out_nodes)
+    sim = replace(sim, output_nodes=out_nodes)
 
     params = _tables_params(tables, n_segments)
     params["stimulus"] = _copy_tree(config.stimulus)

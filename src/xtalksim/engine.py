@@ -1,11 +1,12 @@
 """Modified nodal analysis and implicit transient integration.
 
-The unknown vector is [non-ground node voltages, inductor branch
-currents]. Nodes held by an ideal voltage source are not unknowns:
-their known voltage u(t) moves to the right-hand side through a source
-injection matrix, so the system reads G x + C dx/dt = B u(t). Shield
-nodes tied to ground through a 0-ohm tie are merged with ground during
-assembly.
+The unknown vector x is [free node voltages, inductor branch
+currents]. Every node reads its voltage from one slot of z = [x, u, 0]
+(``MnaSystem.slot``): a free node from x, the node of source j from
+its known voltage u_j, and ground, with every shield node tied to it
+by 0 ohms, from the trailing 0. Each element is stamped over all slots;
+G and C are the x block and B the u columns moved to the right-hand
+side, so the system reads G x + C dx/dt = B u(t).
 
 Each ladder segment's series resistance rides on its inductor branch
 (the branch equation is v_a - v_b - R_s i - L di/dt - sum_j M_ij di_j/dt
@@ -155,7 +156,12 @@ class WaveformSet:
 
 @dataclass(frozen=True)
 class MnaSystem:
-    """Assembled descriptor: G x + C dx/dt = B u(t). Reusable across runs."""
+    """Assembled descriptor: G x + C dx/dt = B u(t). Reusable across runs.
+
+    ``slot[node_id]`` is the node's position in z = [x, u, 0]: an
+    unknown's index in x, n + j for the node of source j, and n + ns for
+    ground and every node tied to it by 0 ohms.
+    """
 
     G: np.ndarray
     C: np.ndarray
@@ -164,90 +170,71 @@ class MnaSystem:
     n_node_unknowns: int
     source_names: tuple[str, ...]
     source_driven: tuple[bool, ...]
-    source_labels: tuple[str, ...]        # node labels of the source nodes
-    grounded_labels: tuple[str, ...]      # labels merged with ground (0-ohm ties)
+    slot: tuple[int, ...]
 
 
 def assemble(network: CoupledNetwork) -> MnaSystem:
-    """Stamp the MNA matrices for a network.
-
-    Raises AssemblyError when the structure cannot produce a solvable
-    system (an unknown appears in no equation, or an element would need
-    the derivative of a known source voltage).
+    """Stamp every element over the node slots, then slice out G, C and
+    B (the source columns, negated). Raises AssemblyError when the
+    structure cannot produce a solvable system (an unknown appears in no
+    equation, or a capacitor would need a source voltage's derivative).
     """
     aliased = {t.node for t in network.ties if t.ohms == 0.0}
-    source_node = {}
-    for s in network.sources:
-        if s.node in source_node:
+    sources = network.sources
+    held = set()
+    for s in sources:
+        if s.node in held:
             raise AssemblyError(f"two sources drive node "
                                 f"{network.nodes[s.node]!r}")
         if s.node in aliased:
             raise AssemblyError(f"source {s.name} drives a ground-tied node")
-        source_node[s.node] = s
+        held.add(s.node)
 
-    kind: dict[int, tuple[str, int]] = {GROUND: ("gnd", 0)}
-    for nid in aliased:
-        kind[nid] = ("gnd", 0)
-    sources = list(network.sources)
-    for j, s in enumerate(sources):
-        kind[s.node] = ("src", j)
-    unknown_nodes = [nid for nid in range(len(network.nodes)) if nid not in kind]
-    for i, nid in enumerate(unknown_nodes):
-        kind[nid] = ("unk", i)
-
+    unknown_nodes = [nid for nid in range(1, len(network.nodes))
+                     if nid not in aliased and nid not in held]
     nv = len(unknown_nodes)
-    nb = len(network.inductors)
-    n = nv + nb
+    n = nv + len(network.inductors)
     ns = len(sources)
-    G = np.zeros((n, n))
-    C = np.zeros((n, n))
-    B = np.zeros((n, ns))
+    slot = [n + ns] * len(network.nodes)
+    for i, nid in enumerate(unknown_nodes):
+        slot[nid] = i
+    for j, s in enumerate(sources):
+        slot[s.node] = n + j
+    G, C = np.zeros((2, n + ns + 1, n + ns + 1))
 
-    def stamp_two_terminal(M: np.ndarray, a: int, b: int, val: float,
-                           name: str, allow_source: bool) -> None:
-        ka, kb = kind[a], kind[b]
-        for (k1, k2) in ((ka, kb), (kb, ka)):
-            if k1[0] != "unk":
-                continue
-            i = k1[1]
-            M[i, i] += val
-            if k2[0] == "unk":
-                M[i, k2[1]] -= val
-            elif k2[0] == "src":
-                if not allow_source:
-                    raise AssemblyError(
-                        f"{name} connects to source node; its equation would "
-                        f"need the source-voltage derivative, which this "
-                        f"formulation does not carry. Put a resistor between.")
-                B[i, k2[1]] += val
-        if ka[0] == "src" and kb[0] == "src" and not allow_source:
-            raise AssemblyError(f"{name} connects two source nodes")
+    def stamp(M: np.ndarray, a: int, b: int, val: float) -> None:
+        M[a, a] += val
+        M[a, b] -= val
+        M[b, b] += val
+        M[b, a] -= val
 
     for r in network.resistors:
         if r.ohms <= 0:
             raise AssemblyError(f"{r.name}: resistor needs a positive value, "
                                 f"got {r.ohms!r}")
-        stamp_two_terminal(G, r.a, r.b, 1.0 / r.ohms, r.name, allow_source=True)
+        stamp(G, slot[r.a], slot[r.b], 1.0 / r.ohms)
     for t in network.ties:
         if t.ohms > 0.0:
-            stamp_two_terminal(G, t.node, GROUND, 1.0 / t.ohms, t.name,
-                               allow_source=True)
+            stamp(G, slot[t.node], slot[GROUND], 1.0 / t.ohms)
     for c in network.capacitors:
-        stamp_two_terminal(C, c.a, c.b, c.farads, c.name, allow_source=False)
+        if any(n <= slot[node] < n + ns for node in (c.a, c.b)):
+            raise AssemblyError(
+                f"{c.name} connects to source node; its equation would "
+                f"need the source-voltage derivative, which this "
+                f"formulation does not carry. Put a resistor between.")
+        stamp(C, slot[c.a], slot[c.b], c.farads)
 
     for row, ind in enumerate(network.inductors, start=nv):
         for node, sign in ((ind.a, 1.0), (ind.b, -1.0)):
-            k = kind[node]
-            if k[0] == "unk":
-                G[k[1], row] += sign      # KCL: branch current into the node
-                G[row, k[1]] += sign      # KVL: node voltage along the branch
-            elif k[0] == "src":
-                B[row, k[1]] -= sign      # known voltage goes to the RHS
+            G[slot[node], row] += sign    # KCL: branch current into the node
+            G[row, slot[node]] += sign    # KVL: node voltage along the branch
         G[row, row] -= ind.r_series_ohm
         C[row, row] -= ind.l_h
     for m in network.mutuals:
         C[nv + m.branch_i, nv + m.branch_j] -= m.m_h
         C[nv + m.branch_j, nv + m.branch_i] -= m.m_h
+    B = 0.0 - G[:n, n:n + ns]             # 0.0 - keeps -0.0 out of B
+    G, C = G[:n, :n].copy(), C[:n, :n].copy()
 
     labels = tuple([network.nodes[nid] for nid in unknown_nodes]
                    + [ind.name for ind in network.inductors])
@@ -263,10 +250,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
     return MnaSystem(
         G=G, C=C, B=B, unknown_labels=labels, n_node_unknowns=nv,
         source_names=tuple(s.name for s in sources),
-        source_driven=tuple(s.driven for s in sources),
-        source_labels=tuple(network.nodes[s.node] for s in sources),
-        grounded_labels=tuple(sorted(network.nodes[nid] for nid in aliased)),
-    )
+        source_driven=tuple(s.driven for s in sources), slot=tuple(slot))
 
 
 def _dc_solve(network: CoupledNetwork, sys: MnaSystem,
@@ -288,7 +272,7 @@ def dc_operating_point(network: CoupledNetwork,
 
     ``source_values`` maps source names to voltages; by default driven
     sources sit at 1 V and quiet ones at 0 V. Returns a voltage for
-    every non-ground node label.
+    every non-ground node label, in network order.
     """
     sys = assemble(network)
     u = np.array([1.0 if d else 0.0 for d in sys.source_driven])
@@ -298,13 +282,8 @@ def dc_operating_point(network: CoupledNetwork,
                 raise ParameterError(f"unknown source {name!r}")
             u[sys.source_names.index(name)] = float(val)
     x = _dc_solve(network, sys, sys.B @ u)
-    out = {lbl: float(x[i]) for i, lbl in
-           enumerate(sys.unknown_labels[:sys.n_node_unknowns])}
-    for lbl, val in zip(sys.source_labels, u):
-        out[lbl] = float(val)
-    for lbl in sys.grounded_labels:
-        out[lbl] = 0.0
-    return out
+    z = np.concatenate((x, u, [0.0]))
+    return {lbl: float(z[k]) for lbl, k in zip(network.nodes[1:], sys.slot[1:])}
 
 
 def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
@@ -347,17 +326,16 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     if steps < 1:
         raise ParameterError("t_end shorter than one timestep")
 
-    nv = sys.n_node_unknowns
-    unknown_of = {lbl: i for i, lbl in enumerate(sys.unknown_labels[:nv])}
-    # every non-ground node is an unknown, a source node or tied to ground
-    labels = list(network.nodes[1:])
-    branches = range(nv, len(sys.unknown_labels))
+    n, nv = len(sys.unknown_labels), sys.n_node_unknowns
+    slot = dict(zip(network.nodes[1:], sys.slot[1:]))
+    labels = list(slot)
+    branches = range(nv, n)
     if sim.output_nodes != "all":
-        missing = [lbl for lbl in sim.output_nodes if lbl not in labels]
+        missing = [lbl for lbl in sim.output_nodes if lbl not in slot]
         if missing:
             raise ParameterError(f"output_nodes not in network: {missing}")
         labels, branches = list(dict.fromkeys(sim.output_nodes)), ()
-    keep = np.array([unknown_of[lbl] for lbl in labels if lbl in unknown_of]
+    keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 
     times = np.arange(steps + 1) * sim.dt
@@ -381,13 +359,13 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
                               f"t={times[k + 1]:.6g} s")
         out[k + 1] = x[keep]
 
-    # out's columns: the kept node unknowns in label order, then branches
+    # out's columns: the kept node unknowns in label order, then branches;
+    # a node whose slot is past the unknowns reads its source or ground
     columns = iter(out.T)
-    driven = dict(zip(sys.source_labels, sys.source_driven))
     zeros = np.zeros(steps + 1)
-    node_traces = {lbl: next(columns) if lbl in unknown_of
-                   else (drive if driven.get(lbl) else zeros).copy()
-                   for lbl in labels}
+    known = [drive if d else zeros for d in sys.source_driven] + [zeros]
+    node_traces = {lbl: next(columns) if slot[lbl] < n
+                   else known[slot[lbl] - n].copy() for lbl in labels}
     branch_currents = dict(zip(sys.unknown_labels[nv:], columns))
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}

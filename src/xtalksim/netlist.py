@@ -15,6 +15,8 @@ appears verbatim in the deck, with ground as node 0.
 
 A driven source's PWL card is the stimulus breakpoints shifted and
 scaled: the waveform the engine samples, a step's STEP_EDGE_S edge too.
+Its times print at 9 significant digits, and in full where 9 digits
+would print a time equal to a neighbour's.
 
 Output is byte-stable: the same network, stimulus, and sim config
 always serialize to the identical text.
@@ -50,6 +52,19 @@ def _pwl_points(stimulus: Stimulus) -> list[tuple[float, float]]:
     return out
 
 
+def _pwl_card(stimulus: Stimulus) -> str:
+    """PWL body: each time at 9 digits, or in full where 9 digits would
+    print it equal to a neighbour's, so the card's times stay strictly
+    increasing."""
+    pts = _pwl_points(stimulus)
+    short = [_f(t) for t, _ in pts]
+    words = []
+    for i, (t, v) in enumerate(pts):
+        clash = short[i] in short[max(i - 1, 0):i] + short[i + 1:i + 2]
+        words += [repr(t) if clash else short[i], _f(v)]
+    return " ".join(words)
+
+
 def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
                    sim_config: SimConfig) -> str:
     """Serialize a network plus drive and analysis window to deck text."""
@@ -67,8 +82,8 @@ def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
 
     for src in network.sources:
         if src.driven:
-            pw = " ".join(f"{_f(t)} {_f(v)}" for t, v in _pwl_points(stimulus))
-            lines.append(f"{src.name} {name[src.node]} 0 PWL({pw})")
+            lines.append(f"{src.name} {name[src.node]} 0 "
+                         f"PWL({_pwl_card(stimulus)})")
         else:
             lines.append(f"{src.name} {name[src.node]} 0 DC 0")
 

@@ -610,6 +610,22 @@ class TestCliExitCodes:
         assert rc == 1
         assert "unknown stimulus kind 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, assignment, field", [
+        ("export-netlist", "stimulus.samples=1e12", "stimulus.samples"),
+        ("export-netlist", "sim.n_segments=1e9", "sim.n_segments"),
+        ("run", "sim.dt=1e-20", "sim.dt"),
+    ])
+    def test_run_too_large_to_hold_is_refused(self, tmp_path, capsys,
+                                              command, assignment, field):
+        # refused by resolve's size estimate, before anything is built
+        rc = main([command, "--preset", "shield", "--set", assignment,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {field}: the run would hold about" in err
+        assert "GiB limit" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_errors_exit_3(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 3

@@ -11,13 +11,15 @@ import pytest
 from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
-from xtalksim.config import resolve_stimulus
+from xtalksim.config import (apply_set_overrides, preset_config,
+                             resolve_stimulus, run_scenario)
 from xtalksim.engine import (MnaSystem, SimConfig, WaveformSet, _step_matrices,
                              assemble, dc_operating_point, run_transient,
                              smooth_edge)
 from xtalksim.errors import AssemblyError, ParameterError, SolverError
-from xtalksim.network import (Capacitor, Resistor, TerminationSpec,
-                              VoltageSource, build_ladder, preset_tables)
+from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Resistor,
+                              TerminationSpec, VoltageSource, build_ladder,
+                              preset_tables)
 
 approx = pytest.approx
 
@@ -48,8 +50,11 @@ class TestAssemble:
         assert sys.n_node_unknowns == 6
 
     def test_zero_ohm_ties_merge_with_ground(self):
-        sys = assemble(build_ladder(**preset_tables("shield"), n_segments=2))
-        assert set(sys.grounded_labels) == {"shield_0", "shield_2"}
+        net = build_ladder(**preset_tables("shield"), n_segments=2)
+        sys = assemble(net)
+        grounded = {lbl for lbl, k in zip(net.nodes, sys.slot)
+                    if k == sys.slot[0]}
+        assert grounded == {"0", "shield_0", "shield_2"}
         assert "shield_0" not in sys.unknown_labels
 
     def test_capacitor_to_source_refused(self):
@@ -59,6 +64,22 @@ class TestAssemble:
             resistors=[Resistor("R1", 2, 0, 1.0)],
             sources=[VoltageSource("Vin", 1, driven=True)])
         with pytest.raises(AssemblyError, match="source-voltage derivative"):
+            assemble(net)
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (1, 3), (1, 2)],
+                             ids=["to-ground", "to-tied-node", "two-sources"])
+    def test_any_capacitor_on_a_source_node_refused(self, a, b):
+        # whatever the other end, the deck writes the capacitor, so the
+        # engine may not leave it out
+        net = make_network(
+            ["in", "in2", "tied"],
+            capacitors=[Capacitor("Cin", a, b, 5e-12)],
+            sources=[VoltageSource("V1", 1, driven=True),
+                     VoltageSource("V2", 2, driven=False)],
+            ties=[GroundTie("Rtie", 3, 0.0)])
+        with pytest.raises(AssemblyError, match="Cin connects to source "
+                                                "node.*source-voltage "
+                                                "derivative"):
             assemble(net)
 
     def test_structural_singularity_names_culprit(self):
@@ -329,6 +350,30 @@ class TestBehaviour:
             assert tr[0] == approx(dc[label], abs=1e-12)
 
 
+class TestNodeSlots:
+    """Every node reads its voltage from its slot of [x, u, 0]: the
+    source nodes and the 0-ohm-tied shield nodes too."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_source_and_tied_nodes(self, name):
+        cfg = apply_set_overrides(preset_config(name), [
+            "output.nodes=all", "sim.dt=1e-9", "sim.t_end=4e-7"])
+        _, waves, resolved = run_scenario(cfg)
+        net = resolved.network
+        dc = dc_operating_point(net)
+        driven = [net.nodes[s.node] for s in net.sources if s.driven]
+        quiet = [net.nodes[s.node] for s in net.sources if not s.driven]
+        tied = [net.nodes[t.node] for t in net.ties if t.ohms == 0.0]
+        assert len(driven) == 1 and quiet
+        assert bool(tied) == (name != "no-shield")
+        np.testing.assert_array_equal(waves.trace(driven[0]),
+                                      resolved.stimulus.values(waves.times))
+        assert dc[driven[0]] == 1.0
+        for label in quiet + tied:
+            assert np.all(waves.trace(label) == 0.0)
+            assert dc[label] == 0.0
+
+
 class TestStepMatrices:
     """The failures of the step recurrence: the one solve behind P and q,
     and a run whose samples overflow."""
@@ -340,8 +385,7 @@ class TestStepMatrices:
                          B=np.ones((n, 1)),
                          unknown_labels=tuple(f"x{i}" for i in range(n)),
                          n_node_unknowns=n, source_names=("V",),
-                         source_driven=(True,), source_labels=("in",),
-                         grounded_labels=())
+                         source_driven=(True,), slot=(n + 1, n))
 
     def test_singular_step_matrix(self):
         theta, dt = 0.5, 0.25

@@ -169,6 +169,16 @@ class TestSourceCards:
         np.testing.assert_array_equal(np.interp(times, card_t, card_v),
                                       stim.values(times))
 
+    def test_delayed_step_card_times_increase(self):
+        # at 9 digits, 1e-6 and 1e-6 + STEP_EDGE_S print the same
+        stim = resolve_stimulus({"kind": "step", "delay_s": 1e-6})
+        deck = export_netlist(self.net(), stim, SIM)
+        card = next(ln for ln in deck.splitlines() if ln.startswith("Vagg"))
+        numbers = [float(x) for x in card.split("PWL(")[1].rstrip(")").split()]
+        times = numbers[::2]
+        assert len(times) == 3
+        assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+
     def test_smooth_edge_point_count(self):
         deck = export_netlist(self.net(), smooth_edge(2e-7, samples=64), SIM)
         card = next(ln for ln in deck.splitlines() if ln.startswith("Vagg"))
