@@ -13,7 +13,7 @@ from .config import (ResolvedScenario, ToolkitConfig, apply_set_overrides,
 from .config import TOOLKIT_VERSION as __version__
 from .engine import (SimConfig, Stimulus, WaveformSet, assemble,
                      dc_operating_point, run_transient, smooth_edge)
-from .errors import (AssemblyError, ParameterError, SolverError, ToolkitError)
+from .errors import ParameterError, SolverError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, PAPER_LITERAL, TABLE_COMPAT,
                          CouplingCoefficients, InterconnectGeometry,
                          LineElectricals, coupling_capacitance, extract_all,
@@ -23,21 +23,21 @@ from .metrics import (ScenarioResult, TraceMeasurement, measure_scenario,
                       peak_noise, propagation_delay, rise_time)
 from .netlist import export_netlist
 from .network import (CoupledNetwork, LineSpec, TapSchedule, TerminationSpec,
-                      build_ladder, preset_tables, validate_network)
+                      build_ladder, preset_tables)
 
 __all__ = [
-    "AssemblyError", "BUILTIN_COEFFICIENTS", "CoupledNetwork",
-    "CouplingCoefficients", "InterconnectGeometry", "LineElectricals",
-    "LineSpec", "PAPER_LITERAL", "ParameterError", "ResolvedScenario",
-    "ScenarioResult", "SimConfig", "SolverError", "Stimulus", "TABLE_COMPAT",
-    "TapSchedule", "TerminationSpec", "ToolkitConfig", "ToolkitError",
-    "TraceMeasurement", "WaveformSet", "apply_set_overrides", "assemble",
-    "build_ladder", "coupling_capacitance", "dc_operating_point",
-    "export_netlist", "extract_all", "extraction_report", "line_capacitance",
+    "BUILTIN_COEFFICIENTS", "CoupledNetwork", "CouplingCoefficients",
+    "InterconnectGeometry", "LineElectricals", "LineSpec", "PAPER_LITERAL",
+    "ParameterError", "ResolvedScenario", "ScenarioResult", "SimConfig",
+    "SolverError", "Stimulus", "TABLE_COMPAT", "TapSchedule",
+    "TerminationSpec", "ToolkitConfig", "ToolkitError", "TraceMeasurement",
+    "WaveformSet", "apply_set_overrides", "assemble", "build_ladder",
+    "coupling_capacitance", "dc_operating_point", "export_netlist",
+    "extract_all", "extraction_report", "line_capacitance",
     "line_resistance", "load_config", "measure_scenario",
     "mutual_inductance_bracket", "peak_noise", "preset_config",
     "preset_tables", "propagation_delay", "resolve", "rise_time",
     "run_scenario", "run_sweep", "run_transient", "self_inductance",
-    "smooth_edge", "validate_network", "write_summary_json",
-    "write_sweep_csv", "write_waveforms_csv", "__version__",
+    "smooth_edge", "write_summary_json", "write_sweep_csv",
+    "write_waveforms_csv", "__version__",
 ]

@@ -11,8 +11,9 @@ Every subcommand takes exactly one of ``--config <path>`` (a YAML
 document) or ``--preset <name>`` (bundled defaults), plus any number of
 ``--set block.key=value`` overrides applied on top.
 
-Exit codes: 0 success, 1 config/parameter error, 2 numerical or solver
-error, 3 file I/O error.
+Exit codes: 0 success, 1 config/parameter error (a network the
+construction check refuses among them), 2 SolverError (a numerical
+failure of the solve), 3 file I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import (SWEEP_AXES, ToolkitConfig, apply_set_overrides,
                      run_sweep, summary_filename, sweep_filename,
                      waveforms_filename, write_summary_json, write_sweep_csv,
                      write_waveforms_csv)
-from .errors import AssemblyError, ParameterError, SolverError
+from .errors import ParameterError, SolverError
 from .netlist import export_netlist
 from .network import PRESET_NAMES
 
@@ -212,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssemblyError, SolverError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -301,9 +301,10 @@ def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
     x/x == 1.0, so the presets keep their stock values bit for bit.
     """
     roles = {ln.name: ln.role for ln in tables["lines"]}
-    if "shield_width_scale" in config.geometry and "shield" not in roles.values():
-        raise ParameterError("geometry.shield_width_scale needs a shielded "
-                             "preset (a line with role shield)")
+    for key in ("shield_width_scale", "shield_separation_um"):
+        if key in config.geometry and "shield" not in roles.values():
+            raise ParameterError(f"geometry.{key} needs a shielded preset "
+                                 f"(a line with role shield)")
     pairs = tuple(tables["couplings"])
     f = _extract(roles, pairs, resolve_geometry(config.geometry), None)
     f0 = _extract(roles, pairs, _DEFAULT_RESOLVED, None)
@@ -481,8 +482,10 @@ def _tables_params(tables: dict, n_segments: int) -> dict:
     }
 
 
-def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
-    """Scenario block -> (build_ladder tables, scenario name)."""
+def _scenario_tables(scen: dict | None, n_segments: int
+                     ) -> tuple[dict, str]:
+    """Scenario block -> (build_ladder tables, scenario name). A tap
+    count is checked against ``n_segments`` before any tap is made."""
     if scen is None:
         raise ParameterError("config has no scenario block")
     _check_keys(scen, {"preset", "tap_count", "tie_resistance_ohm", "name",
@@ -499,6 +502,11 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
         tap_count = scen.get("tap_count")
         if tap_count is not None:
             tap_count = _number(tap_count, "scenario.tap_count", int)
+            if tap_count >= max(n_segments, 1):
+                raise ParameterError(
+                    f"scenario.tap_count={tap_count}: taps at "
+                    f"i/(tap_count+1) land on interior nodes only when "
+                    f"tap_count <= sim.n_segments - 1 = {n_segments - 1}")
         tables = preset_tables(
             scen["preset"], tap_count=tap_count,
             tie_resistance_ohm=_number(scen.get("tie_resistance_ohm", 0.0),
@@ -514,6 +522,9 @@ def _scenario_tables(scen: dict | None) -> tuple[dict, str]:
         "terminations": _parse_terminations(scen.get("terminations", {})),
         "taps": _parse_taps(scen.get("taps")),
     }
+    if (tables["taps"] is not None
+            and not any(ln.role == "shield" for ln in tables["lines"])):
+        raise ParameterError("scenario.taps needs a line with role shield")
     return tables, str(scen.get("name") or "custom")
 
 
@@ -660,7 +671,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
                     t_end=_number(sim_block["t_end"], "sim.t_end"),
                     method=str(sim_block.get("method", "trapezoidal")))
 
-    tables, scenario_name = _scenario_tables(config.scenario)
+    tables, scenario_name = _scenario_tables(config.scenario, n_segments)
     tables = _map_tables(tables, config)
     output = resolve_output(config.output)
     _check_run_size(len(tables["lines"]), n_segments, sim, output["nodes"],

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssemblyError, ParameterError, SolverError
-from .network import GROUND, CoupledNetwork, validate_network
+from .errors import ParameterError, SolverError
+from .network import GROUND, CoupledNetwork
 
 
 sla = np.linalg
@@ -175,23 +175,14 @@ class MnaSystem:
 
 def assemble(network: CoupledNetwork) -> MnaSystem:
     """Stamp every element over the node slots, then slice out G, C and
-    B (the source columns, negated). Raises AssemblyError when the
-    structure cannot produce a solvable system (an unknown appears in no
-    equation, or a capacitor would need a source voltage's derivative).
+    B (the source columns, negated). Every CoupledNetwork has passed its
+    construction check, so the structure is one this can stamp.
     """
-    aliased = {t.node for t in network.ties if t.ohms == 0.0}
     sources = network.sources
-    held = set()
-    for s in sources:
-        if s.node in held:
-            raise AssemblyError(f"two sources drive node "
-                                f"{network.nodes[s.node]!r}")
-        if s.node in aliased:
-            raise AssemblyError(f"source {s.name} drives a ground-tied node")
-        held.add(s.node)
-
+    known = ({s.node for s in sources}
+             | {t.node for t in network.ties if t.ohms == 0.0})
     unknown_nodes = [nid for nid in range(1, len(network.nodes))
-                     if nid not in aliased and nid not in held]
+                     if nid not in known]
     nv = len(unknown_nodes)
     n = nv + len(network.inductors)
     ns = len(sources)
@@ -209,19 +200,11 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
         M[b, a] -= val
 
     for r in network.resistors:
-        if r.ohms <= 0:
-            raise AssemblyError(f"{r.name}: resistor needs a positive value, "
-                                f"got {r.ohms!r}")
         stamp(G, slot[r.a], slot[r.b], 1.0 / r.ohms)
     for t in network.ties:
         if t.ohms > 0.0:
             stamp(G, slot[t.node], slot[GROUND], 1.0 / t.ohms)
     for c in network.capacitors:
-        if any(n <= slot[node] < n + ns for node in (c.a, c.b)):
-            raise AssemblyError(
-                f"{c.name} connects to source node; its equation would "
-                f"need the source-voltage derivative, which this "
-                f"formulation does not carry. Put a resistor between.")
         stamp(C, slot[c.a], slot[c.b], c.farads)
 
     for row, ind in enumerate(network.inductors, start=nv):
@@ -238,31 +221,19 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
 
     labels = tuple([network.nodes[nid] for nid in unknown_nodes]
                    + [ind.name for ind in network.inductors])
-    # structural screen: an unknown with an all-zero row or column can
-    # never be solved for; name it rather than failing inside LU
-    zero_rows = ~(np.any(G != 0.0, axis=1) | np.any(C != 0.0, axis=1))
-    zero_cols = ~(np.any(G != 0.0, axis=0) | np.any(C != 0.0, axis=0))
-    bad = np.nonzero(zero_rows | zero_cols)[0]
-    if bad.size:
-        raise AssemblyError("structurally singular system; culprit: "
-                            + ", ".join(labels[i] for i in bad))
-
     return MnaSystem(
         G=G, C=C, B=B, unknown_labels=labels, n_node_unknowns=nv,
         source_names=tuple(s.name for s in sources),
         source_driven=tuple(s.driven for s in sources), slot=tuple(slot))
 
 
-def _dc_solve(network: CoupledNetwork, sys: MnaSystem,
-              rhs: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs; a singular G names the floating nodes."""
+def _dc_solve(sys: MnaSystem, rhs: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs."""
     try:
         return sla.solve(sys.G, rhs)
     except sla.LinAlgError:
-        where = "".join(f" ({f.message})" for f in validate_network(network)
-                        if f.code == "floating-node")
-        raise SolverError("singular DC system; a subnetwork floats with no "
-                          "resistive path to ground" + where)
+        raise SolverError("singular DC system: the conductance matrix G "
+                          "is singular to working precision") from None
 
 
 def dc_operating_point(network: CoupledNetwork,
@@ -281,7 +252,7 @@ def dc_operating_point(network: CoupledNetwork,
             if name not in sys.source_names:
                 raise ParameterError(f"unknown source {name!r}")
             u[sys.source_names.index(name)] = float(val)
-    x = _dc_solve(network, sys, sys.B @ u)
+    x = _dc_solve(sys, sys.B @ u)
     z = np.concatenate((x, u, [0.0]))
     return {lbl: float(z[k]) for lbl, k in zip(network.nodes[1:], sys.slot[1:])}
 
@@ -341,7 +312,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     times = np.arange(steps + 1) * sim.dt
     drive = stimulus.values(times)
     b = sys.B @ np.array(sys.source_driven, dtype=float)
-    x = _dc_solve(network, sys, b * drive[0])
+    x = _dc_solve(sys, b * drive[0])
 
     theta = METHODS[sim.method]
     first = _step_matrices(sys, b, sim.dt, 1.0)

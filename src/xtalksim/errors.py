@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes (see ``cli.main``): 1 for
-ParameterError, 2 for AssemblyError and SolverError. Parameter and
+ParameterError, which also covers every network a CoupledNetwork's
+construction check refuses, and 2 for SolverError only. Parameter and
 configuration problems are distinguished from numerical failures so
 that scripted callers can react differently to "your input is wrong"
 versus "the solve went bad".
@@ -14,10 +15,6 @@ class ToolkitError(Exception):
 
 class ParameterError(ToolkitError):
     """Invalid argument, geometry, configuration, or network description."""
-
-
-class AssemblyError(ToolkitError):
-    """The network could not be turned into a solvable MNA system."""
 
 
 class SolverError(ToolkitError):

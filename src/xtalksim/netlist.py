@@ -2,9 +2,9 @@
 
 Targets the classic card subset (R/L/C/K/V, .tran, .end) that any
 mainstream simulator reads. Mutual inductance is emitted as K cards
-with the coupling coefficient k = M / sqrt(L_i * L_j); a network whose
-coupling reaches k >= 1 is refused rather than emitted, since no
-passive deck can represent it. Ideal (0 ohm) shield ground ties become
+with the coupling coefficient k = M / sqrt(L_i * L_j), which is below 1
+for every CoupledNetwork (its construction check refuses the rest, as
+no passive deck represents them). Ideal (0 ohm) shield ground ties become
 tiny 1e-9 ohm resistors so dialects that reject zero-resistance loops
 still accept the deck.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 from .engine import SimConfig, Stimulus
-from .errors import ParameterError
 from .network import CoupledNetwork
 
 TIE_OHMS_FLOOR = 1e-9
@@ -104,10 +103,6 @@ def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
         li = network.inductors[m.branch_i]
         lj = network.inductors[m.branch_j]
         k = m.m_h / math.sqrt(li.l_h * lj.l_h)
-        if not abs(k) < 1.0:
-            raise ParameterError(
-                f"cannot export {m.name}: coupling coefficient k = {k:.6g} "
-                f"is not < 1, no passive deck represents it")
         lines.append(f"{m.name} {li.name} {lj.name} {_f(k)}")
 
     for c in network.capacitors:

@@ -127,7 +127,6 @@ class Capacitor:
     a: int
     b: int
     farads: float
-    kind: str = "shunt"                   # shunt | coupling | load
 
 
 @dataclass(frozen=True)
@@ -176,22 +175,20 @@ class GroundTie:
 
 
 @dataclass(frozen=True)
-class Finding:
-    """One validation problem; ``elements`` names the offenders."""
-
-    code: str
-    message: str
-    elements: tuple[str, ...] = ()
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.code}] {self.message}"
-
-
-@dataclass(frozen=True)
 class CoupledNetwork:
     """Immutable element-level circuit produced by build_ladder. A node's
     id is its label's position in ``nodes`` (ground is "0" at 0); a
-    branch's id is its inductor's position in ``inductors``."""
+    branch's id is its inductor's position in ``inductors``.
+
+    Construction refuses, with a ParameterError naming the element, any
+    network that the engine and the exported deck could not both take:
+    a reference past either tuple, a value that is not finite, a
+    resistor not > 0, a tie below 0, an inductor with L not > 0 or a
+    negative series resistance, two sources on one node, a source on a
+    0-ohm-tied node, a capacitor on a source node, a mutual on one
+    branch or a second one on a pair, an inductance matrix that is not
+    positive definite, a loop of zero-resistance inductors, and a node
+    with no DC path to ground."""
 
     nodes: tuple[str, ...]
     resistors: tuple[Resistor, ...]
@@ -211,6 +208,84 @@ class CoupledNetwork:
         if len(set(self.nodes)) < len(self.nodes):
             dups = sorted({x for x in self.nodes if self.nodes.count(x) > 1})
             raise ParameterError(f"duplicate node label(s) {dups}")
+        n_nodes, n_branches = len(self.nodes), len(self.inductors)
+        for e in (*self.resistors, *self.capacitors, *self.inductors):
+            if not (0 <= e.a < n_nodes and 0 <= e.b < n_nodes):
+                bad = [i for i in (e.a, e.b) if not 0 <= i < n_nodes]
+                raise ParameterError(f"{e.name} references missing node(s) {bad}")
+        for e in (*self.sources, *self.ties):
+            if not 0 <= e.node < n_nodes:
+                raise ParameterError(f"{e.name} references missing node(s) "
+                                     f"[{e.node}]")
+        for m in self.mutuals:
+            if not (0 <= m.branch_i < n_branches and 0 <= m.branch_j < n_branches):
+                raise ParameterError(f"{m.name} references a missing branch")
+        for r in self.resistors:
+            if not 0.0 < r.ohms < math.inf:
+                raise ParameterError(f"{r.name}: resistance must be finite "
+                                     f"and > 0, got {r.ohms!r}")
+        for t in self.ties:
+            if not 0.0 <= t.ohms < math.inf:
+                raise ParameterError(f"{t.name}: tie resistance must be "
+                                     f"finite and >= 0, got {t.ohms!r}")
+        for c in self.capacitors:
+            if not math.isfinite(c.farads):
+                raise ParameterError(f"{c.name}: capacitance must be "
+                                     f"finite, got {c.farads!r}")
+        for ind in self.inductors:
+            # the deck drops a series resistance that is not > 0
+            if not (0.0 < ind.l_h < math.inf
+                    and 0.0 <= ind.r_series_ohm < math.inf):
+                raise ParameterError(
+                    f"{ind.name}: needs finite l_h > 0 and r_series_ohm "
+                    f">= 0, got {ind.l_h!r} and {ind.r_series_ohm!r}")
+
+        tied = {GROUND} | {t.node for t in self.ties if t.ohms == 0.0}
+        held: set[int] = set()
+        for s in self.sources:
+            if s.node in held:
+                raise ParameterError(f"{s.name}: two sources drive node "
+                                     f"{self.nodes[s.node]!r}")
+            if s.node in tied:
+                raise ParameterError(f"source {s.name} drives a ground-tied node")
+            held.add(s.node)
+        for c in self.capacitors:
+            if c.a in held or c.b in held:
+                raise ParameterError(
+                    f"{c.name} connects to source node; its equation would "
+                    f"need the source-voltage derivative, which this "
+                    f"formulation does not carry. Put a resistor between.")
+
+        try:
+            np.linalg.cholesky(_inductance_matrix(self.inductors, self.mutuals))
+        except np.linalg.LinAlgError:
+            raise ParameterError(
+                "branch inductance matrix is not positive definite; "
+                "mutuals: " + ", ".join(m.name for m in self.mutuals)) from None
+
+        # ground, 0-ohm-tied and source nodes hold known voltages, so a
+        # zero-resistance inductor between two of them closes a loop
+        parent = list(range(n_nodes))
+        for nid in tied | held:
+            parent[nid] = GROUND
+        for ind in self.inductors:
+            if ind.r_series_ohm == 0.0:
+                a, b = _root(parent, ind.a), _root(parent, ind.b)
+                if a == b:
+                    raise ParameterError(
+                        f"{ind.name} closes a loop of zero-resistance "
+                        f"inductors, whose DC current nothing sets")
+                parent[a] = b
+        for a, b in (*((r.a, r.b) for r in self.resistors),
+                     *((i.a, i.b) for i in self.inductors),
+                     *((t.node, GROUND) for t in self.ties)):
+            parent[_root(parent, a)] = _root(parent, b)
+        ground = _root(parent, GROUND)
+        floating = [self.nodes[i] for i in range(1, n_nodes)
+                    if _root(parent, i) != ground]
+        if floating:
+            raise ParameterError(f"no DC path to ground from: "
+                                 f"{', '.join(floating)}")
 
     def node(self, label: str) -> int:
         try:
@@ -224,6 +299,46 @@ class CoupledNetwork:
             raise ParameterError(
                 f"expected exactly one {role!r} line, found {len(matches)}")
         return matches[0]
+
+
+def _inductance_matrix(inductors: tuple[Inductor, ...],
+                       mutuals: tuple[Mutual, ...]) -> np.ndarray:
+    """Branch inductance matrix, summed the way assemble stamps it.
+    Refuses, by name, a mutual on one branch, a second mutual on a
+    branch pair and a pair whose |k| is not < 1."""
+    l_h = [ind.l_h for ind in inductors]
+    coupled: dict[frozenset, str] = {}
+    for m in mutuals:
+        i, j = m.branch_i, m.branch_j
+        pair = frozenset((i, j))
+        if len(pair) == 1:
+            raise ParameterError(f"{m.name} couples {inductors[i].name} "
+                                 f"with itself")
+        if pair in coupled:
+            raise ParameterError(
+                f"{m.name} couples {inductors[i].name} and "
+                f"{inductors[j].name}, which {coupled[pair]} already couples")
+        coupled[pair] = m.name
+        k = abs(m.m_h) / math.sqrt(l_h[i] * l_h[j])
+        if not k < 1.0:
+            raise ParameterError(
+                f"{m.name}: |M|/sqrt(Li*Lj) = {k:.4g} is not < 1, the "
+                f"inductance matrix is not positive definite")
+    L = np.zeros((len(l_h), len(l_h)))
+    for b, l in enumerate(l_h):
+        L[b, b] = l
+    for m in mutuals:
+        L[m.branch_i, m.branch_j] += m.m_h
+        L[m.branch_j, m.branch_i] += m.m_h
+    return L
+
+
+def _root(parent: list[int], i: int) -> int:
+    """Union-find root of i, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def effective_terminations(lines: tuple[LineSpec, ...],
@@ -307,8 +422,7 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
 
     terminations = effective_terminations(lines, terminations)
 
-    shield_lines = [ln for ln in lines if ln.role == "shield"]
-    if taps is not None and taps.fractions and not shield_lines:
+    if taps is not None and not any(ln.role == "shield" for ln in lines):
         raise ParameterError("tap schedule given but the network has no shield line")
 
     nodes: list[str] = ["0"]
@@ -341,7 +455,7 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
                                       term.driver_resistance_ohm))
             if term.load_capacitance_f > 0:
                 capacitors.append(Capacitor(f"Cload_{ln.name}", seg_nodes[-1], GROUND,
-                                            term.load_capacitance_f, kind="load"))
+                                            term.load_capacitance_f))
         for k in range(1, n_segments + 1):
             branch_of[(ln.name, k)] = len(inductors)
             inductors.append(Inductor(f"L{ln.name}_{k}",
@@ -371,7 +485,7 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
                 capacitors.append(Capacitor(
                     f"Cc{a}_{b}_{k}",
                     node_ids[f"{a}_{k}"], node_ids[f"{b}_{k}"],
-                    cm / n_segments, kind="coupling"))
+                    cm / n_segments))
         m = entry.get("m_total", 0.0)
         if m:
             for k in range(1, n_segments + 1):
@@ -380,106 +494,12 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
                     branch_of[(a, k)], branch_of[(b, k)],
                     m / n_segments))
 
-    net = CoupledNetwork(
+    return CoupledNetwork(
         nodes=tuple(nodes), resistors=tuple(resistors),
         capacitors=tuple(capacitors), inductors=tuple(inductors),
         mutuals=tuple(mutuals), sources=tuple(sources), ties=tuple(ties),
         lines=lines, n_segments=n_segments, scenario=scenario,
     )
-    findings = validate_network(net)
-    if findings:
-        raise ParameterError("built network fails validation: "
-                             + "; ".join(str(f) for f in findings))
-    return net
-
-
-def validate_network(network: CoupledNetwork) -> list[Finding]:
-    """Check structural invariants; returns findings instead of raising."""
-    findings: list[Finding] = []
-    n_nodes = len(network.nodes)
-    n_branches = len(network.inductors)
-
-    def check_ref(name: str, *nids: int) -> bool:
-        bad = [i for i in nids if not 0 <= i < n_nodes]
-        if bad:
-            findings.append(Finding("bad-reference",
-                                    f"{name} references missing node(s) {bad}",
-                                    (name,)))
-            return False
-        return True
-
-    for r in network.resistors:
-        check_ref(r.name, r.a, r.b)
-    for c in network.capacitors:
-        check_ref(c.name, c.a, c.b)
-    for ind in network.inductors:
-        check_ref(ind.name, ind.a, ind.b)
-    for s in network.sources:
-        check_ref(s.name, s.node)
-    for t in network.ties:
-        check_ref(t.name, t.node)
-    for m in network.mutuals:
-        if not (0 <= m.branch_i < n_branches and 0 <= m.branch_j < n_branches):
-            findings.append(Finding("bad-reference",
-                                    f"{m.name} references a missing branch", (m.name,)))
-
-    if not any(f.code == "bad-reference" for f in findings) and n_branches:
-        L = np.zeros((n_branches, n_branches))
-        for b, ind in enumerate(network.inductors):
-            L[b, b] = ind.l_h
-        for m in network.mutuals:
-            L[m.branch_i, m.branch_j] = L[m.branch_j, m.branch_i] = m.m_h
-        # cheap per-pair screen first so the finding can name elements
-        spd_named = False
-        for m in network.mutuals:
-            li = L[m.branch_i, m.branch_i]
-            lj = L[m.branch_j, m.branch_j]
-            if li > 0 and lj > 0 and abs(m.m_h) / math.sqrt(li * lj) >= 1.0:
-                findings.append(Finding(
-                    "inductance-not-spd",
-                    f"{m.name}: |M|/sqrt(Li*Lj) = "
-                    f"{abs(m.m_h) / math.sqrt(li * lj):.4g} >= 1",
-                    (m.name,)))
-                spd_named = True
-        if not spd_named:
-            try:
-                np.linalg.cholesky(L)
-            except np.linalg.LinAlgError:
-                findings.append(Finding(
-                    "inductance-not-spd",
-                    "branch inductance matrix is not positive definite",
-                    tuple(m.name for m in network.mutuals)))
-
-    # DC reachability: every non-ground node must reach ground through
-    # resistors, inductor branches, ties, or a voltage source.
-    parent = list(range(n_nodes))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        if 0 <= i < n_nodes and 0 <= j < n_nodes:
-            parent[find(i)] = find(j)
-
-    for r in network.resistors:
-        union(r.a, r.b)
-    for ind in network.inductors:
-        union(ind.a, ind.b)
-    for t in network.ties:
-        union(t.node, GROUND)
-    for s in network.sources:
-        union(s.node, GROUND)
-    floating = [network.nodes[i] for i in range(1, n_nodes)
-                if find(i) != find(GROUND)]
-    if floating:
-        findings.append(Finding(
-            "floating-node",
-            f"no DC path to ground from: {', '.join(floating)}",
-            tuple(floating)))
-    return findings
 
 
 def _signal_line(name: str, role: str) -> LineSpec:

@@ -32,6 +32,14 @@ def make_network(labels, *, resistors=(), capacitors=(), inductors=(),
         lines=(), n_segments=1, scenario=scenario)
 
 
+def capacitor_kind(cap: Capacitor) -> str:
+    """"load", "coupling" or "shunt", read from the name build_ladder
+    gives a capacitor: Cload_<line>, Cc<a>_<b>_<k> or C<line>_<k>."""
+    if cap.name.startswith("Cload_"):
+        return "load"
+    return "coupling" if cap.name.startswith("Cc") else "shunt"
+
+
 def rc_network(r_ohm: float, c_f: float) -> CoupledNetwork:
     """Source -> R -> out node -> C -> ground."""
     return make_network(

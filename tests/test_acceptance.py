@@ -14,7 +14,7 @@ the victim floor is inductive, and taps do not act on it (see README,
 import numpy as np
 import pytest
 
-from _reference import engine_vs_oracle_error, rc_network
+from _reference import capacitor_kind, engine_vs_oracle_error, rc_network
 from xtalksim.config import preset_config, resolve_stimulus, run_scenario
 from xtalksim.engine import SimConfig, dc_operating_point, run_transient
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
@@ -216,9 +216,9 @@ def test_criterion_8_property_suite(stock_runs):
         n = 12
         net = build_ladder(**preset_tables(name), n_segments=n)
         got = (len(net.inductors), len(net.resistors),
-               sum(c.kind == "shunt" for c in net.capacitors),
-               sum(c.kind == "coupling" for c in net.capacitors),
-               sum(c.kind == "load" for c in net.capacitors),
+               sum(capacitor_kind(c) == "shunt" for c in net.capacitors),
+               sum(capacitor_kind(c) == "coupling" for c in net.capacitors),
+               sum(capacitor_kind(c) == "load" for c in net.capacitors),
                len(net.mutuals), len(net.ties))
         want = (total * n, signal, total * n, cm_pairs * n, signal,
                 m_pairs * n, ties)

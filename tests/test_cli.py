@@ -313,6 +313,14 @@ class TestResolve:
             resolve(config_from_mapping({
                 "scenario": scenario, "sim": {"dt": 1e-9, "t_end": 4e-7}}))
 
+    def test_taps_block_without_shield_is_refused(self):
+        # with no fractions the tie resistance would have nothing to tie
+        scenario = dict(EXPLICIT_PAIR, taps={"tie_resistance_ohm": 5.0})
+        with pytest.raises(ParameterError,
+                           match="scenario.taps needs a line with role shield"):
+            resolve(config_from_mapping({
+                "scenario": scenario, "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+
     def test_missing_stimulus_block_echoes_what_ran(self):
         resolved = resolve(config_from_mapping({
             "scenario": {"preset": "shield"},
@@ -365,6 +373,18 @@ class TestGeometryMapping:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "needs a shielded preset" in capsys.readouterr().err
+
+    def test_shield_separation_without_shield_exits_1(self, tmp_path, capsys):
+        rc = main(["run", "--preset", "no-shield", *_sets(),
+                   "--set", "geometry.shield_separation_um=2.0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("geometry.shield_separation_um needs a shielded preset"
+                 in capsys.readouterr().err)
+        # extract's layout has a shield, so it reads both keys
+        assert main(["extract", "--preset", "no-shield",
+                     "--set", "geometry.shield_separation_um=3.0",
+                     "--set", "geometry.shield_width_scale=2.0"]) == 0
 
     def test_explicit_lines_read_at_default_geometry(self):
         blocks = {"geometry": dict(DEFAULT_GEOMETRY),
@@ -574,6 +594,25 @@ class TestCliExitCodes:
         assert "tap_count=1.0: victim peak" in capsys.readouterr().out
 
     def test_solver_errors_exit_2(self, tmp_path, capsys):
+        # C/dt overflows to inf, so the step matrices come out non-finite
+        cfg = tmp_path / "huge-c.yaml"
+        cfg.write_text(
+            "scenario:\n"
+            "  name: huge-c\n"
+            "  lines:\n"
+            "    - {name: a, role: aggressor, r_total: 500.0,"
+            " l_total: 83.24e-6, c_total: 1.0e+308}\n"
+            "    - {name: v, role: victim, r_total: 500.0,"
+            " l_total: 83.24e-6, c_total: 134.41e-12}\n"
+            "sim: {dt: 1e-9, t_end: 4e-7}\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-finite step matrices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "export-netlist"])
+    def test_zero_ohm_driver_exits_1(self, tmp_path, capsys, command):
+        # the construction check refuses it, so no deck is written either
         cfg = tmp_path / "dead-short.yaml"
         cfg.write_text(
             "scenario:\n"
@@ -586,9 +625,44 @@ class TestCliExitCodes:
             "  terminations:\n"
             "    a: {driver_resistance_ohm: 0.0}\n"
             "sim: {dt: 1e-9, t_end: 4e-7}\n")
-        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 2
-        assert "positive value" in capsys.readouterr().err
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert ("error: Rdrv_a: resistance must be finite and > 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-netlist"])
+    def test_zero_resistance_shield_loop_exits_1(self, tmp_path, capsys,
+                                                  command):
+        # every shield node reaches ground; the 0-ohm loop through the
+        # two end ties is what leaves the DC currents unset
+        shield = {"name": "s", "role": "shield", "r_total": 0.0,
+                  "l_total": 83.24e-6, "c_total": 134.41e-12}
+        cfg = tmp_path / "loop.yaml"
+        cfg.write_text(json.dumps({
+            "scenario": dict(EXPLICIT_PAIR,
+                             lines=[*EXPLICIT_PAIR["lines"], shield]),
+            "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: Ls_12 closes a loop of zero-resistance inductors" in err
+        assert "float" not in err
+        assert not out.exists()
+
+    def test_tap_count_beyond_segments_is_refused_at_once(self, tmp_path,
+                                                         capsys):
+        # refused before one Fraction per tap is made
+        rc = main(["export-netlist", "--preset", "shield", "--set",
+                   "scenario.tap_count=1000000000", "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("error: scenario.tap_count=1000000000: taps at "
+                "i/(tap_count+1) land on interior nodes only when "
+                "tap_count <= sim.n_segments - 1 = 11"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("assignment, field", [
         ("scenario.tie_resistance_ohm=.nan", "tie_resistance_ohm"),

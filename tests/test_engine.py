@@ -16,7 +16,7 @@ from xtalksim.config import (apply_set_overrides, preset_config,
 from xtalksim.engine import (MnaSystem, SimConfig, WaveformSet, _step_matrices,
                              assemble, dc_operating_point, run_transient,
                              smooth_edge)
-from xtalksim.errors import AssemblyError, ParameterError, SolverError
+from xtalksim.errors import ParameterError, SolverError
 from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Resistor,
                               TerminationSpec, VoltageSource, build_ladder,
                               preset_tables)
@@ -57,52 +57,56 @@ class TestAssemble:
         assert grounded == {"0", "shield_0", "shield_2"}
         assert "shield_0" not in sys.unknown_labels
 
+    # The refusals below are made when the network is built, so that
+    # assemble and the deck only ever read networks both can take.
     def test_capacitor_to_source_refused(self):
-        net = make_network(
-            ["in", "out"],
-            capacitors=[Capacitor("Cbad", 1, 2, 1e-12)],
-            resistors=[Resistor("R1", 2, 0, 1.0)],
-            sources=[VoltageSource("Vin", 1, driven=True)])
-        with pytest.raises(AssemblyError, match="source-voltage derivative"):
-            assemble(net)
+        with pytest.raises(ParameterError,
+                           match="Cbad connects to source node.*"
+                                 "source-voltage derivative"):
+            make_network(
+                ["in", "out"],
+                capacitors=[Capacitor("Cbad", 1, 2, 1e-12)],
+                resistors=[Resistor("R1", 2, 0, 1.0)],
+                sources=[VoltageSource("Vin", 1, driven=True)])
 
     @pytest.mark.parametrize("a, b", [(1, 0), (1, 3), (1, 2)],
                              ids=["to-ground", "to-tied-node", "two-sources"])
     def test_any_capacitor_on_a_source_node_refused(self, a, b):
         # whatever the other end, the deck writes the capacitor, so the
         # engine may not leave it out
-        net = make_network(
-            ["in", "in2", "tied"],
-            capacitors=[Capacitor("Cin", a, b, 5e-12)],
-            sources=[VoltageSource("V1", 1, driven=True),
-                     VoltageSource("V2", 2, driven=False)],
-            ties=[GroundTie("Rtie", 3, 0.0)])
-        with pytest.raises(AssemblyError, match="Cin connects to source "
-                                                "node.*source-voltage "
-                                                "derivative"):
-            assemble(net)
+        with pytest.raises(ParameterError, match="Cin connects to source "
+                                                 "node.*source-voltage "
+                                                 "derivative"):
+            make_network(
+                ["in", "in2", "tied"],
+                capacitors=[Capacitor("Cin", a, b, 5e-12)],
+                sources=[VoltageSource("V1", 1, driven=True),
+                         VoltageSource("V2", 2, driven=False)],
+                ties=[GroundTie("Rtie", 3, 0.0)])
 
     def test_structural_singularity_names_culprit(self):
-        net = make_network(
-            ["a", "b"],
-            resistors=[Resistor("R1", 1, 0, 1.0)],
-            sources=[VoltageSource("Vin", 1, driven=True)])
-        with pytest.raises(AssemblyError, match="culprit: b"):
-            assemble(net)
+        # b has nothing attached: the floating-node rule names it
+        with pytest.raises(ParameterError,
+                           match="no DC path to ground from: b$"):
+            make_network(
+                ["a", "b"],
+                resistors=[Resistor("R1", 1, 0, 1.0)],
+                sources=[VoltageSource("Vin", 1, driven=True)])
 
     def test_two_sources_one_node(self):
-        net = make_network(
-            ["a"],
-            sources=[VoltageSource("V1", 1, driven=True),
-                     VoltageSource("V2", 1, driven=False)])
-        with pytest.raises(AssemblyError, match="two sources"):
-            assemble(net)
+        with pytest.raises(ParameterError,
+                           match="V2: two sources drive node 'a'"):
+            make_network(
+                ["a"],
+                sources=[VoltageSource("V1", 1, driven=True),
+                         VoltageSource("V2", 1, driven=False)])
 
     def test_nonpositive_resistor(self):
-        net = make_network(["a"], resistors=[Resistor("R1", 1, 0, 0.0)],
-                           sources=[VoltageSource("V", 1, driven=True)])
-        with pytest.raises(AssemblyError, match="positive value"):
-            assemble(net)
+        with pytest.raises(ParameterError,
+                           match=r"R1: resistance must be finite and > 0, "
+                                 r"got 0\.0"):
+            make_network(["a"], resistors=[Resistor("R1", 1, 0, 0.0)],
+                         sources=[VoltageSource("V", 1, driven=True)])
 
 
 # ------------------------------------------------------------ dc operating
@@ -318,16 +322,19 @@ class TestBehaviour:
         assert list(waves.node_traces) == list(net.nodes[1:])
 
     def test_missing_output_label_raises_before_dc_solve(self):
-        # "float" hangs on a capacitor alone: G is singular, so the DC
+        # "weak" reaches ground through 1e20 ohms, which 1 + 1e-20
+        # rounds away: G is singular to working precision, so the DC
         # solve fails, and the label check must come first
         net = make_network(
-            ["in", "out", "float"],
-            resistors=[Resistor("R1", 1, 2, 1.0)],
-            capacitors=[Capacitor("C1", 2, 0, 1.0), Capacitor("C2", 3, 0, 1.0)],
+            ["in", "out", "weak", "far"],
+            resistors=[Resistor("R1", 1, 2, 1.0), Resistor("Rweak", 3, 0, 1e20),
+                       Resistor("Rfar", 3, 4, 1.0)],
+            capacitors=[Capacitor("C1", 2, 0, 1.0), Capacitor("C2", 4, 0, 1.0)],
             sources=[VoltageSource("Vin", 1, driven=True)])
         stim = resolve_stimulus({"kind": "step"})
-        with pytest.raises(SolverError, match="singular DC system"):
+        with pytest.raises(SolverError, match="singular DC system") as err:
             run_transient(net, stim, SimConfig(dt=0.01, t_end=1.0))
+        assert "float" not in str(err.value)    # every node has a path
         with pytest.raises(ParameterError, match="output_nodes"):
             run_transient(net, stim, SimConfig(dt=0.01, t_end=1.0,
                                                output_nodes=("out", "nope")))

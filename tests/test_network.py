@@ -6,18 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _reference import make_network
+from _reference import capacitor_kind, make_network
 from xtalksim.engine import assemble
 from xtalksim.errors import ParameterError
-from xtalksim.network import (Capacitor, Inductor, LineSpec,
+from xtalksim.network import (Capacitor, GroundTie, Inductor, LineSpec,
                               Mutual, Resistor, STOCK_COUPLING_CAP_ADJACENT_F,
                               STOCK_COUPLING_CAP_SHIELDED_F,
                               STOCK_LINE_INDUCTANCE_H,
                               STOCK_MUTUAL_ADJACENT_H,
                               STOCK_MUTUAL_SHIELDED_H, TapSchedule,
                               TerminationSpec, VoltageSource, build_ladder,
-                              effective_terminations, preset_tables,
-                              validate_network)
+                              effective_terminations, preset_tables)
 
 approx = pytest.approx
 
@@ -42,9 +41,9 @@ def test_element_count_identities(name, n):
                for ind, ind_line in zip(net.inductors,
                                         (ln for ln in net.lines
                                          for _ in range(n))))
-    shunt = [c for c in net.capacitors if c.kind == "shunt"]
-    coup = [c for c in net.capacitors if c.kind == "coupling"]
-    load = [c for c in net.capacitors if c.kind == "load"]
+    shunt = [c for c in net.capacitors if capacitor_kind(c) == "shunt"]
+    coup = [c for c in net.capacitors if capacitor_kind(c) == "coupling"]
+    load = [c for c in net.capacitors if capacitor_kind(c) == "load"]
     assert len(shunt) == total * n
     assert len(coup) == cm_pairs * n
     assert len(load) == signal
@@ -59,7 +58,7 @@ def test_segment_values_sum_to_totals():
     net = build_ladder(**preset_tables("shield"), n_segments=12)
     cm_by_pair = {}
     for c in net.capacitors:
-        if c.kind == "coupling":
+        if capacitor_kind(c) == "coupling":
             pair = c.name.rsplit("_", 1)[0]
             cm_by_pair[pair] = cm_by_pair.get(pair, 0.0) + c.farads
     assert cm_by_pair["Ccaggressor_shield"] == approx(
@@ -87,7 +86,8 @@ def test_segment_values_sum_to_totals():
 
 def test_no_shield_cm_total_is_stock_adjacent():
     net = build_ladder(**preset_tables("no-shield"), n_segments=12)
-    cm = sum(c.farads for c in net.capacitors if c.kind == "coupling")
+    cm = sum(c.farads for c in net.capacitors
+             if capacitor_kind(c) == "coupling")
     assert cm == approx(STOCK_COUPLING_CAP_ADJACENT_F, rel=1e-12)
 
 
@@ -135,10 +135,11 @@ def test_shield_preset_symmetric_under_role_swap():
     res = {(frozenset((lab[r.a], lab[r.b])), r.ohms) for r in net.resistors}
     assert res == {(frozenset((sw(lab[r.a]), sw(lab[r.b]))), r.ohms)
                    for r in net.resistors}
-    caps = {(c.kind, frozenset((lab[c.a], lab[c.b])), c.farads)
+    caps = {(capacitor_kind(c), frozenset((lab[c.a], lab[c.b])), c.farads)
             for c in net.capacitors}
-    assert caps == {(c.kind, frozenset((sw(lab[c.a]), sw(lab[c.b]))),
-                     c.farads) for c in net.capacitors}
+    assert caps == {(capacitor_kind(c),
+                     frozenset((sw(lab[c.a]), sw(lab[c.b]))), c.farads)
+                    for c in net.capacitors}
     inds = {((lab[i.a], lab[i.b]), i.l_h, i.r_series_ohm)
             for i in net.inductors}
     assert inds == {((sw(lab[i.a]), sw(lab[i.b])), i.l_h, i.r_series_ohm)
@@ -202,6 +203,8 @@ class TestTaps:
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
         with pytest.raises(ParameterError, match="no shield line"):
             build_ladder((line,), taps=TapSchedule((0.5,)), n_segments=4)
+        with pytest.raises(ParameterError, match="no shield line"):
+            build_ladder((line,), taps=TapSchedule((), 5.0), n_segments=4)
 
 
 class TestBuildErrors:
@@ -246,7 +249,9 @@ class TestBuildErrors:
                          {("a", "b"): {"cm_total": -69.5e-12}})
 
     def test_overtight_coupling_fails_validation(self):
-        with pytest.raises(ParameterError, match="inductance-not-spd"):
+        with pytest.raises(ParameterError,
+                           match=r"Ka_b_1: \|M\|/sqrt\(Li\*Lj\) "
+                                 r"= 1\.2 is not < 1"):
             build_ladder((self.line(), self.line("b", "victim")),
                          {("a", "b"): {"m_total": 1.2 * 83.24e-6}})
 
@@ -260,49 +265,144 @@ class TestBuildErrors:
 
 
 class TestValidateNetwork:
+    """Every CoupledNetwork is checked on construction; each refusal is
+    a ParameterError that names the element."""
+
     def test_pairwise_spd_finding_names_the_mutual(self):
-        net = make_network(
-            ["a1", "a2", "b1", "b2"],
-            inductors=[Inductor("La", 1, 2, 1.0),
-                       Inductor("Lb", 3, 4, 1.0)],
-            mutuals=[Mutual("Kab", 0, 1, 1.2)],
-            resistors=[Resistor("Ra", 1, 0, 1.0), Resistor("Rb", 3, 0, 1.0),
-                       Resistor("Rc", 2, 0, 1.0), Resistor("Rd", 4, 0, 1.0)])
-        findings = validate_network(net)
-        spd = [f for f in findings if f.code == "inductance-not-spd"]
-        assert len(spd) == 1 and spd[0].elements == ("Kab",)
+        with pytest.raises(ParameterError,
+                           match=r"^Kab: \|M\|/sqrt\(Li\*Lj\) "
+                                 r"= 1\.2 is not < 1"):
+            make_network(
+                ["a1", "a2", "b1", "b2"],
+                inductors=[Inductor("La", 1, 2, 1.0),
+                           Inductor("Lb", 3, 4, 1.0)],
+                mutuals=[Mutual("Kab", 0, 1, 1.2)],
+                resistors=[Resistor("Ra", 1, 0, 1.0), Resistor("Rb", 3, 0, 1.0),
+                           Resistor("Rc", 2, 0, 1.0), Resistor("Rd", 4, 0, 1.0)])
 
     def test_collective_spd_failure_passes_pairwise_screen(self):
         # each pair has k = 0.9 < 1 but the 3x3 matrix is indefinite
-        net = make_network(
-            ["n1", "n2", "n3", "n4"],
-            inductors=[Inductor("L1", 1, 2, 1.0),
-                       Inductor("L2", 2, 3, 1.0),
-                       Inductor("L3", 3, 4, 1.0)],
-            mutuals=[Mutual("K12", 0, 1, 0.9), Mutual("K23", 1, 2, 0.9)],
-            resistors=[Resistor("Rg", 1, 0, 1.0), Resistor("Rh", 4, 0, 1.0)])
-        findings = validate_network(net)
-        spd = [f for f in findings if f.code == "inductance-not-spd"]
-        assert len(spd) == 1
-        assert set(spd[0].elements) == {"K12", "K23"}
+        with pytest.raises(ParameterError,
+                           match="not positive definite; mutuals: K12, K23$"):
+            make_network(
+                ["n1", "n2", "n3", "n4"],
+                inductors=[Inductor("L1", 1, 2, 1.0),
+                           Inductor("L2", 2, 3, 1.0),
+                           Inductor("L3", 3, 4, 1.0)],
+                mutuals=[Mutual("K12", 0, 1, 0.9), Mutual("K23", 1, 2, 0.9)],
+                resistors=[Resistor("Rg", 1, 0, 1.0),
+                           Resistor("Rh", 4, 0, 1.0)])
 
     def test_floating_node_finding(self):
-        net = make_network(
-            ["driven", "island"],
-            resistors=[Resistor("R1", 1, 0, 1.0)],
-            capacitors=[Capacitor("Cx", 2, 0, 1e-12)],
-            sources=[VoltageSource("V1", 1, driven=True)])
-        findings = validate_network(net)
-        codes = {f.code for f in findings}
-        assert "floating-node" in codes
-        floating = next(f for f in findings if f.code == "floating-node")
-        assert floating.elements == ("island",)
+        with pytest.raises(ParameterError,
+                           match="no DC path to ground from: island$"):
+            make_network(
+                ["driven", "island"],
+                resistors=[Resistor("R1", 1, 0, 1.0)],
+                capacitors=[Capacitor("Cx", 2, 0, 1e-12)],
+                sources=[VoltageSource("V1", 1, driven=True)])
 
     def test_bad_reference_finding(self):
-        net = make_network(["x"], resistors=[Resistor("Rbad", 1, 99, 1.0)])
-        findings = validate_network(net)
-        assert any(f.code == "bad-reference" and "Rbad" in f.elements
-                   for f in findings)
+        with pytest.raises(ParameterError,
+                           match=r"Rbad references missing node\(s\) \[99\]"):
+            make_network(["x"], resistors=[Resistor("Rbad", 1, 99, 1.0)])
+
+    @pytest.mark.parametrize("field", ["resistor", "source", "tie", "mutual"])
+    def test_negative_ids_are_refused(self, field):
+        # a negative id would index from the end in the engine and the deck
+        elements = {
+            "resistor": {"resistors": [Resistor("Rneg", 1, -1, 1.0)]},
+            "source": {"sources": [VoltageSource("Vneg", -2, True)]},
+            "tie": {"ties": [GroundTie("Tneg", -1, 0.0)]},
+            "mutual": {"mutuals": [Mutual("Kneg", 0, -1, 0.1)]},
+        }[field]
+        base = {"resistors": [Resistor("R1", 1, 0, 1.0),
+                              Resistor("R2", 2, 0, 1.0)],
+                "inductors": [Inductor("L1", 1, 2, 1.0),
+                              Inductor("L2", 1, 2, 1.0)]}
+        with pytest.raises(ParameterError, match=r"^[RVTK]neg references"):
+            make_network(["a", "b"], **{**base, **elements})
+
+    @pytest.mark.parametrize("ohms", [-5.0, math.nan, math.inf])
+    def test_bad_tie_resistance_is_refused(self, ohms):
+        # the engine would stamp -5 ohms where the deck wrote 1e-9 ohms
+        with pytest.raises(ParameterError,
+                           match="Rtie: tie resistance must be finite and >= 0"):
+            make_network(["a"], resistors=[Resistor("R1", 1, 0, 1.0)],
+                         ties=[GroundTie("Rtie", 1, ohms)])
+
+    @pytest.mark.parametrize("farads", [math.nan, math.inf])
+    def test_bad_capacitance_is_refused(self, farads):
+        # the deck would write "C1 out 0 nan" and exit 0 where the run
+        # ends in a SolverError
+        with pytest.raises(ParameterError,
+                           match="C1: capacitance must be finite, got"):
+            make_network(["in", "out"], resistors=[Resistor("R1", 1, 2, 1.0)],
+                         capacitors=[Capacitor("C1", 2, 0, farads)],
+                         sources=[VoltageSource("Vin", 1, True)])
+
+    def test_mutual_on_one_branch_is_refused(self):
+        with pytest.raises(ParameterError, match="^Kself couples La with itself"):
+            make_network(
+                ["a"], inductors=[Inductor("La", 1, 0, 1.0)],
+                mutuals=[Mutual("Kself", 0, 0, 0.5)])
+
+    def test_second_mutual_on_a_pair_is_refused(self):
+        # summed as assemble stamps them, the two give k = 1.2
+        with pytest.raises(ParameterError,
+                           match="^K2 couples Lb and La, which K1 already "
+                                 "couples"):
+            make_network(
+                ["a", "b"],
+                inductors=[Inductor("La", 1, 0, 1.0), Inductor("Lb", 2, 0, 1.0)],
+                mutuals=[Mutual("K1", 0, 1, 0.6), Mutual("K2", 1, 0, 0.6)])
+
+    @pytest.mark.parametrize("l_h, r_ohm", [(math.nan, 0.0), (0.0, 0.0),
+                                            (1.0, -2.0), (1.0, math.inf)])
+    def test_bad_inductor_is_refused(self, l_h, r_ohm):
+        # the deck writes no R card for a series resistance below 0,
+        # which the engine would stamp
+        with pytest.raises(ParameterError,
+                           match="^La: needs finite l_h > 0 and r_series_ohm"):
+            make_network(["a"], inductors=[Inductor("La", 1, 0, l_h, r_ohm)])
+
+    def test_non_finite_mutual_is_refused(self):
+        with pytest.raises(ParameterError,
+                           match=r"^Kab: \|M\|/sqrt\(Li\*Lj\) "
+                                 r"= nan is not < 1"):
+            make_network(
+                ["a", "b"],
+                inductors=[Inductor("La", 1, 0, 1.0), Inductor("Lb", 2, 0, 1.0)],
+                mutuals=[Mutual("Kab", 0, 1, math.nan)])
+
+    def test_source_on_a_ground_tied_node_is_refused(self):
+        for ties in ([GroundTie("Rtie", 1, 0.0)], []):
+            node = 1 if ties else 0
+            with pytest.raises(ParameterError,
+                               match="source V1 drives a ground-tied node"):
+                make_network(["a"], resistors=[Resistor("R1", 1, 0, 1.0)],
+                             sources=[VoltageSource("V1", node, True)],
+                             ties=ties)
+
+    def test_zero_resistance_inductor_loop_names_the_closing_inductor(self):
+        # a 0-ohm shield between two 0-ohm ties: the DC branch currents
+        # are not set by anything, though every node reaches ground
+        net = build_ladder(**preset_tables("shield"), n_segments=4)
+        shield = [replace(i, r_series_ohm=0.0) if i.name.startswith("Lshield")
+                  else i for i in net.inductors]
+        with pytest.raises(ParameterError,
+                           match="^Lshield_4 closes a loop of zero-resistance "
+                                 "inductors"):
+            replace(net, inductors=tuple(shield))
+        # through a source, and with no ground tie on the loop at all
+        with pytest.raises(ParameterError, match="^L2 closes a loop"):
+            make_network(["in", "a"], resistors=[Resistor("R1", 2, 0, 1.0)],
+                         inductors=[Inductor("L1", 1, 2, 1.0),
+                                    Inductor("L2", 2, 1, 1.0)],
+                         sources=[VoltageSource("V1", 1, True)])
+        # a resistive tie breaks the loop
+        ties = tuple(replace(t, ohms=2.0) for t in net.ties)
+        replace(net, inductors=tuple(shield), ties=ties)
 
     def test_duplicate_node_labels_are_refused(self):
         # the deck would short R1 across one node; the engine would fold
@@ -315,13 +415,17 @@ class TestValidateNetwork:
 
     def test_ground_must_be_labeled_0(self):
         # the deck would leave a "gnd" node floating
-        net = make_network(["in", "out"])
+        net = make_network(["in", "out"],
+                           resistors=[Resistor("R1", 1, 2, 1.0),
+                                      Resistor("R2", 2, 0, 1.0)])
         with pytest.raises(ParameterError, match="node 0 must be ground"):
             replace(net, nodes=("gnd", "in", "out"))
 
     def test_clean_presets_have_no_findings(self):
         for name in PRESET_SHAPE:
-            assert validate_network(build_ladder(**preset_tables(name))) == []
+            for n in (4, 12, 48):
+                net = build_ladder(**preset_tables(name), n_segments=n)
+                assert replace(net) == net      # construction check passes
 
 
 class TestAccessors:
@@ -357,7 +461,7 @@ class TestTerminations:
                                    load_capacitance_f=0.0)},
             n_segments=2)
         assert net.resistors[0].ohms == approx(50.0)
-        assert not [c for c in net.capacitors if c.kind == "load"]
+        assert not [c for c in net.capacitors if capacitor_kind(c) == "load"]
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
