@@ -17,10 +17,12 @@ a fixed config (the JSON carries a timestamp field, everything else is
 byte-stable).
 
 Every command maps the scenario's element values onto the geometry and
-overrides blocks through ``_map_tables``. A missing geometry,
-overrides, stimulus or sim block is a copy of its ``DEFAULT_*``, a
-written block is read as written, and the keys of ``output`` take
-their defaults one by one. In every block a null value is a key not set.
+overrides blocks through ``_map_tables``; the overrides block is read
+here alone (``_pin``), ``xtalksim.extraction`` holds only formulas. A
+missing geometry, overrides, stimulus or sim block is a copy of its
+``DEFAULT_*``, a written block is read as written, and the keys of
+``output`` take their defaults one by one. In every block a null value
+is a key not set.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,8 +40,8 @@ from .engine import (STEP_EDGE_S, SimConfig, Stimulus, WaveformSet,
                      run_transient, smooth_edge)
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
-                         InterconnectGeometry, LineElectricals, _number,
-                         extract_all, pair_key)
+                         InterconnectGeometry, LineElectricals, extract_all,
+                         pair_key)
 from .metrics import ScenarioResult, measure_scenario
 from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
                       TerminationSpec, build_ladder, effective_terminations,
@@ -96,6 +98,22 @@ def _check_keys(block: dict, allowed: set[str], name: str) -> None:
         raise ParameterError(f"{name} block: unknown key(s) "
                              f"{', '.join(sorted(map(str, unknown)))}; "
                              f"allowed: {', '.join(sorted(allowed))}")
+
+
+def _number(value, where: str, kind: type = float):
+    """A config value read as a float, or as an int with ``kind=int``;
+    ``where`` names the field in the error. A bool is refused. YAML 1.1
+    leaves dotless scientific notation ("76e-15") a string, so a numeric
+    string is read."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ParameterError(f"{where} must be a number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ParameterError(f"{where} must be an integer, got {value!r}")
+    return kind(number)
 
 
 @dataclass(frozen=True)
@@ -272,8 +290,7 @@ def resolve_geometry(block: dict
 _DEFAULT_RESOLVED = resolve_geometry(DEFAULT_GEOMETRY)
 
 
-def _extract(roles: dict[str, str], pairs, resolved: tuple,
-             overrides: dict | None) -> LineElectricals:
+def _extract(roles: dict[str, str], pairs, resolved: tuple) -> LineElectricals:
     """extract_all over named lines (name -> role) and coupled pairs, at
     a ``resolve_geometry`` result.
 
@@ -286,19 +303,74 @@ def _extract(roles: dict[str, str], pairs, resolved: tuple,
                   for name, role in roles.items()}
     separations = {pair: shield_sep if "shield" in (roles[pair[0]], roles[pair[1]])
                    else geometry.separation_um for pair in pairs}
-    return extract_all(geometries, separations, coeffs, overrides)
+    return extract_all(geometries, separations, coeffs)
+
+
+def _override(label: str, where: str, value) -> float:
+    """``overrides.<label><where>`` read by ``_number``; a positive
+    inductance below 1e-3 uH is refused too, since it is almost surely
+    henries written into a uH field."""
+    field = f"overrides.{label}{where}"
+    number = _number(value, field)
+    if label in ("l_total", "m_total") and 0.0 < number < 1e-3:
+        raise ParameterError(
+            f"{field} = {number:g} is read in uH, the unit "
+            f"of the formula values, not H; for {number:g} H write "
+            f"{number * 1e6:.6g}")
+    return number
+
+
+def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
+    """``f0`` with an overrides block's values in place, validated:
+    ``r_total``/``l_total``/``c_total`` one value for every line or a
+    per-line mapping, ``m_total``/``cm_total`` a mapping of "a:b" (or
+    tuple) pair keys, where 0 removes the pair."""
+    tables = {f.name: dict(getattr(f0, f.name)) for f in fields(f0)}
+    unknown = set(block) - set(tables)
+    if unknown:
+        raise ParameterError(f"unknown override keys: {sorted(unknown)}")
+    for label, ov in block.items():
+        table = tables[label]
+        if label in ("m_total", "cm_total"):
+            if not isinstance(ov, dict):
+                raise ParameterError(f"overrides.{label} must be a mapping "
+                                     f"of 'a:b' pairs to values, got {ov!r}")
+            for key, value in ov.items():
+                parts = key.split(":") if isinstance(key, str) else key
+                if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+                    raise ParameterError(f"pair override key {key!r} is not "
+                                         f"of the form 'a:b'")
+                pair = pair_key(*parts)
+                for name in pair:
+                    if name not in f0.r_total:
+                        raise ParameterError(f"pair override names unknown "
+                                             f"line {name!r}")
+                table[pair] = _override(label, f"[{pair[0]}:{pair[1]}]", value)
+                if table[pair] == 0.0:
+                    del table[pair]
+        elif isinstance(ov, dict):
+            for line, value in ov.items():
+                if line not in table:
+                    raise ParameterError(f"override {label} names unknown "
+                                         f"line {line!r}")
+                table[line] = _override(label, f"[{line}]", value)
+        else:
+            table.update(dict.fromkeys(table, _override(label, "", ov)))
+    pinned = LineElectricals(**tables)
+    pinned.validate()
+    return pinned
 
 
 def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
     """Map build_ladder tables onto the config's geometry and overrides.
 
     Every line total and pair value v becomes
-    v * [F(g)/F(g0)] * [E(g0, ov)/E(g0, ov0)], where F is extraction
-    without overrides, E with them, g the config's geometry, g0
-    DEFAULT_GEOMETRY and ov0 DEFAULT_OVERRIDES. Table values are thus
-    read as belonging to the default geometry, and an override states
-    what extraction should give there. At the defaults both ratios are
-    x/x == 1.0, so the presets keep their stock values bit for bit.
+    v * [F(g)/F(g0)] * [P(ov)/P(ov0)], where F is extraction, P(ov) is
+    ``_pin(F(g0), ov)``, g the config's geometry, g0 DEFAULT_GEOMETRY
+    and ov0 DEFAULT_OVERRIDES. Table values are thus read as belonging
+    to the default geometry, and an override states what extraction
+    should give there. At the defaults both ratios are x/x == 1.0, so
+    the presets keep their stock values bit for bit.
     """
     roles = {ln.name: ln.role for ln in tables["lines"]}
     for key in ("shield_width_scale", "shield_separation_um"):
@@ -306,10 +378,10 @@ def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
             raise ParameterError(f"geometry.{key} needs a shielded preset "
                                  f"(a line with role shield)")
     pairs = tuple(tables["couplings"])
-    f = _extract(roles, pairs, resolve_geometry(config.geometry), None)
-    f0 = _extract(roles, pairs, _DEFAULT_RESOLVED, None)
-    e = _extract(roles, pairs, _DEFAULT_RESOLVED, config.overrides)
-    e0 = _extract(roles, pairs, _DEFAULT_RESOLVED, DEFAULT_OVERRIDES)
+    f = _extract(roles, pairs, resolve_geometry(config.geometry))
+    f0 = _extract(roles, pairs, _DEFAULT_RESOLVED)
+    e = _pin(f0, config.overrides)
+    e0 = _pin(f0, DEFAULT_OVERRIDES)
 
     def scaled(label: str, key, value: float) -> float:
         ratio = getattr(f, label)[key] / getattr(f0, label)[key]
@@ -375,12 +447,15 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
     """Evaluate the formulas for the comparison layout of a config.
 
     The layout starts from the formula values at the default geometry
-    and overrides, and goes through the same mapping as a run.
+    and overrides, and goes through the same mapping as a run. The
+    scenario, stimulus, sim and output blocks are checked by the
+    readers a run uses, though the report does not use them.
     """
+    _run_blocks(config)
     roles = {"aggressor": "aggressor", "shield": "shield", "victim": "victim"}
     pairs = (("aggressor", "victim"), ("aggressor", "shield"),
              ("shield", "victim"))
-    stock = _extract(roles, pairs, _DEFAULT_RESOLVED, DEFAULT_OVERRIDES)
+    stock = _pin(_extract(roles, pairs, _DEFAULT_RESOLVED), DEFAULT_OVERRIDES)
     tables = {
         "lines": tuple(LineSpec(name, role, stock.r_total[name],
                                 stock.l_total[name], stock.c_total[name])
@@ -400,13 +475,15 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 
 def _record(cls, entry, where: str, numbers: tuple[str, ...]):
     """``cls(**entry)`` for a mapping ``entry``, each of ``numbers`` it
-    holds read by ``_number``; ``where`` names the entry in errors."""
+    holds read by ``_number``; ``where`` names the entry in errors,
+    those of ``cls`` too."""
     _require_mapping(entry, where)
+    values = {k: _number(v, f"{where}.{k}") if k in numbers else v
+              for k, v in entry.items()}
     try:
-        return cls(**{k: _number(v, f"{where}.{k}") if k in numbers else v
-                      for k, v in entry.items()})
-    except TypeError as exc:
-        raise ParameterError(f"{where}: {exc}")
+        return cls(**values)
+    except (TypeError, ParameterError) as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
@@ -576,7 +653,8 @@ def resolve_stimulus(block: dict) -> Stimulus:
 
 
 def resolve_output(block: dict | None) -> dict:
-    """Output block -> directory, formats and node policy, defaults filled."""
+    """Output block -> directory, formats and node policy, defaults
+    filled and each checked."""
     b = _copy_tree(DEFAULT_OUTPUT)
     if block is not None:
         _check_keys(block, {"directory", "formats", "nodes"}, "output")
@@ -592,6 +670,10 @@ def resolve_output(block: dict | None) -> dict:
                              f"{unknown}; allowed: {OUTPUT_FORMATS}")
     b["formats"] = tuple(formats)
     b["directory"] = str(b["directory"])
+    nodes = b["nodes"]
+    if nodes not in ("ends", "all") and not isinstance(nodes, (list, tuple)):
+        raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
+                             f"list of node labels, got {nodes!r}")
     return b
 
 
@@ -660,25 +742,33 @@ class ResolvedScenario:
     output: dict
 
 
-def resolve(config: ToolkitConfig) -> ResolvedScenario:
-    """Validate a config and build the network/stimulus/sim triple."""
-    sim_block = dict(config.sim)
+def _run_blocks(config: ToolkitConfig) -> tuple:
+    """Every block but geometry and overrides, read by its reader:
+    (scenario tables, scenario name, sim, n_segments, output, stimulus).
+    The run size is checked before the stimulus is built."""
+    sim_block = config.sim
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
-    n_segments = _number(sim_block.pop("n_segments", 12), "sim.n_segments", int)
+    n_segments = _number(sim_block.get("n_segments", 12), "sim.n_segments", int)
     sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
                     t_end=_number(sim_block["t_end"], "sim.t_end"),
                     method=str(sim_block.get("method", "trapezoidal")))
-
     tables, scenario_name = _scenario_tables(config.scenario, n_segments)
-    tables = _map_tables(tables, config)
     output = resolve_output(config.output)
     _check_run_size(len(tables["lines"]), n_segments, sim, output["nodes"],
                     config.stimulus)
+    return (tables, scenario_name, sim, n_segments, output,
+            resolve_stimulus(config.stimulus))
+
+
+def resolve(config: ToolkitConfig) -> ResolvedScenario:
+    """Validate a config and build the network/stimulus/sim triple."""
+    tables, scenario_name, sim, n_segments, output, stimulus = _run_blocks(
+        config)
+    tables = _map_tables(tables, config)
     network = build_ladder(n_segments=n_segments, scenario=scenario_name,
                            **tables)
-    stimulus = resolve_stimulus(config.stimulus)
     roles = _measurement_roles(network)
 
     nodes = output["nodes"]
@@ -686,12 +776,9 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
         out_nodes = end_labels(network)
     elif nodes == "all":
         out_nodes = "all"
-    elif isinstance(nodes, (list, tuple)):
+    else:
         # the measurements read these traces, so they are always kept
         out_nodes = tuple(dict.fromkeys([*map(str, nodes), *roles.values()]))
-    else:
-        raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
-                             f"list of node labels, got {nodes!r}")
     sim = replace(sim, output_nodes=out_nodes)
 
     params = _tables_params(tables, n_segments)

@@ -315,20 +315,22 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     x = _dc_solve(sys, b * drive[0])
 
     theta = METHODS[sim.method]
-    first = _step_matrices(sys, b, sim.dt, 1.0)
-    rest = first if theta == 1.0 else _step_matrices(sys, b, sim.dt, theta)
-    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
-    w[0] = drive[1]
+    # an overflow is reported by the non-finite checks, which name it
+    with np.errstate(all="ignore"):
+        first = _step_matrices(sys, b, sim.dt, 1.0)
+        rest = first if theta == 1.0 else _step_matrices(sys, b, sim.dt, theta)
+        w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
+        w[0] = drive[1]
 
-    out = np.empty((steps + 1, len(keep)))
-    out[0] = x[keep]
-    for k in range(steps):
-        P, q = first if k == 0 else rest
-        x = P @ x + q * w[k]
-        if not np.isfinite(x).all():
-            raise SolverError(f"divergence: non-finite sample at "
-                              f"t={times[k + 1]:.6g} s")
-        out[k + 1] = x[keep]
+        out = np.empty((steps + 1, len(keep)))
+        out[0] = x[keep]
+        for k in range(steps):
+            P, q = first if k == 0 else rest
+            x = P @ x + q * w[k]
+            if not np.isfinite(x).all():
+                raise SolverError(f"divergence: non-finite sample at "
+                                  f"t={times[k + 1]:.6g} s")
+            out[k + 1] = x[keep]
 
     # out's columns: the kept node unknowns in label order, then branches;
     # a node whose slot is past the unknowns reads its source or ground

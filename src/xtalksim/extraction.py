@@ -3,7 +3,9 @@
 Evaluates the classical closed-form expressions for line resistance,
 self inductance, mutual inductance, line-to-ground capacitance, and
 line-to-line coupling capacitance of parallel rectangular wires, and
-bundles the results per line / per pair for network construction.
+bundles the results per line / per pair for network construction. The
+module is the formulas alone; values a config pins in place of them
+are read by ``xtalksim.config``.
 
 Unit conventions
 ----------------
@@ -226,59 +228,9 @@ class LineElectricals:
                     f"the pair inductance matrix would not be positive definite")
 
 
-def _normalize_override_pairs(label: str, table, lines: tuple[str, ...]) -> dict:
-    """Accept pair overrides keyed by tuple or by "a:b" strings; the
-    values stay as given, for ``_override_value`` to read."""
-    if not isinstance(table, dict):
-        raise ParameterError(f"overrides.{label} must be a mapping of "
-                             f"'a:b' pairs to values, got {table!r}")
-    out = {}
-    for key, value in table.items():
-        parts = key.split(":") if isinstance(key, str) else key
-        if not isinstance(parts, (list, tuple)) or len(parts) != 2:
-            raise ParameterError(f"pair override key {key!r} is not of the form 'a:b'")
-        key = pair_key(*parts)
-        for name in key:
-            if name not in lines:
-                raise ParameterError(f"pair override names unknown line {name!r}")
-        out[key] = value
-    return out
-
-
-def _number(value, where: str, kind: type = float):
-    """A config value read as a float, or as an int with ``kind=int``;
-    ``where`` names the field in the error. A bool is refused. YAML 1.1
-    leaves dotless scientific notation ("76e-15") a string, so a numeric
-    string is read."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ParameterError(f"{where} must be a number, got {value!r}")
-    if kind is int and not number.is_integer():
-        raise ParameterError(f"{where} must be an integer, got {value!r}")
-    return kind(number)
-
-
-def _override_value(label: str, where: str, value) -> float:
-    """An override read by ``_number`` as ``overrides.<label><where>``;
-    a positive inductance below 1e-3 uH is refused too, since it is
-    almost surely henries written into a uH field."""
-    field = f"overrides.{label}{where}"
-    number = _number(value, field)
-    if label in ("l_total", "m_total") and 0.0 < number < 1e-3:
-        raise ParameterError(
-            f"{field} = {number:g} is read in uH, the unit "
-            f"of the formula values, not H; for {number:g} H write "
-            f"{number * 1e6:.6g}")
-    return number
-
-
 def extract_all(geometries: dict[str, InterconnectGeometry],
                 pair_separations: dict[tuple[str, str], float] | None = None,
-                coeffs: CouplingCoefficients = TABLE_COMPAT,
-                overrides: dict | None = None) -> LineElectricals:
+                coeffs: CouplingCoefficients = TABLE_COMPAT) -> LineElectricals:
     """Evaluate all formulas for a set of lines and adjacent pairs.
 
     ``pair_separations`` lists the capacitively adjacent pairs and the
@@ -287,18 +239,9 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
     listed pairs are produced here; callers add further M pairs from the
     same formulas if their topology needs them).
 
-    ``overrides`` pins values directly, bypassing the formulas:
-    keys ``r_total``/``l_total``/``c_total`` map either a scalar
-    (applied to every line) or a per-line dict; ``m_total``/``cm_total``
-    map pair keys (tuples or "a:b" strings) to values, in the formula
-    units (``l_total``/``m_total`` in uH, so a positive value below 1e-3
-    is refused as henries). An override of 0 for a pair entry removes
-    that coupling. The stock R of 500 ohms is applied this way, since
-    the sheet-resistance arithmetic gives a different value at the
-    default width.
+    The result holds the formula values alone, validated.
     """
-    lines = tuple(geometries)
-    if not lines:
+    if not geometries:
         raise ParameterError("extract_all needs at least one line geometry")
     pair_separations = pair_separations or {}
     norm_seps = {pair_key(*k): float(v) for k, v in pair_separations.items()}
@@ -331,32 +274,6 @@ def extract_all(geometries: dict[str, InterconnectGeometry],
             0.5 * (ga.eps_rel + gb.eps_rel),
             coeffs,
         )
-
-    overrides = overrides or {}
-    unknown = set(overrides) - {"r_total", "l_total", "c_total", "m_total", "cm_total"}
-    if unknown:
-        raise ParameterError(f"unknown override keys: {sorted(unknown)}")
-    for label, table in (("r_total", r), ("l_total", l), ("c_total", c)):
-        if label in overrides:
-            ov = overrides[label]
-            if isinstance(ov, dict):
-                for line, value in ov.items():
-                    if line not in table:
-                        raise ParameterError(f"override {label} names unknown line {line!r}")
-                    table[line] = _override_value(label, f"[{line}]", value)
-            else:
-                value = _override_value(label, "", ov)
-                for line in table:
-                    table[line] = value
-    for label, table in (("m_total", m), ("cm_total", cm)):
-        if label in overrides:
-            pairs = _normalize_override_pairs(label, overrides[label], lines)
-            for key, value in pairs.items():
-                value = _override_value(label, f"[{key[0]}:{key[1]}]", value)
-                if value == 0.0:
-                    table.pop(key, None)
-                else:
-                    table[key] = value
 
     bundle = LineElectricals(r_total=r, l_total=l, c_total=c, m_total=m, cm_total=cm)
     bundle.validate()

@@ -10,8 +10,9 @@ still accept the deck.
 
 Each ladder segment's series resistance is split back out of its
 inductor branch into a separate R card through an internal node named
-``<line>_m<seg>``; every node label that appears in a WaveformSet
-appears verbatim in the deck, with ground as node 0.
+``<line>_m<seg>`` (``network.split_names``, whose names the network's
+construction check keeps free); every node label that appears in a
+WaveformSet appears verbatim in the deck, with ground as node 0.
 
 A driven source's PWL card is the stimulus breakpoints shifted and
 scaled: the waveform the engine samples, a step's STEP_EDGE_S edge too.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .engine import SimConfig, Stimulus
-from .network import CoupledNetwork
+from .network import CoupledNetwork, split_names
 
 TIE_OHMS_FLOOR = 1e-9
 
@@ -90,11 +91,9 @@ def export_netlist(network: CoupledNetwork, stimulus: Stimulus,
         lines.append(f"{r.name} {name[r.a]} {name[r.b]} {_f(r.ohms)}")
 
     for ind in network.inductors:
-        seg_label = ind.name[1:]          # "L<line>_<seg>" -> "<line>_<seg>"
         if ind.r_series_ohm > 0.0:
-            line_name, _, seg = seg_label.rpartition("_")
-            mid = f"{line_name}_m{seg}"
-            lines.append(f"R{seg_label} {name[ind.a]} {mid} {_f(ind.r_series_ohm)}")
+            card, mid = split_names(ind)
+            lines.append(f"{card} {name[ind.a]} {mid} {_f(ind.r_series_ohm)}")
             lines.append(f"{ind.name} {mid} {name[ind.b]} {_f(ind.l_h)}")
         else:
             lines.append(f"{ind.name} {name[ind.a]} {name[ind.b]} {_f(ind.l_h)}")

@@ -76,11 +76,12 @@ class TerminationSpec:
     load_capacitance_f: float = STOCK_LOAD_CAPACITANCE_F
 
     def __post_init__(self) -> None:
-        for name in ("driver_resistance_ohm", "load_capacitance_f"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ParameterError(f"{name} must be finite and >= 0, "
-                                     f"got {value!r}")
+        if not 0.0 < self.driver_resistance_ohm < math.inf:
+            raise ParameterError(f"driver_resistance_ohm must be finite and "
+                                 f"> 0, got {self.driver_resistance_ohm!r}")
+        if not 0.0 <= self.load_capacitance_f < math.inf:
+            raise ParameterError(f"load_capacitance_f must be finite and "
+                                 f">= 0, got {self.load_capacitance_f!r}")
         if self.source_ref not in ("stimulus", "quiet"):
             raise ParameterError(f"source_ref must be 'stimulus' or 'quiet', "
                                  f"got {self.source_ref!r}")
@@ -140,6 +141,15 @@ class Inductor:
     r_series_ohm: float = 0.0
 
 
+def split_names(ind: Inductor) -> tuple[str, str]:
+    """The names an exported deck gives an inductor's series resistance:
+    its R card and the internal node between R and L. "L<line>_<seg>"
+    gives ("R<line>_<seg>", "<line>_m<seg>")."""
+    label = ind.name[1:]
+    line, _, seg = label.rpartition("_")
+    return f"R{label}", f"{line}_m{seg}"
+
+
 @dataclass(frozen=True)
 class Mutual:
     name: str
@@ -182,7 +192,9 @@ class CoupledNetwork:
 
     Construction refuses, with a ParameterError naming the element, any
     network that the engine and the exported deck could not both take:
-    a reference past either tuple, a value that is not finite, a
+    two elements with one name, a series-resistance card or internal
+    node (``split_names``) whose name is taken, a reference past either
+    tuple, a value that is not finite, a
     resistor not > 0, a tie below 0, an inductor with L not > 0 or a
     negative series resistance, two sources on one node, a source on a
     0-ohm-tied node, a capacitor on a source node, a mutual on one
@@ -205,9 +217,18 @@ class CoupledNetwork:
         if not self.nodes or self.nodes[0] != "0":
             raise ParameterError(f"node 0 must be ground, labeled '0'; got "
                                  f"{self.nodes[:1]!r}")
-        if len(set(self.nodes)) < len(self.nodes):
-            dups = sorted({x for x in self.nodes if self.nodes.count(x) > 1})
-            raise ParameterError(f"duplicate node label(s) {dups}")
+        split = [split_names(i) for i in self.inductors if i.r_series_ohm > 0]
+        elements = (*self.sources, *self.resistors, *self.inductors,
+                    *self.mutuals, *self.capacitors, *self.ties)
+        for kind, names in (
+                ("node label", [*self.nodes, *(mid for _, mid in split)]),
+                ("element name", [*(e.name for e in elements),
+                                  *(card for card, _ in split)])):
+            if len(set(names)) < len(names):
+                dups = sorted({x for x in names if names.count(x) > 1})
+                raise ParameterError(
+                    f"duplicate {kind}(s) {dups}; a deck adds split_names(L) "
+                    f"for each inductor L with a series resistance")
         n_nodes, n_branches = len(self.nodes), len(self.inductors)
         for e in (*self.resistors, *self.capacitors, *self.inductors):
             if not (0 <= e.a < n_nodes and 0 <= e.b < n_nodes):

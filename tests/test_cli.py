@@ -1,6 +1,7 @@
 """Config documents, file formats, sweeps, and the command-line layer."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from xtalksim.cli import main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
-                             ToolkitConfig, apply_set_overrides, config_from_mapping,
+                             ToolkitConfig, _pin, apply_set_overrides,
+                             config_from_mapping,
                              extraction_report, load_config, preset_config,
                              resolve, resolve_stimulus,
                              run_scenario, run_sweep, summary_filename,
@@ -19,7 +21,8 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
 from xtalksim.engine import WaveformSet
 from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
-                                 coupling_capacitance)
+                                 InterconnectGeometry, coupling_capacitance,
+                                 extract_all)
 from xtalksim.network import (PRESET_NAMES,
                               STOCK_COUPLING_CAP_ADJACENT_F, build_ladder,
                               preset_tables)
@@ -350,6 +353,40 @@ class TestGeometryMapping:
             assert row["aggressor_delay_s"] == result.measurements["aggressor"].delay
             assert row["victim_delay_s"] == result.measurements["victim"].delay
 
+    @staticmethod
+    def formulas():
+        g = InterconnectGeometry()
+        return extract_all({"aggressor": g, "victim": g},
+                           {("aggressor", "victim"): 1.0})
+
+    def test_pin_scalar_and_dict_overrides(self):
+        out = _pin(self.formulas(), {"r_total": 500.0,
+                                     "l_total": {"victim": 80.0}})
+        assert out.r_total == {"aggressor": 500.0, "victim": 500.0}
+        assert out.l_total["victim"] == approx(80.0)
+        assert out.l_total["aggressor"] == approx(83.24046010856293, rel=1e-12)
+
+    def test_pin_string_pair_override_and_drop(self):
+        out = _pin(self.formulas(),
+                   {"m_total": {"victim:aggressor": 7.0},
+                    "cm_total": {("aggressor", "victim"): 0.0}})
+        assert out.m_total[("aggressor", "victim")] == approx(7.0)
+        assert out.cm_total == {}
+
+    @pytest.mark.parametrize("block, match", [
+        ({"g_total": 1.0}, "unknown override keys"),
+        ({"l_total": {"shield": 80.0}}, "l_total names unknown line 'shield'"),
+        ({"m_total": {"aggressor:shield": 7.0}}, "unknown line 'shield'"),
+        ({"m_total": {"aggressor": 7.0}}, "not of the form 'a:b'"),
+        ({"l_total": 8.3e-5}, r"overrides.l_total = 8.3e-05 is read in uH"),
+        ({"cm_total": {"aggressor:victim": -1e-12}},
+         r"cm_total\[aggressor-victim\] must be positive"),
+    ], ids=["unknown-key", "unknown-line", "unknown-pair-line",
+            "bad-pair-key", "henries", "negative-pair"])
+    def test_pin_refuses(self, block, match):
+        with pytest.raises(ParameterError, match=match):
+            _pin(self.formulas(), block)
+
     def test_r_total_override_sets_every_line(self):
         params = resolve(apply_set_overrides(
             preset_config("shield"), ["overrides.r_total=50"])).params
@@ -605,14 +642,15 @@ class TestCliExitCodes:
             "    - {name: v, role: victim, r_total: 500.0,"
             " l_total: 83.24e-6, c_total: 134.41e-12}\n"
             "sim: {dt: 1e-9, t_end: 4e-7}\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no raw numpy warning first
             rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "non-finite step matrices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "export-netlist"])
     def test_zero_ohm_driver_exits_1(self, tmp_path, capsys, command):
-        # the construction check refuses it, so no deck is written either
+        # the termination spec refuses it by field, so no deck is written
         cfg = tmp_path / "dead-short.yaml"
         cfg.write_text(
             "scenario:\n"
@@ -628,8 +666,8 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         rc = main([command, "--config", str(cfg), "--out", str(out)])
         assert rc == 1
-        assert ("error: Rdrv_a: resistance must be finite and > 0"
-                in capsys.readouterr().err)
+        assert ("error: scenario.terminations[a]: driver_resistance_ohm "
+                "must be finite and > 0, got 0.0" in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "export-netlist"])
@@ -762,6 +800,23 @@ class TestCliOutputs:
         assert "8.21054" in report                # adjacent mutual bracket
         assert "7.51759" in report                # across-shield bracket
 
+    @pytest.mark.parametrize("assignment, error", [
+        ("scenario.bogus=1", "scenario block: unknown key(s) bogus"),
+        ("stimulus.kind=nope", "unknown stimulus kind 'nope'"),
+        ("sim.bogus=1", "sim block: unknown key(s) bogus"),
+        ("output.formats=[xml]", "output.formats: unknown format(s) ['xml']"),
+        ("output.nodes=5", "output.nodes must be 'all', 'ends', or a list"),
+        ("stimulus.samples=1e12", "stimulus.samples: the run would hold"),
+    ], ids=["scenario", "stimulus", "sim", "output-formats", "output-nodes",
+            "run-size"])
+    def test_extract_checks_blocks_it_does_not_read(self, capsys, assignment,
+                                                    error):
+        # each block is read by the reader a run uses; no ladder is built
+        assert main(["extract", "--preset", "shield", "--set", assignment]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {error}" in captured.err
+        assert captured.out == ""
+
     def test_extract_without_geometry_uses_default(self, tmp_path, capsys):
         cfg = tmp_path / "nogeom.yaml"
         cfg.write_text("scenario: {preset: shield}\n")
@@ -816,13 +871,18 @@ class TestCliOutputs:
         table = (tmp_path / "sweep_tap_count.csv").read_text().splitlines()
         assert len(table) == 3
 
-    def test_sweep_checks_output_block_before_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("assignment, error", [
+        ("output.bogus=1", "output block: unknown key(s) bogus"),
+        ("output.nodes=5", "output.nodes must be 'all', 'ends', or a list"),
+    ], ids=["unknown-key", "bad-nodes"])
+    def test_sweep_checks_output_block_before_rows(self, tmp_path, capsys,
+                                                   assignment, error):
         rc = main(["sweep", "--preset", "shield", *_sets(),
-                   "--set", "output.bogus=1", "--axis", "tap_count",
+                   "--set", assignment, "--axis", "tap_count",
                    "--values", "0,1", "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "output block: unknown key(s) bogus" in captured.err
+        assert error in captured.err
         assert captured.out == ""
         assert not (tmp_path / "sweep_tap_count.csv").exists()
 

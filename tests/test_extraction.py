@@ -183,25 +183,6 @@ class TestExtractAll:
         assert out.m_total[key] == approx(8.210540351976183, rel=1e-12)
         assert out.cm_total[key] == approx(6.910438628991751e-11, rel=1e-12)
 
-    def test_scalar_and_dict_overrides(self):
-        out = extract_all(self.geoms(), {("aggressor", "victim"): 1.0},
-                          overrides={"r_total": 500.0,
-                                     "l_total": {"victim": 80.0}})
-        assert out.r_total == {"aggressor": 500.0, "victim": 500.0}
-        assert out.l_total["victim"] == approx(80.0)
-        assert out.l_total["aggressor"] == approx(83.24046010856293, rel=1e-12)
-
-    def test_string_pair_override_and_drop(self):
-        out = extract_all(self.geoms(), {("aggressor", "victim"): 1.0},
-                          overrides={"m_total": {"victim:aggressor": 7.0},
-                                     "cm_total": {("aggressor", "victim"): 0.0}})
-        assert out.m_total[("aggressor", "victim")] == approx(7.0)
-        assert out.cm_total == {}
-
-    def test_unknown_override_key(self):
-        with pytest.raises(ParameterError, match="unknown override keys"):
-            extract_all(self.geoms(), overrides={"g_total": 1.0})
-
     def test_unknown_line_in_pair(self):
         with pytest.raises(ParameterError, match="unknown line"):
             extract_all(self.geoms(), {("aggressor", "shield"): 1.0})

@@ -413,6 +413,19 @@ class TestValidateNetwork:
                          capacitors=[Capacitor("C1", 2, 0, 1e-9)],
                          sources=[VoltageSource("Vin", 1, True)])
 
+    @pytest.mark.parametrize("resistor, label, match", [
+        ("L1", "b", r"^duplicate element name\(s\) \['L1'\]"),
+        # the deck's card for L1's series resistance is named R1 too
+        ("R1", "b", r"^duplicate element name\(s\) \['R1'\]"),
+        # the deck would join this node to L1's internal node
+        ("Ra", "_m1", r"^duplicate node label\(s\) \['_m1'\]"),
+    ], ids=["element", "split-card", "split-node"])
+    def test_deck_names_are_not_reused(self, resistor, label, match):
+        with pytest.raises(ParameterError, match=match):
+            make_network(["a", label],
+                         resistors=[Resistor(resistor, 1, 0, 1.0)],
+                         inductors=[Inductor("L1", 1, 2, 1.0, 2.0)])
+
     def test_ground_must_be_labeled_0(self):
         # the deck would leave a "gnd" node floating
         net = make_network(["in", "out"],
@@ -466,6 +479,10 @@ class TestTerminations:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             TerminationSpec(driver_resistance_ohm=-1.0)
+        # a 0 ohm driver shorts the source onto the line
+        with pytest.raises(ParameterError,
+                           match="driver_resistance_ohm must be finite and > 0"):
+            TerminationSpec(driver_resistance_ohm=0.0)
         with pytest.raises(ParameterError, match="source_ref"):
             TerminationSpec(source_ref="sine")
 
