@@ -22,12 +22,13 @@ from .extraction import (BUILTIN_COEFFICIENTS, PAPER_LITERAL, TABLE_COMPAT,
 from .metrics import (ScenarioResult, TraceMeasurement, measure_scenario,
                       peak_noise, propagation_delay, rise_time)
 from .netlist import export_netlist
-from .network import (CoupledNetwork, LineSpec, TapSchedule, TerminationSpec,
-                      build_ladder, preset_tables)
+from .network import (CoupledNetwork, LadderSpec, LineSpec, TapSchedule,
+                      TerminationSpec, build_ladder, preset_tables)
 
 __all__ = [
     "BUILTIN_COEFFICIENTS", "CoupledNetwork", "CouplingCoefficients",
-    "InterconnectGeometry", "LineElectricals", "LineSpec", "PAPER_LITERAL",
+    "InterconnectGeometry", "LadderSpec", "LineElectricals", "LineSpec",
+    "PAPER_LITERAL",
     "ParameterError", "ResolvedScenario", "ScenarioResult", "SimConfig",
     "SolverError", "Stimulus", "TABLE_COMPAT", "TapSchedule",
     "TerminationSpec", "ToolkitConfig", "ToolkitError", "TraceMeasurement",

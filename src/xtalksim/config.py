@@ -16,9 +16,11 @@ significant digits; run summaries to JSON. Both are deterministic for
 a fixed config (the JSON carries a timestamp field, everything else is
 byte-stable).
 
-Every command maps the scenario's element values onto the geometry and
-overrides blocks through ``_map_tables``; the overrides block is read
-here alone (``_pin``), ``xtalksim.extraction`` holds only formulas. A
+A scenario block becomes one ``network.LadderSpec``, whose construction
+checks it before anything reads it. Every command maps the spec's
+element values onto the geometry and overrides blocks through
+``_map_tables``; the overrides block is read here alone (``_pin``),
+``xtalksim.extraction`` holds only formulas. A
 missing geometry, overrides, stimulus or sim block is a copy of its
 ``DEFAULT_*``, a written block is read as written, and the keys of
 ``output`` take their defaults one by one. In every block a null value
@@ -43,8 +45,8 @@ from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
 from .metrics import ScenarioResult, measure_scenario
-from .network import (PRESET_NAMES, CoupledNetwork, LineSpec, TapSchedule,
-                      TerminationSpec, build_ladder, effective_terminations,
+from .network import (PRESET_NAMES, CoupledNetwork, LadderSpec, LineSpec,
+                      TapSchedule, TerminationSpec, build_ladder,
                       preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
@@ -324,23 +326,29 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
     """``f0`` with an overrides block's values in place, validated:
     ``r_total``/``l_total``/``c_total`` one value for every line or a
     per-line mapping, ``m_total``/``cm_total`` a mapping of "a:b" (or
-    tuple) pair keys, where 0 removes the pair."""
-    tables = {f.name: dict(getattr(f0, f.name)) for f in fields(f0)}
-    unknown = set(block) - set(tables)
+    tuple) pair keys, each pair once, where 0 removes the pair."""
+    by_label = {f.name: dict(getattr(f0, f.name)) for f in fields(f0)}
+    unknown = set(block) - set(by_label)
     if unknown:
         raise ParameterError(f"unknown override keys: {sorted(unknown)}")
     for label, ov in block.items():
-        table = tables[label]
+        table = by_label[label]
         if label in ("m_total", "cm_total"):
             if not isinstance(ov, dict):
                 raise ParameterError(f"overrides.{label} must be a mapping "
                                      f"of 'a:b' pairs to values, got {ov!r}")
+            given: dict[tuple[str, str], object] = {}
             for key, value in ov.items():
                 parts = key.split(":") if isinstance(key, str) else key
                 if not isinstance(parts, (list, tuple)) or len(parts) != 2:
                     raise ParameterError(f"pair override key {key!r} is not "
                                          f"of the form 'a:b'")
                 pair = pair_key(*parts)
+                if pair in given:
+                    raise ParameterError(f"overrides.{label} names pair "
+                                         f"{pair[0]}:{pair[1]} twice, as "
+                                         f"{given[pair]!r} and {key!r}")
+                given[pair] = key
                 for name in pair:
                     if name not in f0.r_total:
                         raise ParameterError(f"pair override names unknown "
@@ -356,28 +364,28 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
                 table[line] = _override(label, f"[{line}]", value)
         else:
             table.update(dict.fromkeys(table, _override(label, "", ov)))
-    pinned = LineElectricals(**tables)
+    pinned = LineElectricals(**by_label)
     pinned.validate()
     return pinned
 
 
-def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
-    """Map build_ladder tables onto the config's geometry and overrides.
+def _map_tables(spec: LadderSpec, config: ToolkitConfig) -> LadderSpec:
+    """Map a LadderSpec's values onto the config's geometry and overrides.
 
     Every line total and pair value v becomes
     v * [F(g)/F(g0)] * [P(ov)/P(ov0)], where F is extraction, P(ov) is
     ``_pin(F(g0), ov)``, g the config's geometry, g0 DEFAULT_GEOMETRY
-    and ov0 DEFAULT_OVERRIDES. Table values are thus read as belonging
+    and ov0 DEFAULT_OVERRIDES. Spec values are thus read as belonging
     to the default geometry, and an override states what extraction
     should give there. At the defaults both ratios are x/x == 1.0, so
     the presets keep their stock values bit for bit.
     """
-    roles = {ln.name: ln.role for ln in tables["lines"]}
+    roles = {ln.name: ln.role for ln in spec.lines}
     for key in ("shield_width_scale", "shield_separation_um"):
         if key in config.geometry and "shield" not in roles.values():
             raise ParameterError(f"geometry.{key} needs a shielded preset "
                                  f"(a line with role shield)")
-    pairs = tuple(tables["couplings"])
+    pairs = tuple(spec.couplings)
     f = _extract(roles, pairs, resolve_geometry(config.geometry))
     f0 = _extract(roles, pairs, _DEFAULT_RESOLVED)
     e = _pin(f0, config.overrides)
@@ -390,7 +398,7 @@ def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
 
     couplings = {pair: {label: scaled(label, pair, value)
                         for label, value in entry.items()}
-                 for pair, entry in tables["couplings"].items()}
+                 for pair, entry in spec.couplings.items()}
     for label in ("m_total", "cm_total"):
         for key, value in getattr(e, label).items():
             if (value != getattr(e0, label).get(key)
@@ -400,8 +408,8 @@ def _map_tables(tables: dict, config: ToolkitConfig) -> dict:
                                      f"does not couple that way")
     lines = tuple(replace(ln, **{label: scaled(label, ln.name, getattr(ln, label))
                                  for label in ("r_total", "l_total", "c_total")})
-                  for ln in tables["lines"])
-    return dict(tables, lines=lines, couplings=couplings)
+                  for ln in spec.lines)
+    return replace(spec, lines=lines, couplings=couplings)
 
 
 @dataclass(frozen=True)
@@ -411,16 +419,16 @@ class ExtractionReport:
     (without-shield column) and the aggressor-shield pair across the
     shield (with-shield column)."""
 
-    tables: dict
+    spec: LadderSpec
     coefficients: str
     geometry: InterconnectGeometry
     shield_separation_um: float
 
     def render(self) -> str:
         g = self.geometry
-        agg = self.tables["lines"][0]
-        wo = self.tables["couplings"][pair_key("aggressor", "victim")]
-        wi = self.tables["couplings"][pair_key("aggressor", "shield")]
+        agg = self.spec.lines[0]
+        wo = self.spec.couplings[pair_key("aggressor", "victim")]
+        wi = self.spec.couplings[pair_key("aggressor", "shield")]
         rows = [
             ("R_line [ohm]", agg.r_total, agg.r_total),
             ("L_line [uH]", agg.l_total, agg.l_total),
@@ -456,16 +464,13 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
     pairs = (("aggressor", "victim"), ("aggressor", "shield"),
              ("shield", "victim"))
     stock = _pin(_extract(roles, pairs, _DEFAULT_RESOLVED), DEFAULT_OVERRIDES)
-    tables = {
-        "lines": tuple(LineSpec(name, role, stock.r_total[name],
-                                stock.l_total[name], stock.c_total[name])
-                       for name, role in roles.items()),
-        "couplings": {pair: {"m_total": stock.m_total[pair],
-                             "cm_total": stock.cm_total[pair]}
-                      for pair in pairs},
-    }
+    spec = LadderSpec(
+        tuple(LineSpec(name, role, stock.r_total[name], stock.l_total[name],
+                       stock.c_total[name]) for name, role in roles.items()),
+        {pair: {"m_total": stock.m_total[pair],
+                "cm_total": stock.cm_total[pair]} for pair in pairs})
     geometry, coeffs, shield_sep, _ = resolve_geometry(config.geometry)
-    return ExtractionReport(_map_tables(tables, config), coeffs.name, geometry,
+    return ExtractionReport(_map_tables(spec, config), coeffs.name, geometry,
                             shield_sep)
 
 
@@ -507,8 +512,14 @@ def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
             raise ParameterError(f"scenario.couplings[{i}] needs "
                                  f"pair: [line_a, line_b]")
         _check_keys(entry, {"m_total", "cm_total"}, f"scenario.couplings[{i}]")
-        out[pair_key(*pair)] = {k: _number(v, f"scenario.couplings[{i}].{k}")
-                                for k, v in entry.items()}
+        key = pair_key(*pair)
+        if key in out:                    # each earlier entry added one key
+            raise ParameterError(f"scenario.couplings[{i}] gives pair "
+                                 f"{key[0]}:{key[1]} again, after "
+                                 f"scenario.couplings[{list(out).index(key)}]; "
+                                 f"give each pair one entry")
+        out[key] = {k: _number(v, f"scenario.couplings[{i}].{k}")
+                    for k, v in entry.items()}
     return out
 
 
@@ -535,15 +546,14 @@ def _parse_taps(entry) -> TapSchedule | None:
                    "scenario.taps", ("tie_resistance_ohm",))
 
 
-def _tables_params(tables: dict, n_segments: int) -> dict:
+def _tables_params(spec: LadderSpec, n_segments: int) -> dict:
     """JSON-able echo of the element values a build actually used."""
     lines = {ln.name: {"role": ln.role, "r_total": ln.r_total,
                        "l_total": ln.l_total, "c_total": ln.c_total}
-             for ln in tables["lines"]}
+             for ln in spec.lines}
     couplings = [{"pair": list(pair), **entry}
-                 for pair, entry in sorted(tables["couplings"].items())]
-    taps = tables.get("taps")
-    terms = effective_terminations(tables["lines"], tables.get("terminations"))
+                 for pair, entry in spec.couplings.items()]
+    taps = spec.taps
     return {
         "n_segments": n_segments,
         "lines": lines,
@@ -555,14 +565,14 @@ def _tables_params(tables: dict, n_segments: int) -> dict:
             "driver_resistance_ohm": t.driver_resistance_ohm,
             "source_ref": t.source_ref,
             "load_capacitance_f": t.load_capacitance_f,
-        } for name, t in sorted(terms.items())},
+        } for name, t in spec.terminations.items()},
     }
 
 
-def _scenario_tables(scen: dict | None, n_segments: int
-                     ) -> tuple[dict, str]:
-    """Scenario block -> (build_ladder tables, scenario name). A tap
-    count is checked against ``n_segments`` before any tap is made."""
+def _scenario_tables(scen: dict | None, n_segments: int) -> LadderSpec:
+    """Scenario block -> its LadderSpec, named after the preset, the
+    ``name`` key or "custom". A tap count is checked against
+    ``n_segments`` before any tap is made."""
     if scen is None:
         raise ParameterError("config has no scenario block")
     _check_keys(scen, {"preset", "tap_count", "tie_resistance_ohm", "name",
@@ -584,25 +594,19 @@ def _scenario_tables(scen: dict | None, n_segments: int
                     f"scenario.tap_count={tap_count}: taps at "
                     f"i/(tap_count+1) land on interior nodes only when "
                     f"tap_count <= sim.n_segments - 1 = {n_segments - 1}")
-        tables = preset_tables(
+        return preset_tables(
             scen["preset"], tap_count=tap_count,
             tie_resistance_ohm=_number(scen.get("tie_resistance_ohm", 0.0),
                                        "scenario.tie_resistance_ohm"))
-        return tables, scen["preset"]
     for key in ("tap_count", "tie_resistance_ohm"):
         if key in scen:
             raise ParameterError(f"scenario.{key} belongs to the preset form; "
                                  f"explicit scenarios use the taps block")
-    tables = {
-        "lines": _parse_line_specs(scen["lines"]),
-        "couplings": _parse_couplings(scen.get("couplings", [])),
-        "terminations": _parse_terminations(scen.get("terminations", {})),
-        "taps": _parse_taps(scen.get("taps")),
-    }
-    if (tables["taps"] is not None
-            and not any(ln.role == "shield" for ln in tables["lines"])):
-        raise ParameterError("scenario.taps needs a line with role shield")
-    return tables, str(scen.get("name") or "custom")
+    return LadderSpec(_parse_line_specs(scen["lines"]),
+                      _parse_couplings(scen.get("couplings", [])),
+                      _parse_terminations(scen.get("terminations", {})),
+                      _parse_taps(scen.get("taps")),
+                      str(scen.get("name") or "custom"))
 
 
 def resolve_stimulus(block: dict) -> Stimulus:
@@ -744,7 +748,7 @@ class ResolvedScenario:
 
 def _run_blocks(config: ToolkitConfig) -> tuple:
     """Every block but geometry and overrides, read by its reader:
-    (scenario tables, scenario name, sim, n_segments, output, stimulus).
+    (scenario LadderSpec, sim, n_segments, output, stimulus).
     The run size is checked before the stimulus is built."""
     sim_block = config.sim
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
@@ -754,21 +758,18 @@ def _run_blocks(config: ToolkitConfig) -> tuple:
     sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
                     t_end=_number(sim_block["t_end"], "sim.t_end"),
                     method=str(sim_block.get("method", "trapezoidal")))
-    tables, scenario_name = _scenario_tables(config.scenario, n_segments)
+    spec = _scenario_tables(config.scenario, n_segments)
     output = resolve_output(config.output)
-    _check_run_size(len(tables["lines"]), n_segments, sim, output["nodes"],
+    _check_run_size(len(spec.lines), n_segments, sim, output["nodes"],
                     config.stimulus)
-    return (tables, scenario_name, sim, n_segments, output,
-            resolve_stimulus(config.stimulus))
+    return spec, sim, n_segments, output, resolve_stimulus(config.stimulus)
 
 
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
     """Validate a config and build the network/stimulus/sim triple."""
-    tables, scenario_name, sim, n_segments, output, stimulus = _run_blocks(
-        config)
-    tables = _map_tables(tables, config)
-    network = build_ladder(n_segments=n_segments, scenario=scenario_name,
-                           **tables)
+    spec, sim, n_segments, output, stimulus = _run_blocks(config)
+    spec = _map_tables(spec, config)
+    network = build_ladder(spec, n_segments)
     roles = _measurement_roles(network)
 
     nodes = output["nodes"]
@@ -781,7 +782,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
         out_nodes = tuple(dict.fromkeys([*map(str, nodes), *roles.values()]))
     sim = replace(sim, output_nodes=out_nodes)
 
-    params = _tables_params(tables, n_segments)
+    params = _tables_params(spec, n_segments)
     params["stimulus"] = _copy_tree(config.stimulus)
     params["sim"] = {"dt": sim.dt, "t_end": sim.t_end, "method": sim.method,
                      "n_segments": n_segments}

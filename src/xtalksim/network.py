@@ -11,12 +11,16 @@ lines get a voltage source behind a driver resistance and a load
 capacitance at the far end; quiet lines get a 0 V source behind the
 same driver resistance; shield lines get ground ties at both ends plus
 any scheduled interior taps.
+
+A ``LadderSpec`` is the one description of a ladder: its construction
+checks the lines, couplings, terminations and taps and fills in each
+default termination, so ``build_ladder`` checks only ``n_segments``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +61,8 @@ class LineSpec:
     c_total: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ParameterError(f"line name must be a string, got {self.name!r}")
         if self.role not in ROLES:
             raise ParameterError(f"line {self.name!r}: unknown role {self.role!r}")
         if not (math.isfinite(self.r_total) and self.r_total >= 0):
@@ -112,6 +118,76 @@ class TapSchedule:
                 and self.tie_resistance_ohm >= 0):
             raise ParameterError(f"tie_resistance_ohm must be finite and >= 0, "
                                  f"got {self.tie_resistance_ohm!r}")
+
+
+@dataclass(frozen=True)
+class LadderSpec:
+    """What build_ladder builds: lines, couplings, terminations, a tap
+    schedule for the shield lines, and the scenario name.
+
+    ``couplings`` maps line-name pairs, in either order, to dicts with
+    optional ``m_total`` and ``cm_total`` entries (absent or zero means
+    no coupling of that kind); it is stored with sorted pair keys, in
+    key order. ``terminations`` is stored with an entry for every
+    non-shield line: the one given, else the stock driver and load,
+    driven by the stimulus for an aggressor and quiet for any other line.
+
+    Construction refuses, with a ParameterError, no lines, a line name
+    used twice, a pair that does not name two distinct known lines or
+    that is given twice, a coupling key other than those two, a value
+    that is not finite, a negative ``cm_total``, a termination for an
+    unknown line or a shield, and a tap schedule with no shield line.
+    """
+
+    lines: tuple[LineSpec, ...]
+    couplings: dict[tuple[str, str], dict] = field(default_factory=dict)
+    terminations: dict[str, TerminationSpec] = field(default_factory=dict)
+    taps: TapSchedule | None = None
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        lines = tuple(self.lines)
+        if not lines:
+            raise ParameterError("a ladder needs at least one line")
+        roles = {ln.name: ln.role for ln in lines}
+        if len(roles) != len(lines):
+            raise ParameterError("line names must be unique")
+        couplings: dict[tuple[str, str], dict] = {}
+        for pair, entry in self.couplings.items():
+            a, b = pair
+            if a == b or a not in roles or b not in roles:
+                raise ParameterError(f"coupling pair {pair!r} does not name "
+                                     f"two distinct known lines")
+            k = (a, b) if a < b else (b, a)
+            if k in couplings:
+                raise ParameterError(f"coupling pair {k} is given twice, "
+                                     f"once in each order")
+            unknown = set(entry) - {"m_total", "cm_total"}
+            if unknown:
+                raise ParameterError(f"coupling {k}: unknown keys "
+                                     f"{sorted(unknown)}")
+            couplings[k] = {kk: float(vv) for kk, vv in entry.items()}
+            for kk, vv in couplings[k].items():
+                if not math.isfinite(vv):
+                    raise ParameterError(f"coupling {k}: {kk} must be "
+                                         f"finite, got {vv!r}")
+            if couplings[k].get("cm_total", 0.0) < 0:
+                raise ParameterError(f"coupling {k}: cm_total must be >= 0, "
+                                     f"got {couplings[k]['cm_total']!r}")
+        for name in self.terminations:
+            if name not in roles:
+                raise ParameterError(f"termination names unknown line {name!r}")
+            if roles[name] == "shield":
+                raise ParameterError(f"line {name!r} is a shield; its ends "
+                                     f"are ground ties, not terminations")
+        if self.taps is not None and "shield" not in roles.values():
+            raise ParameterError("a tap schedule needs a line with role shield")
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "couplings", dict(sorted(couplings.items())))
+        object.__setattr__(self, "terminations", {
+            ln.name: self.terminations.get(ln.name) or TerminationSpec(
+                source_ref="stimulus" if ln.role == "aggressor" else "quiet")
+            for ln in lines if ln.role != "shield"})
 
 
 @dataclass(frozen=True)
@@ -196,11 +272,14 @@ class CoupledNetwork:
     node (``split_names``) whose name is taken, a reference past either
     tuple, a value that is not finite, a
     resistor not > 0, a tie below 0, an inductor with L not > 0 or a
-    negative series resistance, two sources on one node, a source on a
-    0-ohm-tied node, a capacitor on a source node, a mutual on one
-    branch or a second one on a pair, an inductance matrix that is not
-    positive definite, a loop of zero-resistance inductors, and a node
-    with no DC path to ground."""
+    negative series resistance, a name or label that is empty or holds
+    whitespace or a non-printable character, an element name whose first
+    letter is not its card's (R for resistors and ties, C, L, K, V), a
+    scenario name with a '/', '\\' or non-printable character, two
+    sources on one node, a source on a 0-ohm-tied node, a capacitor on a
+    source node, a mutual on one branch or a second one on a pair, an
+    inductance matrix that is not positive definite, a loop of
+    zero-resistance inductors, and a node with no DC path to ground."""
 
     nodes: tuple[str, ...]
     resistors: tuple[Resistor, ...]
@@ -260,6 +339,29 @@ class CoupledNetwork:
                 raise ParameterError(
                     f"{ind.name}: needs finite l_h > 0 and r_series_ohm "
                     f">= 0, got {ind.l_h!r} and {ind.r_series_ohm!r}")
+        for kind, names in (("node label", self.nodes),
+                            ("element name", [e.name for e in elements])):
+            for name in names:
+                if not (isinstance(name, str) and name.isprintable()
+                        and name and " " not in name):
+                    raise ParameterError(
+                        f"{kind} {name!r} is empty or holds whitespace or "
+                        f"a non-printable character; a deck card cannot "
+                        f"carry it")
+        for letter, group in (("R", (*self.resistors, *self.ties)),
+                              ("C", self.capacitors), ("L", self.inductors),
+                              ("K", self.mutuals), ("V", self.sources)):
+            for e in group:
+                if e.name[0].upper() != letter:
+                    raise ParameterError(f"{e.name}: a deck reads the card "
+                                         f"type from the first letter, which "
+                                         f"must be {letter} here")
+        if not (isinstance(self.scenario, str) and self.scenario.isprintable()
+                and "/" not in self.scenario and "\\" not in self.scenario):
+            raise ParameterError(
+                f"scenario name {self.scenario!r} names the output files and "
+                f"the deck title, so it may hold no '/', '\\' or "
+                f"non-printable character")
 
         tied = {GROUND} | {t.node for t in self.ties if t.ohms == 0.0}
         held: set[int] = set()
@@ -362,26 +464,6 @@ def _root(parent: list[int], i: int) -> int:
     return i
 
 
-def effective_terminations(lines: tuple[LineSpec, ...],
-                           terminations: dict | None = None
-                           ) -> dict[str, TerminationSpec]:
-    """The termination of every non-shield line: its entry in
-    ``terminations``, else the stock driver and load, driven by the
-    stimulus for an aggressor and quiet for any other line. An entry
-    for an unknown line or a shield raises ParameterError."""
-    terminations = terminations or {}
-    roles = {ln.name: ln.role for ln in lines}
-    for name in terminations:
-        if name not in roles:
-            raise ParameterError(f"termination names unknown line {name!r}")
-        if roles[name] == "shield":
-            raise ParameterError(f"line {name!r} is a shield; its ends are "
-                                 f"ground ties, not terminations")
-    return {ln.name: terminations.get(ln.name) or TerminationSpec(
-                source_ref="stimulus" if ln.role == "aggressor" else "quiet")
-            for ln in lines if ln.role != "shield"}
-
-
 def _tap_segment(fraction: float, n_segments: int) -> int:
     """Map a tap fraction onto a segment boundary, exactly or not at all."""
     pos = fraction * n_segments
@@ -397,54 +479,11 @@ def _tap_segment(fraction: float, n_segments: int) -> int:
     return seg
 
 
-def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
-                 couplings: dict[tuple[str, str], dict] | None = None,
-                 terminations: dict[str, TerminationSpec] | None = None,
-                 taps: TapSchedule | None = None,
-                 n_segments: int = 12,
-                 scenario: str = "") -> CoupledNetwork:
-    """Construct the segmented network for a set of coupled lines.
-
-    ``couplings`` maps unordered line-name pairs to dicts with optional
-    ``m_total`` and ``cm_total`` entries (absent or zero means no
-    coupling of that kind for the pair); values must be finite, and
-    ``cm_total`` >= 0. ``terminations`` supplies a TerminationSpec per
-    non-shield line; missing entries default as in
-    ``effective_terminations``. ``taps`` applies to shield lines.
-    """
-    lines = tuple(lines)
-    if not lines:
-        raise ParameterError("build_ladder needs at least one line")
-    if len({ln.name for ln in lines}) != len(lines):
-        raise ParameterError("line names must be unique")
+def build_ladder(spec: LadderSpec, n_segments: int = 12) -> CoupledNetwork:
+    """The segmented network a LadderSpec describes, ``n_segments``
+    segments per line, named after the spec."""
     if not (isinstance(n_segments, int) and n_segments >= 1):
         raise ParameterError(f"n_segments must be an integer >= 1, got {n_segments!r}")
-
-    names = {ln.name for ln in lines}
-    couplings = couplings or {}
-    norm: dict[tuple[str, str], dict] = {}
-    for key, entry in couplings.items():
-        a, b = key
-        if a == b or a not in names or b not in names:
-            raise ParameterError(f"coupling pair {key!r} does not name two distinct "
-                                 f"known lines")
-        k = (a, b) if a < b else (b, a)
-        unknown = set(entry) - {"m_total", "cm_total"}
-        if unknown:
-            raise ParameterError(f"coupling {k}: unknown keys {sorted(unknown)}")
-        norm[k] = {kk: float(vv) for kk, vv in entry.items()}
-        for kk, vv in norm[k].items():
-            if not math.isfinite(vv):
-                raise ParameterError(f"coupling {k}: {kk} must be finite, "
-                                     f"got {vv!r}")
-        if norm[k].get("cm_total", 0.0) < 0:
-            raise ParameterError(f"coupling {k}: cm_total must be >= 0, "
-                                 f"got {norm[k]['cm_total']!r}")
-
-    terminations = effective_terminations(lines, terminations)
-
-    if taps is not None and not any(ln.role == "shield" for ln in lines):
-        raise ParameterError("tap schedule given but the network has no shield line")
 
     nodes: list[str] = ["0"]
     node_ids: dict[str, int] = {"0": GROUND}
@@ -462,11 +501,11 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
     ties: list[GroundTie] = []
     branch_of: dict[tuple[str, int], int] = {}
 
-    for ln in lines:
+    for ln in spec.lines:
         seg_nodes = []
         if ln.role != "shield":
             src = add_node(f"{ln.name}_src")
-            term = terminations[ln.name]
+            term = spec.terminations[ln.name]
             sources.append(VoltageSource(f"V{ln.name}", src,
                                          driven=term.source_ref == "stimulus"))
         for k in range(n_segments + 1):
@@ -486,20 +525,15 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
             capacitors.append(Capacitor(f"C{ln.name}_{k}", seg_nodes[k], GROUND,
                                         ln.c_total / n_segments))
         if ln.role == "shield":
-            tie_r = taps.tie_resistance_ohm if taps is not None else 0.0
-            tie_segs = [0, n_segments]
-            if taps is not None:
-                tie_segs[1:1] = [_tap_segment(f, n_segments) for f in taps.fractions]
-            seen = set()
-            for seg in tie_segs:
-                if seg in seen:
-                    raise ParameterError(
-                        f"two shield ties of {ln.name!r} land on the same node "
-                        f"(segment {seg})")
-                seen.add(seg)
-                ties.append(GroundTie(f"Rtie_{ln.name}_{seg}", seg_nodes[seg], tie_r))
+            # two taps on one node make two ties of one name, which the
+            # network's construction check refuses
+            taps = spec.taps or TapSchedule()
+            for seg in (0, *(_tap_segment(f, n_segments) for f in taps.fractions),
+                        n_segments):
+                ties.append(GroundTie(f"Rtie_{ln.name}_{seg}", seg_nodes[seg],
+                                      taps.tie_resistance_ohm))
 
-    for (a, b), entry in sorted(norm.items()):
+    for (a, b), entry in spec.couplings.items():
         cm = entry.get("cm_total", 0.0)
         if cm:
             for k in range(1, n_segments + 1):
@@ -519,7 +553,7 @@ def build_ladder(lines: list[LineSpec] | tuple[LineSpec, ...],
         nodes=tuple(nodes), resistors=tuple(resistors),
         capacitors=tuple(capacitors), inductors=tuple(inductors),
         mutuals=tuple(mutuals), sources=tuple(sources), ties=tuple(ties),
-        lines=lines, n_segments=n_segments, scenario=scenario,
+        lines=spec.lines, n_segments=n_segments, scenario=spec.name,
     )
 
 
@@ -531,8 +565,8 @@ def _signal_line(name: str, role: str) -> LineSpec:
 
 
 def preset_tables(name: str, tap_count: int | None = None,
-                  tie_resistance_ohm: float = 0.0) -> dict:
-    """build_ladder inputs (lines, couplings, taps) for a named preset.
+                  tie_resistance_ohm: float = 0.0) -> LadderSpec:
+    """The LadderSpec of a named preset, named after it.
 
     "no-shield": aggressor and victim side by side, full direct coupling.
     "shield": a grounded shield line between them; the direct coupling
@@ -546,42 +580,31 @@ def preset_tables(name: str, tap_count: int | None = None,
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown scenario preset {name!r}; "
                              f"choose one of {', '.join(PRESET_NAMES)}")
-    agg = _signal_line("aggressor", "aggressor")
-    vic = _signal_line("victim", "victim")
-    if name == "no-shield":
-        if tap_count or tie_resistance_ohm:
-            raise ParameterError("tap_count and tie_resistance_ohm need a "
-                                 "shield; use a shielded preset")
-        return {
-            "lines": (agg, vic),
-            "couplings": {("aggressor", "victim"): {
-                "m_total": STOCK_MUTUAL_ADJACENT_H,
-                "cm_total": STOCK_COUPLING_CAP_ADJACENT_F,
-            }},
-            "taps": None,
-        }
-    shield = _signal_line("shield", "shield")
     if tap_count is None:
         tap_count = 3 if name == "shield-3taps" else 0
     if tap_count < 0:
         raise ParameterError("tap count must be >= 0")
-    return {
-        "lines": (agg, shield, vic),
-        "couplings": {
-            ("aggressor", "shield"): {
-                "m_total": STOCK_MUTUAL_SHIELDED_H,
-                "cm_total": STOCK_COUPLING_CAP_SHIELDED_F,
-            },
-            ("shield", "victim"): {
-                "m_total": STOCK_MUTUAL_SHIELDED_H,
-                "cm_total": STOCK_COUPLING_CAP_SHIELDED_F,
-            },
-            # the shield removes the direct coupling capacitance but the
-            # signal-signal mutual inductance persists
-            ("aggressor", "victim"): {"m_total": STOCK_MUTUAL_ADJACENT_H},
+    taps = TapSchedule(fractions=tuple(Fraction(i, tap_count + 1)
+                                       for i in range(1, tap_count + 1)),
+                       tie_resistance_ohm=tie_resistance_ohm)
+    agg = _signal_line("aggressor", "aggressor")
+    vic = _signal_line("victim", "victim")
+    if name == "no-shield":
+        # a schedule other than the empty one asks for a shield
+        return LadderSpec((agg, vic), {("aggressor", "victim"): {
+            "m_total": STOCK_MUTUAL_ADJACENT_H,
+            "cm_total": STOCK_COUPLING_CAP_ADJACENT_F,
+        }}, taps=None if taps == TapSchedule() else taps, name=name)
+    return LadderSpec((agg, _signal_line("shield", "shield"), vic), {
+        ("aggressor", "shield"): {
+            "m_total": STOCK_MUTUAL_SHIELDED_H,
+            "cm_total": STOCK_COUPLING_CAP_SHIELDED_F,
         },
-        "taps": TapSchedule(
-            fractions=tuple(Fraction(i, tap_count + 1)
-                            for i in range(1, tap_count + 1)),
-            tie_resistance_ohm=tie_resistance_ohm),
-    }
+        ("shield", "victim"): {
+            "m_total": STOCK_MUTUAL_SHIELDED_H,
+            "cm_total": STOCK_COUPLING_CAP_SHIELDED_F,
+        },
+        # the shield removes the direct coupling capacitance but the
+        # signal-signal mutual inductance persists
+        ("aggressor", "victim"): {"m_total": STOCK_MUTUAL_ADJACENT_H},
+    }, taps=taps, name=name)

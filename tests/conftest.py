@@ -30,7 +30,7 @@ def _without_mutual_inductance(name: str, *sets: str):
     """Preset ``name`` with ``overrides.m_total`` = 0 on every pair it
     couples, which removes each mutual inductance (extract_all reads a
     zero pair override as no coupling)."""
-    pairs = ", ".join(f"{a}:{b}: 0" for a, b in preset_tables(name)["couplings"])
+    pairs = ", ".join(f"{a}:{b}: 0" for a, b in preset_tables(name).couplings)
     return apply_set_overrides(preset_config(name),
                                [f"overrides.m_total={{{pairs}}}", *sets])
 

@@ -11,6 +11,8 @@ the victim floor is inductive, and taps do not act on it (see README,
 "Shield taps and the inductive floor").
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance, line_capacitance,
                                  mutual_inductance_bracket, self_inductance)
 from xtalksim.netlist import export_netlist
-from xtalksim.network import (LineSpec, TerminationSpec, build_ladder,
-                              preset_tables)
+from xtalksim.network import (LadderSpec, LineSpec, TerminationSpec,
+                              build_ladder, preset_tables)
 
 PRESETS = ("no-shield", "shield", "shield-3taps")
 
@@ -112,7 +114,7 @@ def test_criterion_3_exact_lti_oracle():
     clauses = []
     for name, preset, n in (("2-line n=3", "no-shield", 3),
                             ("3-line n=4", "shield", 4)):
-        net = build_ladder(**preset_tables(preset), n_segments=n)
+        net = build_ladder(preset_tables(preset), n_segments=n)
         waves = run_transient(net, stim, sim)
         err = engine_vs_oracle_error(net, stim, sim, waves)
         clauses.append((f"{name} ladder rel Linf <= 1e-3",
@@ -214,7 +216,7 @@ def test_criterion_8_property_suite(stock_runs):
             "no-shield": (2, 2, 1, 1, 0), "shield": (3, 2, 2, 3, 2),
             "shield-3taps": (3, 2, 2, 3, 5)}.items():
         n = 12
-        net = build_ladder(**preset_tables(name), n_segments=n)
+        net = build_ladder(preset_tables(name), n_segments=n)
         got = (len(net.inductors), len(net.resistors),
                sum(capacitor_kind(c) == "shunt" for c in net.capacitors),
                sum(capacitor_kind(c) == "coupling" for c in net.capacitors),
@@ -230,8 +232,7 @@ def test_criterion_8_property_suite(stock_runs):
     # decoupled victim is zero
     lines = (LineSpec("aggressor", "aggressor", 500.0, 83.24e-6, 134.41e-12),
              LineSpec("victim", "victim", 500.0, 83.24e-6, 134.41e-12))
-    net = build_ladder(lines, couplings=None, n_segments=3,
-                       scenario="uncoupled")
+    net = build_ladder(LadderSpec(lines, name="uncoupled"), n_segments=3)
     short = SimConfig(dt=1e-9, t_end=200e-9)
     edge = resolve_stimulus({"kind": "ramp", "rise_time_s": 20e-9})
     waves = run_transient(net, edge, short)
@@ -241,7 +242,7 @@ def test_criterion_8_property_suite(stock_runs):
                     worst <= 1e-12, f"got {worst:.2e}"))
 
     # linearity under amplitude doubling
-    net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+    net = build_ladder(preset_tables("no-shield"), n_segments=2)
     one = run_transient(net, edge, short)
     double = run_transient(net, resolve_stimulus({"kind": "ramp",
                                                   "amplitude_v": 2.0,
@@ -253,13 +254,12 @@ def test_criterion_8_property_suite(stock_runs):
                     lin_err < 1e-9, f"max deviation {lin_err:.2e}"))
 
     # reciprocity of the symmetric shielded scenario under drive swap
-    fwd = build_ladder(**preset_tables("shield"), n_segments=4)
-    tables = preset_tables("shield")
-    rev = build_ladder(
-        tables["lines"], tables["couplings"],
+    fwd = build_ladder(preset_tables("shield"), n_segments=4)
+    rev = build_ladder(replace(
+        preset_tables("shield"), name="shield-rev",
         terminations={"aggressor": TerminationSpec(source_ref="quiet"),
-                      "victim": TerminationSpec(source_ref="stimulus")},
-        taps=tables["taps"], n_segments=4, scenario="shield-rev")
+                      "victim": TerminationSpec(source_ref="stimulus")}),
+        n_segments=4)
     wf, wr = run_transient(fwd, edge, short), run_transient(rev, edge, short)
     rec_err = float(np.max(np.abs(wf.trace("victim_4")
                                   - wr.trace("aggressor_4"))))
@@ -283,7 +283,7 @@ def test_criterion_8_property_suite(stock_runs):
 def test_criterion_9_netlist_export(tmp_path):
     from xtalksim.config import write_waveforms_csv
 
-    net = build_ladder(**preset_tables("shield"), n_segments=12)
+    net = build_ladder(preset_tables("shield"), n_segments=12)
     stim = resolve_stimulus({"kind": "ramp", "rise_time_s": 2e-7})
     sim = SimConfig(dt=5e-11, t_end=2.4e-6)
     deck = export_netlist(net, stim, sim)

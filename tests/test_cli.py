@@ -320,7 +320,7 @@ class TestResolve:
         # with no fractions the tie resistance would have nothing to tie
         scenario = dict(EXPLICIT_PAIR, taps={"tie_resistance_ohm": 5.0})
         with pytest.raises(ParameterError,
-                           match="scenario.taps needs a line with role shield"):
+                           match="a tap schedule needs a line with role shield"):
             resolve(config_from_mapping({
                 "scenario": scenario, "sim": {"dt": 1e-9, "t_end": 4e-7}}))
 
@@ -471,10 +471,10 @@ class TestGeometryMapping:
                                    "geometry.separation_um=2"])
         report = extraction_report(cfg)
         run_pair = resolve(cfg).params["couplings"][0]
-        assert report.tables["lines"][0].r_total == approx(50)
+        assert report.spec.lines[0].r_total == approx(50)
         # both start from default-geometry values and move by one ratio
         moved = run_pair["cm_total"] / STOCK_COUPLING_CAP_ADJACENT_F
-        assert report.tables["couplings"][("aggressor", "victim")][
+        assert report.spec.couplings[("aggressor", "victim")][
             "cm_total"] == approx(
                 coupling_capacitance(2.0, 2.0, 2.0, 1.0, 3.9) * moved)
 
@@ -738,6 +738,85 @@ class TestCliExitCodes:
         assert "GiB limit" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_coupling_pair_given_twice_exits_1(self, tmp_path, capsys):
+        # the later entry used to replace the earlier one in silence, and
+        # the deck came out with no K cards at all
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text(json.dumps({"scenario": dict(EXPLICIT_PAIR, couplings=[
+            {"pair": ["a", "v"], "m_total": 6e-6, "cm_total": 50e-12},
+            {"pair": ["v", "a"], "cm_total": 10e-12}]),
+            "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        out = tmp_path / "out"
+        rc = main(["export-netlist", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert ("error: scenario.couplings[1] gives pair a:v again, after "
+                "scenario.couplings[0]" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_pair_override_named_twice_exits_1(self, tmp_path, capsys):
+        # the later value used to win in silence
+        rc = main(["run", "--preset", "shield", "--set",
+                   "overrides.m_total={aggressor:victim: 5.0, "
+                   "victim:aggressor: 6.0}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("error: overrides.m_total names pair aggressor:victim twice, "
+                "as 'aggressor:victim' and 'victim:aggressor'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_coupling_naming_unknown_line_exits_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the scenario's LadderSpec refuses it, before any mapping reads it
+        def unreached(*args):
+            raise AssertionError("_map_tables ran on an unchecked spec")
+
+        monkeypatch.setattr("xtalksim.config._map_tables", unreached)
+        cfg = tmp_path / "ghost.yaml"
+        cfg.write_text(json.dumps({"scenario": dict(EXPLICIT_PAIR, couplings=[
+            {"pair": ["a", "zz"], "m_total": 6e-6}]),
+            "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("error: coupling pair ('a', 'zz') does not name two "
+                "distinct known lines" in err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ({"name": 5}, "scenario.lines[0]: line name must be a string, got 5"),
+        ({"name": "agg one"}, "node label 'agg one_src' is empty or holds "
+                              "whitespace"),
+    ], ids=["not-a-string", "whitespace"])
+    @pytest.mark.parametrize("command", ["run", "export-netlist"])
+    def test_line_name_a_deck_cannot_carry_exits_1(self, tmp_path, capsys,
+                                                   command, line, message):
+        scenario = dict(EXPLICIT_PAIR, couplings=[], lines=[
+            dict(EXPLICIT_PAIR["lines"][0], **line), EXPLICIT_PAIR["lines"][1]])
+        cfg = tmp_path / "name.yaml"
+        cfg.write_text(json.dumps({"scenario": scenario,
+                                   "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a\\b", "two\nlines",
+                                      "bell\x07"])
+    @pytest.mark.parametrize("command", ["run", "export-netlist"])
+    def test_scenario_name_stays_inside_out(self, tmp_path, capsys, command,
+                                            name):
+        # the name builds the file names and the deck's title comment
+        cfg = tmp_path / "escape.yaml"
+        cfg.write_text(json.dumps({"scenario": dict(EXPLICIT_PAIR, name=name),
+                                   "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(cfg), "--out", str(out / "deep")])
+        assert rc == 1
+        assert (f"error: scenario name {name!r} names the output files"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_io_errors_exit_3(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 3
@@ -922,5 +1001,5 @@ class TestCliOutputs:
 
 def test_scenario_preset_equals_config_path():
     resolved = resolve(preset_config("shield"))
-    assert resolved.network == build_ladder(**preset_tables("shield"),
-                                            n_segments=12, scenario="shield")
+    assert resolved.network == build_ladder(preset_tables("shield"),
+                                            n_segments=12)

@@ -5,6 +5,8 @@ piecewise-exact matrix-exponential solution in _reference, which shares
 no code with the companion-model integrators.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,12 +47,12 @@ class TestAssemble:
 
     def test_two_line_ladder_unknown_count(self):
         # 2 lines, n = 2: 3 ladder nodes each plus 2 branches each
-        sys = assemble(build_ladder(**preset_tables("no-shield"), n_segments=2))
+        sys = assemble(build_ladder(preset_tables("no-shield"), n_segments=2))
         assert sys.G.shape == (10, 10)
         assert sys.n_node_unknowns == 6
 
     def test_zero_ohm_ties_merge_with_ground(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=2)
+        net = build_ladder(preset_tables("shield"), n_segments=2)
         sys = assemble(net)
         grounded = {lbl for lbl, k in zip(net.nodes, sys.slot)
                     if k == sys.slot[0]}
@@ -118,7 +120,7 @@ class TestDcOperatingPoint:
         assert dc["in"] == approx(1.0)
 
     def test_preset_rails(self):
-        dc = dc_operating_point(build_ladder(**preset_tables("no-shield"),
+        dc = dc_operating_point(build_ladder(preset_tables("no-shield"),
                                              n_segments=4))
         for k in range(5):
             assert dc[f"aggressor_{k}"] == approx(1.0, abs=1e-9)
@@ -133,7 +135,7 @@ class TestDcOperatingPoint:
                                source_values={"Vx": 1.0})
 
     def test_shield_nodes_report_zero(self):
-        dc = dc_operating_point(build_ladder(**preset_tables("shield"),
+        dc = dc_operating_point(build_ladder(preset_tables("shield"),
                                              n_segments=4))
         assert dc["shield_0"] == 0.0
         assert dc["shield_2"] == approx(0.0, abs=1e-12)
@@ -190,13 +192,13 @@ def oracle_stim():
 
 class TestAgainstExactSolution:
     def test_two_line_ladder(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=3)
+        net = build_ladder(preset_tables("no-shield"), n_segments=3)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
 
     def test_three_line_shielded_ladder(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=4)
+        net = build_ladder(preset_tables("shield"), n_segments=4)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
@@ -204,7 +206,7 @@ class TestAgainstExactSolution:
     def test_tapped_shield_ladder(self):
         # grounded interior taps: the stock-table tap result (the victim
         # peak does not fall with tap count) rests on this agreement
-        net = build_ladder(**preset_tables("shield-3taps"), n_segments=4)
+        net = build_ladder(preset_tables("shield-3taps"), n_segments=4)
         waves = run_transient(net, oracle_stim(), oracle_sim())
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
@@ -236,7 +238,7 @@ EDGE = resolve_stimulus({"kind": "ramp", "amplitude_v": 1.0,
 
 class TestBehaviour:
     def test_zero_amplitude_is_identically_zero(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         waves = run_transient(net, resolve_stimulus({"kind": "ramp",
                                                      "amplitude_v": 0.0,
                                                      "rise_time_s": 20e-9}),
@@ -245,7 +247,7 @@ class TestBehaviour:
             assert np.all(tr == 0.0)
 
     def test_linearity_in_amplitude(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         one = run_transient(net, EDGE, SHORT)
         two = run_transient(
             net, resolve_stimulus({"kind": "ramp", "amplitude_v": 2.5,
@@ -256,11 +258,10 @@ class TestBehaviour:
                                rtol=1e-9, atol=1e-15)
 
     def test_uncoupled_victim_stays_quiet(self):
-        from xtalksim.network import LineSpec
+        from xtalksim.network import LadderSpec, LineSpec
         lines = (LineSpec("aggressor", "aggressor", 500.0, 83.24e-6, 134.41e-12),
                  LineSpec("victim", "victim", 500.0, 83.24e-6, 134.41e-12))
-        net = build_ladder(lines, couplings=None, n_segments=3,
-                           scenario="uncoupled")
+        net = build_ladder(LadderSpec(lines, name="uncoupled"), n_segments=3)
         waves = run_transient(net, EDGE, SHORT)
         for k in range(4):
             assert np.max(np.abs(waves.trace(f"victim_{k}"))) <= 1e-12
@@ -269,13 +270,11 @@ class TestBehaviour:
     def test_reciprocity_under_drive_swap(self):
         # identical signal lines: driving the victim line instead must
         # produce the mirrored waveforms
-        fwd = build_ladder(**preset_tables("shield"), n_segments=4)
+        fwd = build_ladder(preset_tables("shield"), n_segments=4)
         swapped = {"aggressor": TerminationSpec(source_ref="quiet"),
                    "victim": TerminationSpec(source_ref="stimulus")}
-        tables = preset_tables("shield")
-        rev = build_ladder(tables["lines"], tables["couplings"],
-                           terminations=swapped, taps=tables["taps"],
-                           n_segments=4, scenario="shield-rev")
+        rev = build_ladder(replace(preset_tables("shield"), terminations=swapped,
+                                   name="shield-rev"), n_segments=4)
         wf = run_transient(fwd, EDGE, SHORT)
         wr = run_transient(rev, EDGE, SHORT)
         assert np.allclose(wf.trace("victim_4"), wr.trace("aggressor_4"),
@@ -290,7 +289,7 @@ class TestBehaviour:
                 assert abs(tr[-1] - dc[label]) < 1e-3, (name, label)
 
     def test_output_node_filter(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         sim = SimConfig(dt=1e-9, t_end=100e-9, output_nodes=("victim_2",))
         waves = run_transient(net, EDGE, sim)
         assert list(waves.node_traces) == ["victim_2"]
@@ -299,7 +298,7 @@ class TestBehaviour:
             run_transient(net, EDGE, bad)
 
     def test_tuple_output_stores_only_kept_unknowns(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=2)
+        net = build_ladder(preset_tables("shield"), n_segments=2)
         sim = SimConfig(dt=1e-9, t_end=100e-9,
                         output_nodes=("victim_2", "aggressor_1"))
         waves = run_transient(net, EDGE, sim)
@@ -315,7 +314,7 @@ class TestBehaviour:
             assert np.array_equal(tr, every.trace(label))
 
     def test_all_output_returns_every_branch_current(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=2)
+        net = build_ladder(preset_tables("shield"), n_segments=2)
         waves = run_transient(net, EDGE, SHORT)
         assert list(waves.branch_currents) == [ind.name
                                                for ind in net.inductors]
@@ -340,8 +339,7 @@ class TestBehaviour:
                                                output_nodes=("out", "nope")))
 
     def test_deterministic_metadata(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2,
-                           scenario="no-shield")
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         a = run_transient(net, EDGE, SHORT)
         b = run_transient(net, EDGE, SHORT)
         assert a.metadata == b.metadata
@@ -350,7 +348,7 @@ class TestBehaviour:
         assert other.metadata["config_hash"] != a.metadata["config_hash"]
 
     def test_dc_ic_matches_first_sample(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=2)
+        net = build_ladder(preset_tables("shield"), n_segments=2)
         waves = run_transient(net, EDGE, SHORT)
         dc = dc_operating_point(net, source_values={"Vaggressor": 0.0})
         for label, tr in waves.node_traces.items():

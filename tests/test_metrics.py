@@ -12,7 +12,7 @@ from xtalksim.errors import ParameterError
 from xtalksim.metrics import (ScenarioResult, TraceMeasurement,
                               first_crossing, measure_scenario, peak_noise,
                               propagation_delay, rise_time)
-from xtalksim.network import LineSpec, build_ladder
+from xtalksim.network import LadderSpec, LineSpec, build_ladder
 
 approx = pytest.approx
 
@@ -175,8 +175,7 @@ class TestMeasurementTypes:
 def uncoupled_run():
     lines = (LineSpec("aggressor", "aggressor", 500.0, 83.24e-6, 134.41e-12),
              LineSpec("victim", "victim", 500.0, 83.24e-6, 134.41e-12))
-    net = build_ladder(lines, couplings=None, n_segments=3,
-                       scenario="uncoupled")
+    net = build_ladder(LadderSpec(lines, name="uncoupled"), n_segments=3)
     return run_transient(net,
                          resolve_stimulus({"kind": "ramp",
                                            "rise_time_s": 20e-9}),

@@ -11,8 +11,9 @@ from xtalksim.config import resolve_stimulus
 from xtalksim.engine import SimConfig, run_transient, smooth_edge
 from xtalksim.errors import ParameterError
 from xtalksim.netlist import TIE_OHMS_FLOOR, _pwl_points, export_netlist
-from xtalksim.network import (Inductor, LineSpec, Mutual, Resistor,
-                              VoltageSource, build_ladder, preset_tables)
+from xtalksim.network import (Inductor, LadderSpec, LineSpec, Mutual,
+                              Resistor, VoltageSource, build_ladder,
+                              preset_tables)
 
 approx = pytest.approx
 
@@ -29,7 +30,7 @@ def element_cards(deck: str) -> list[str]:
 class TestDeckShape:
     def test_single_line_minimal_deck(self):
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
-        net = build_ladder((line,), n_segments=1, scenario="one")
+        net = build_ladder(LadderSpec((line,), name="one"), n_segments=1)
         deck = export_netlist(net, EDGE, SIM)
         cards = element_cards(deck)
         assert len(cards) == 6
@@ -40,7 +41,7 @@ class TestDeckShape:
         assert deck.endswith(".end\n")
 
     def test_series_resistance_split_through_internal_node(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         deck = export_netlist(net, EDGE, SIM)
         # R card into the internal mid node, L card out of it
         assert "Raggressor_1 aggressor_0 aggressor_m1 250" in deck
@@ -57,14 +58,14 @@ class TestDeckShape:
         assert "Rm" not in deck
 
     def test_tie_cards_get_resistance_floor(self):
-        net = build_ladder(**preset_tables("shield-3taps"), n_segments=12)
+        net = build_ladder(preset_tables("shield-3taps"), n_segments=12)
         deck = export_netlist(net, EDGE, SIM)
         for seg in (0, 3, 6, 9, 12):
             assert f"Rtie_shield_{seg} shield_{seg} 0 1e-09" in deck
         assert _count_prefix(deck, "Rtie_") == 5
 
     def test_resistive_ties_keep_their_value(self):
-        net = build_ladder(**preset_tables("shield", tie_resistance_ohm=3.5),
+        net = build_ladder(preset_tables("shield", tie_resistance_ohm=3.5),
                            n_segments=4)
         deck = export_netlist(net, EDGE, SIM)
         assert "Rtie_shield_0 shield_0 0 3.5" in deck
@@ -76,7 +77,7 @@ def _count_prefix(deck: str, prefix: str) -> int:
 
 class TestCouplingCards:
     def test_k_matches_value_ratio(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=12)
+        net = build_ladder(preset_tables("no-shield"), n_segments=12)
         deck = export_netlist(net, EDGE, SIM)
         k_cards = [ln for ln in deck.splitlines() if ln.startswith("K")]
         assert len(k_cards) == 12
@@ -87,7 +88,7 @@ class TestCouplingCards:
             assert float(k) == approx(8.21 / 83.24, rel=1e-9)
 
     def test_shield_preset_keeps_signal_signal_coupling(self):
-        deck = export_netlist(build_ladder(**preset_tables("shield")), EDGE, SIM)
+        deck = export_netlist(build_ladder(preset_tables("shield")), EDGE, SIM)
         assert _count_prefix(deck, "Kaggressor_victim_") == 12
         assert _count_prefix(deck, "Kaggressor_shield_") == 12
         assert _count_prefix(deck, "Kshield_victim_") == 12
@@ -133,7 +134,7 @@ class TestCouplingCards:
 
 class TestSourceCards:
     def net(self):
-        return build_ladder(**preset_tables("no-shield"), n_segments=1)
+        return build_ladder(preset_tables("no-shield"), n_segments=1)
 
     def test_quiet_source_is_dc_zero(self):
         deck = export_netlist(self.net(), EDGE, SIM)
@@ -190,19 +191,19 @@ class TestSourceCards:
 
 class TestStability:
     def test_byte_stable_across_calls(self):
-        net = build_ladder(**preset_tables("shield-3taps"))
+        net = build_ladder(preset_tables("shield-3taps"))
         a = export_netlist(net, EDGE, SIM)
         b = export_netlist(net, EDGE, SIM)
         assert a == b
 
     def test_byte_stable_across_rebuilds(self):
-        a = export_netlist(build_ladder(**preset_tables("shield")), EDGE, SIM)
-        b = export_netlist(build_ladder(**preset_tables("shield")),
+        a = export_netlist(build_ladder(preset_tables("shield")), EDGE, SIM)
+        b = export_netlist(build_ladder(preset_tables("shield")),
                            smooth_edge(2e-7), SimConfig(dt=5e-11, t_end=2.4e-6))
         assert a == b
 
     def test_waveform_labels_all_appear_in_deck(self):
-        net = build_ladder(**preset_tables("no-shield"), n_segments=2)
+        net = build_ladder(preset_tables("no-shield"), n_segments=2)
         waves = run_transient(net, resolve_stimulus({"kind": "ramp",
                                                      "rise_time_s": 20e-9}),
                               SimConfig(dt=1e-9, t_end=100e-9))

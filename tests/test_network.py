@@ -9,14 +9,15 @@ import pytest
 from _reference import capacitor_kind, make_network
 from xtalksim.engine import assemble
 from xtalksim.errors import ParameterError
-from xtalksim.network import (Capacitor, GroundTie, Inductor, LineSpec,
-                              Mutual, Resistor, STOCK_COUPLING_CAP_ADJACENT_F,
+from xtalksim.network import (Capacitor, GroundTie, Inductor, LadderSpec,
+                              LineSpec, Mutual, Resistor,
+                              STOCK_COUPLING_CAP_ADJACENT_F,
                               STOCK_COUPLING_CAP_SHIELDED_F,
                               STOCK_LINE_INDUCTANCE_H,
                               STOCK_MUTUAL_ADJACENT_H,
                               STOCK_MUTUAL_SHIELDED_H, TapSchedule,
                               TerminationSpec, VoltageSource, build_ladder,
-                              effective_terminations, preset_tables)
+                              preset_tables)
 
 approx = pytest.approx
 
@@ -34,7 +35,7 @@ def test_element_count_identities(name, n):
     if name == "shield-3taps" and n % 4:
         n = 4 * n                      # quarter-point taps need 4 | n
     total, signal, cm_pairs, m_pairs, ties = PRESET_SHAPE[name]
-    net = build_ladder(**preset_tables(name), n_segments=n)
+    net = build_ladder(preset_tables(name), n_segments=n)
 
     assert len(net.inductors) == total * n
     assert all(ind.r_series_ohm == approx(ind_line.r_total / n)
@@ -55,7 +56,7 @@ def test_element_count_identities(name, n):
 
 
 def test_segment_values_sum_to_totals():
-    net = build_ladder(**preset_tables("shield"), n_segments=12)
+    net = build_ladder(preset_tables("shield"), n_segments=12)
     cm_by_pair = {}
     for c in net.capacitors:
         if capacitor_kind(c) == "coupling":
@@ -85,7 +86,7 @@ def test_segment_values_sum_to_totals():
 
 
 def test_no_shield_cm_total_is_stock_adjacent():
-    net = build_ladder(**preset_tables("no-shield"), n_segments=12)
+    net = build_ladder(preset_tables("no-shield"), n_segments=12)
     cm = sum(c.farads for c in net.capacitors
              if capacitor_kind(c) == "coupling")
     assert cm == approx(STOCK_COUPLING_CAP_ADJACENT_F, rel=1e-12)
@@ -93,7 +94,7 @@ def test_no_shield_cm_total_is_stock_adjacent():
 
 def test_single_line_minimal_ladder():
     line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
-    net = build_ladder((line,), n_segments=1, scenario="one")
+    net = build_ladder(LadderSpec((line,), name="one"), n_segments=1)
     labels = set(net.nodes)
     assert labels == {"0", "sig_src", "sig_0", "sig_1"}
     assert len(net.resistors) == 1 and len(net.inductors) == 1
@@ -104,25 +105,24 @@ def test_single_line_minimal_ladder():
 
 
 def test_shield_removal_reproduces_no_shield_exactly():
-    # drop the shield line from the shielded tables and restore the
+    # drop the shield line from the shielded spec and restore the
     # direct coupling capacitance: element-for-element the no-shield net
-    tables = preset_tables("shield")
-    lines = tuple(ln for ln in tables["lines"] if ln.role != "shield")
+    lines = tuple(ln for ln in preset_tables("shield").lines
+                  if ln.role != "shield")
     couplings = {("aggressor", "victim"): {
         "m_total": STOCK_MUTUAL_ADJACENT_H,
         "cm_total": STOCK_COUPLING_CAP_ADJACENT_F,
     }}
-    rebuilt = build_ladder(lines, couplings, n_segments=12,
-                           scenario="no-shield")
-    assert rebuilt == build_ladder(**preset_tables("no-shield"), n_segments=12,
-                                   scenario="no-shield")
+    rebuilt = build_ladder(LadderSpec(lines, couplings, name="no-shield"),
+                           n_segments=12)
+    assert rebuilt == build_ladder(preset_tables("no-shield"), n_segments=12)
 
 
 def test_shield_preset_symmetric_under_role_swap():
     """Exchanging the aggressor and victim labels maps the shielded
     network onto itself (same elements at the same places), so the two
     signal lines are electrically interchangeable up to drive."""
-    net = build_ladder(**preset_tables("shield"), n_segments=6)
+    net = build_ladder(preset_tables("shield"), n_segments=6)
 
     def sw(label):
         if label.startswith("aggressor"):
@@ -155,17 +155,17 @@ def test_shield_preset_symmetric_under_role_swap():
 class TestTaps:
     def test_uniform_fractions(self):
         def fractions(tap_count):
-            return preset_tables("shield", tap_count)["taps"].fractions
+            return preset_tables("shield", tap_count).taps.fractions
 
         assert fractions(3) == approx((0.25, 0.5, 0.75))
         assert fractions(0) == ()
         assert fractions(1) == approx((0.5,))
-        assert preset_tables("shield-3taps")["taps"].fractions == fractions(3)
+        assert preset_tables("shield-3taps").taps.fractions == fractions(3)
         with pytest.raises(ParameterError, match="tap count must be >= 0"):
             preset_tables("shield", -1)
 
     def test_three_tap_tie_segments(self):
-        net = build_ladder(**preset_tables("shield-3taps"), n_segments=12)
+        net = build_ladder(preset_tables("shield-3taps"), n_segments=12)
         assert {t.name for t in net.ties} == {
             "Rtie_shield_0", "Rtie_shield_3", "Rtie_shield_6",
             "Rtie_shield_9", "Rtie_shield_12"}
@@ -174,11 +174,11 @@ class TestTaps:
     def test_off_grid_tap_rejected_with_suggestion(self):
         with pytest.raises(ParameterError,
                            match=r"multiple of 8 \(for example n_segments=16\)"):
-            build_ladder(**preset_tables("shield", 7), n_segments=12)
+            build_ladder(preset_tables("shield", 7), n_segments=12)
 
     def test_resistive_ties(self):
-        net = build_ladder(**preset_tables("shield-3taps",
-                                           tie_resistance_ohm=2.5),
+        net = build_ladder(preset_tables("shield-3taps",
+                                         tie_resistance_ohm=2.5),
                            n_segments=12)
         assert all(t.ohms == approx(2.5) for t in net.ties)
 
@@ -201,59 +201,97 @@ class TestTaps:
         with pytest.raises(ParameterError, match="shield"):
             preset_tables("no-shield", tie_resistance_ohm=5.0)
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
-        with pytest.raises(ParameterError, match="no shield line"):
-            build_ladder((line,), taps=TapSchedule((0.5,)), n_segments=4)
-        with pytest.raises(ParameterError, match="no shield line"):
-            build_ladder((line,), taps=TapSchedule((), 5.0), n_segments=4)
+        with pytest.raises(ParameterError,
+                           match="a tap schedule needs a line with role shield"):
+            LadderSpec((line,), taps=TapSchedule((0.5,)))
+        with pytest.raises(ParameterError,
+                           match="a tap schedule needs a line with role shield"):
+            LadderSpec((line,), taps=TapSchedule((), 5.0))
+
+    def test_two_taps_on_one_node_are_refused(self):
+        # both fractions round to segment 1 at n_segments=2; the two
+        # ties share a name, which the network's check refuses
+        spec = replace(preset_tables("shield"),
+                       taps=TapSchedule((0.5, 0.5 + 1e-12)))
+        with pytest.raises(ParameterError,
+                           match=r"duplicate element name\(s\) "
+                                 r"\['Rtie_shield_1'\]"):
+            build_ladder(spec, n_segments=2)
 
 
 class TestBuildErrors:
+    """A LadderSpec refuses a description on construction; build_ladder
+    checks only n_segments."""
+
     def line(self, name="a", role="aggressor"):
         return LineSpec(name, role, 500.0, 83.24e-6, 134.41e-12)
 
     def test_duplicate_names(self):
         with pytest.raises(ParameterError, match="unique"):
-            build_ladder((self.line(), self.line()))
+            LadderSpec((self.line(), self.line()))
 
     def test_unknown_coupling_pair(self):
-        with pytest.raises(ParameterError, match="does not name"):
-            build_ladder((self.line(),), {("a", "ghost"): {"m_total": 1e-6}})
+        with pytest.raises(ParameterError,
+                           match=r"coupling pair \('a', 'ghost'\) does not "
+                                 r"name two distinct known lines"):
+            LadderSpec((self.line(),), {("a", "ghost"): {"m_total": 1e-6}})
 
     def test_unknown_coupling_key(self):
         with pytest.raises(ParameterError, match="unknown keys"):
-            build_ladder((self.line(), self.line("b", "victim")),
-                         {("a", "b"): {"k_total": 1e-6}})
+            LadderSpec((self.line(), self.line("b", "victim")),
+                       {("a", "b"): {"k_total": 1e-6}})
 
     def test_unknown_termination(self):
         with pytest.raises(ParameterError, match="unknown line"):
-            build_ladder((self.line(),), terminations={"ghost": TerminationSpec()})
+            LadderSpec((self.line(),), terminations={"ghost": TerminationSpec()})
 
     def test_bad_segment_count(self):
         with pytest.raises(ParameterError, match="n_segments"):
-            build_ladder((self.line(),), n_segments=0)
+            build_ladder(LadderSpec((self.line(),)), n_segments=0)
 
     def test_empty(self):
         with pytest.raises(ParameterError, match="at least one line"):
-            build_ladder(())
+            LadderSpec(())
 
     @pytest.mark.parametrize("key", ["m_total", "cm_total"])
     def test_non_finite_coupling_is_refused(self, key):
         with pytest.raises(ParameterError, match=f"{key} must be finite"):
-            build_ladder((self.line(), self.line("b", "victim")),
-                         {("a", "b"): {key: math.nan}})
+            LadderSpec((self.line(), self.line("b", "victim")),
+                       {("a", "b"): {key: math.nan}})
 
     def test_negative_coupling_capacitance_is_refused(self):
         # a negative Cm makes C indefinite and the run diverges
         with pytest.raises(ParameterError, match="cm_total must be >= 0"):
-            build_ladder((self.line(), self.line("b", "victim")),
-                         {("a", "b"): {"cm_total": -69.5e-12}})
+            LadderSpec((self.line(), self.line("b", "victim")),
+                       {("a", "b"): {"cm_total": -69.5e-12}})
+
+    def test_pair_given_in_both_orders_is_refused(self):
+        # a dict keeps both keys; the later entry used to replace the
+        # earlier one in silence, leaving no mutual at all
+        with pytest.raises(ParameterError,
+                           match=r"coupling pair \('a', 'b'\) is given twice"):
+            LadderSpec((self.line(), self.line("b", "victim")),
+                       {("a", "b"): {"m_total": 6e-6},
+                        ("b", "a"): {"cm_total": 10e-12}})
+
+    def test_pairs_are_stored_sorted(self):
+        spec = LadderSpec((self.line("b", "victim"), self.line()),
+                          {("b", "a"): {"m_total": 6e-6}})
+        assert spec.couplings == {("a", "b"): {"m_total": 6e-6}}
+        assert replace(spec) == spec
 
     def test_overtight_coupling_fails_validation(self):
         with pytest.raises(ParameterError,
                            match=r"Ka_b_1: \|M\|/sqrt\(Li\*Lj\) "
                                  r"= 1\.2 is not < 1"):
-            build_ladder((self.line(), self.line("b", "victim")),
-                         {("a", "b"): {"m_total": 1.2 * 83.24e-6}})
+            build_ladder(LadderSpec((self.line(), self.line("b", "victim")),
+                                    {("a", "b"): {"m_total": 1.2 * 83.24e-6}}))
+
+    def test_line_name_must_be_a_string(self):
+        # the summary echo would sort it among string names and crash
+        with pytest.raises(ParameterError,
+                           match="line name must be a string, got 5"):
+            LineSpec(5, "victim", 1.0, 1.0, 1.0)
 
     def test_line_spec_validation(self):
         with pytest.raises(ParameterError, match="unknown role"):
@@ -387,7 +425,7 @@ class TestValidateNetwork:
     def test_zero_resistance_inductor_loop_names_the_closing_inductor(self):
         # a 0-ohm shield between two 0-ohm ties: the DC branch currents
         # are not set by anything, though every node reaches ground
-        net = build_ladder(**preset_tables("shield"), n_segments=4)
+        net = build_ladder(preset_tables("shield"), n_segments=4)
         shield = [replace(i, r_series_ohm=0.0) if i.name.startswith("Lshield")
                   else i for i in net.inductors]
         with pytest.raises(ParameterError,
@@ -426,6 +464,35 @@ class TestValidateNetwork:
                          resistors=[Resistor(resistor, 1, 0, 1.0)],
                          inductors=[Inductor("L1", 1, 2, 1.0, 2.0)])
 
+    @pytest.mark.parametrize("labels, resistor, match", [
+        (["in put"], "R1", r"^node label 'in put' is empty or holds "
+                           r"whitespace"),
+        ([""], "R1", r"^node label '' is empty"),
+        (["a\tb"], "R1", r"^node label 'a\\tb' is empty"),
+        (["in"], "R 1", r"^element name 'R 1' is empty"),
+        (["in"], "", r"^element name '' is empty"),
+    ], ids=["space", "empty-label", "tab", "element-space", "empty-element"])
+    def test_names_a_card_cannot_carry_are_refused(self, labels, resistor,
+                                                   match):
+        # a deck splits a card at whitespace: "Vagg one agg one_src 0"
+        with pytest.raises(ParameterError, match=match):
+            make_network(labels, resistors=[Resistor(resistor, 1, 0, 1.0)])
+
+    @pytest.mark.parametrize("elements, match", [
+        ({"ties": [GroundTie("Ttie", 1, 0.0)]}, "^Ttie: .* must be R here"),
+        ({"capacitors": [Capacitor("Xc", 1, 0, 1e-12)]}, "^Xc: .* be C here"),
+        ({"inductors": [Inductor("Ra", 1, 0, 1.0)]}, "^Ra: .* be L here"),
+        ({"sources": [VoltageSource("Iin", 1, True)]}, "^Iin: .* be V here"),
+    ], ids=["tie", "capacitor", "inductor", "source"])
+    def test_element_name_starts_with_its_card_letter(self, elements, match):
+        # a tie named T... would be read as a transmission line
+        base = {"resistors": [Resistor("R1", 1, 0, 1.0)]}
+        with pytest.raises(ParameterError, match=match):
+            make_network(["a"], **{**base, **elements})
+        # the letter is read case-insensitively, as a deck reads it
+        make_network(["a"], resistors=[Resistor("r1", 1, 0, 1.0)],
+                     ties=[GroundTie("rtie", 1, 0.0)])
+
     def test_ground_must_be_labeled_0(self):
         # the deck would leave a "gnd" node floating
         net = make_network(["in", "out"],
@@ -437,27 +504,27 @@ class TestValidateNetwork:
     def test_clean_presets_have_no_findings(self):
         for name in PRESET_SHAPE:
             for n in (4, 12, 48):
-                net = build_ladder(**preset_tables(name), n_segments=n)
+                net = build_ladder(preset_tables(name), n_segments=n)
                 assert replace(net) == net      # construction check passes
 
 
 class TestAccessors:
     def test_node_lookup_round_trip(self):
-        net = build_ladder(**preset_tables("shield"), n_segments=4)
+        net = build_ladder(preset_tables("shield"), n_segments=4)
         nid = net.node("victim_4")
         assert net.nodes[nid] == "victim_4"
         with pytest.raises(ParameterError, match="no node labeled"):
             net.node("victim_99")
 
     def test_line_by_role(self):
-        net = build_ladder(**preset_tables("shield"))
+        net = build_ladder(preset_tables("shield"))
         assert net.line_by_role("shield").name == "shield"
         with pytest.raises(ParameterError, match="exactly one"):
-            build_ladder(**preset_tables("no-shield")).line_by_role("shield")
+            build_ladder(preset_tables("no-shield")).line_by_role("shield")
 
     def test_inductance_matrix_is_spd_and_symmetric(self):
         # the inductor block of the assembled C holds -L
-        sys = assemble(build_ladder(**preset_tables("shield"), n_segments=2))
+        sys = assemble(build_ladder(preset_tables("shield"), n_segments=2))
         nv = sys.n_node_unknowns
         L = -sys.C[nv:, nv:]
         assert L.shape == (6, 6)
@@ -469,9 +536,9 @@ class TestAccessors:
 class TestTerminations:
     def test_custom_driver_and_load(self):
         line = LineSpec("sig", "aggressor", 500.0, 83.24e-6, 134.41e-12)
-        net = build_ladder((line,), terminations={
+        net = build_ladder(LadderSpec((line,), terminations={
             "sig": TerminationSpec(driver_resistance_ohm=50.0,
-                                   load_capacitance_f=0.0)},
+                                   load_capacitance_f=0.0)}),
             n_segments=2)
         assert net.resistors[0].ohms == approx(50.0)
         assert not [c for c in net.capacitors if capacitor_kind(c) == "load"]
@@ -497,23 +564,22 @@ class TestTerminations:
             TerminationSpec(driver_resistance_ohm=math.nan)
 
     def test_quiet_source_for_victim_by_default(self):
-        net = build_ladder(**preset_tables("no-shield"))
+        net = build_ladder(preset_tables("no-shield"))
         driven = {s.name: s.driven for s in net.sources}
         assert driven == {"Vaggressor": True, "Vvictim": False}
 
     def test_default_rule_covers_every_signal_line(self):
-        lines = preset_tables("shield")["lines"]
         custom = TerminationSpec(driver_resistance_ohm=50.0)
-        terms = effective_terminations(lines, {"victim": custom})
+        terms = replace(preset_tables("shield"),
+                        terminations={"victim": custom}).terminations
         assert terms == {"aggressor": TerminationSpec(source_ref="stimulus"),
                          "victim": custom}
-        terms = effective_terminations(lines)
+        terms = preset_tables("shield").terminations
         assert terms["victim"] == TerminationSpec(source_ref="quiet")
         assert "shield" not in terms
 
     def test_shield_termination_is_refused(self):
-        tables = preset_tables("shield")
         with pytest.raises(ParameterError,
                            match="'shield' is a shield; its ends are ground ties"):
-            build_ladder(tables["lines"], tables["couplings"], terminations={
+            replace(preset_tables("shield"), terminations={
                 "shield": TerminationSpec(driver_resistance_ohm=1.0)})
