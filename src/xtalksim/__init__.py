@@ -20,7 +20,7 @@ from .extraction import (BUILTIN_COEFFICIENTS, PAPER_LITERAL, TABLE_COMPAT,
                          line_capacitance, line_resistance,
                          mutual_inductance_bracket, self_inductance)
 from .metrics import (ScenarioResult, TraceMeasurement, measure_scenario,
-                      peak_noise, propagation_delay, rise_time)
+                      measure_trace)
 from .netlist import export_netlist
 from .network import (CoupledNetwork, LadderSpec, LineSpec, TapSchedule,
                       TerminationSpec, build_ladder, preset_tables)
@@ -35,10 +35,9 @@ __all__ = [
     "WaveformSet", "apply_set_overrides", "assemble", "build_ladder",
     "coupling_capacitance", "dc_operating_point", "export_netlist",
     "extract_all", "extraction_report", "line_capacitance",
-    "line_resistance", "load_config", "measure_scenario",
-    "mutual_inductance_bracket", "peak_noise", "preset_config",
-    "preset_tables", "propagation_delay", "resolve", "rise_time",
-    "run_scenario", "run_sweep", "run_transient", "self_inductance",
+    "line_resistance", "load_config", "measure_scenario", "measure_trace",
+    "mutual_inductance_bracket", "preset_config", "preset_tables",
+    "resolve", "run_scenario", "run_sweep", "run_transient", "self_inductance",
     "smooth_edge", "write_summary_json", "write_sweep_csv",
     "write_waveforms_csv", "__version__",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -166,6 +166,34 @@ def config_from_mapping(data: dict) -> ToolkitConfig:
     return ToolkitConfig(**{name: data.get(name) for name in CONFIG_BLOCKS})
 
 
+def _load_yaml(text: str):
+    """``yaml.safe_load`` that refuses a mapping which repeats a key, and
+    names the key: the later entry would replace the earlier one without
+    a word. yaml is imported on first use, which keeps the package
+    import quick."""
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue               # "<<" may override merged keys
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:          # unhashable: the base class says so
+                    continue
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found repeated key {key!r}",
+                        key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return yaml.load(text, Loader=UniqueKeyLoader)
+
+
 def load_config(path) -> ToolkitConfig:
     """Read and parse a YAML config file.
 
@@ -176,7 +204,7 @@ def load_config(path) -> ToolkitConfig:
 
     text = Path(path).read_text()
     try:
-        data = yaml.safe_load(text)
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -223,7 +251,7 @@ def parse_scalar(raw: str, where: str):
     import yaml
 
     try:
-        value = yaml.safe_load(raw)
+        value = _load_yaml(raw)
     except yaml.YAMLError as exc:
         raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
     if isinstance(value, str):
@@ -795,11 +823,8 @@ def run_scenario(config: ToolkitConfig
     """Resolve, simulate, measure. File writing is the caller's job."""
     resolved = resolve(config)
     waves = run_transient(resolved.network, resolved.stimulus, resolved.sim)
-    if resolved.roles:
-        measured = measure_scenario(waves, resolved.roles)
-        measurements = measured.measurements
-    else:
-        measurements = {}
+    measurements = (measure_scenario(waves, resolved.roles)
+                    if resolved.roles else {})
     result = ScenarioResult(scenario=resolved.network.scenario,
                             params=resolved.params,
                             measurements=measurements,
@@ -835,7 +860,7 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
 def write_summary_json(path, result: ScenarioResult,
                        timestamp: str | None = None) -> None:
     """Summary JSON; deterministic except for the timestamp field."""
-    data = result.to_dict()
+    data = asdict(result)
     data["timestamp"] = (timestamp if timestamp is not None
                          else datetime.now(timezone.utc).isoformat())
     with open(path, "w") as fh:

@@ -121,6 +121,13 @@ class SimConfig:
         if not (0.0 < self.dt < self.t_end and math.isfinite(self.t_end)):
             raise ParameterError(f"need 0 < dt < t_end, got dt={self.dt!r} "
                                  f"t_end={self.t_end!r}")
+        # the run takes whole steps while the deck's .tran and the summary
+        # report t_end, so a window of part steps would end off t_end
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps)
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ParameterError(f"t_end={self.t_end!r} is not a whole number "
+                                 f"of dt={self.dt!r} steps ({steps:.9g})")
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}; "
                                  f"choose one of {', '.join(METHODS)}")
@@ -294,8 +301,6 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     """
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
-    if steps < 1:
-        raise ParameterError("t_end shorter than one timestep")
 
     n, nv = len(sys.unknown_labels), sys.n_node_unknowns
     slot = dict(zip(network.nodes[1:], sys.slot[1:]))

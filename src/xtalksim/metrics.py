@@ -1,11 +1,12 @@
-"""Waveform measurements: peak crosstalk, 50% delay, 10-90% rise time.
+"""Waveform measurements: peak excursion, 50% delay, 10-90% rise time.
 
-Two trace kinds are measured. A "signal" trace (a driven line's output)
-references its settled final value: delay is the 50% crossing of the
-output minus the 50% crossing of the source, rise time runs between the
-10% and 90% crossings of the final value. A "noise" trace (a quiet
-victim) has no settled high level, so its thresholds reference the peak
-of the excursion from baseline instead.
+``measure_trace`` measures one trace in one pass. Two trace kinds are
+measured. A "signal" trace (a driven line's output) has excursion |v|
+and references its settled final value, negated when that is below 0.
+A "noise" trace (a quiet victim) has no settled high level: its
+excursion is |v - v[0]|, and its thresholds reference the peak of that
+excursion. Delay is the 50% crossing minus the source's 50% time; rise
+time runs between the 10% and 90% crossings.
 
 All crossings are linearly interpolated between samples and use
 first-crossing semantics.
@@ -37,10 +38,6 @@ class TraceMeasurement:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown trace kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "peak_v": self.peak_v, "t_peak": self.t_peak,
-                "delay": self.delay, "rise_time": self.rise_time}
-
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -51,15 +48,6 @@ class ScenarioResult:
     measurements: dict[str, TraceMeasurement] = field(default_factory=dict)
     waveform_files: tuple[str, ...] = ()
     version: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "measurements": {k: m.to_dict() for k, m in self.measurements.items()},
-            "waveform_files": list(self.waveform_files),
-            "version": self.version,
-        }
 
 
 def first_crossing(times: np.ndarray, values: np.ndarray,
@@ -85,113 +73,53 @@ def first_crossing(times: np.ndarray, values: np.ndarray,
     return float(times[i] + frac * (times[i + 1] - times[i]))
 
 
-def peak_noise(times: np.ndarray, trace: np.ndarray,
-               baseline: float = 0.0) -> tuple[float, float]:
-    """Largest excursion from baseline and the first time it occurs."""
+def measure_trace(times: np.ndarray, trace: np.ndarray, kind: str,
+                  t_source: float | None = 0.0) -> TraceMeasurement:
+    """Peak, delay and rise time of one trace of the given kind.
+
+    The first maximum of the excursion gives ``peak_v`` and ``t_peak``.
+    The 10%, 50% and 90% levels of the reference are upward crossings
+    of the oriented trace: the excursion for noise, for a signal the
+    trace itself, negated when it settles below 0. ``delay`` is the 50%
+    crossing minus ``t_source``. ``delay`` and ``rise_time`` are None
+    when a crossing is missing or the reference is 0 (a flat trace has
+    neither), and ``delay`` also when ``t_source`` is None.
+    """
     times = np.asarray(times, dtype=float)
     trace = np.asarray(trace, dtype=float)
     if len(trace) == 0 or len(times) != len(trace):
-        raise ParameterError("peak_noise needs matching non-empty times/trace")
-    dev = np.abs(trace - baseline)
-    i = int(np.argmax(dev))              # argmax returns the first maximum
-    return float(dev[i]), float(times[i])
-
-
-def _reference(trace: np.ndarray, kind: str, baseline: float) -> float:
-    """Level that thresholds are measured against: settled final value
-    for signals, peak excursion for noise pulses."""
-    if kind == "signal":
-        return float(trace[-1])
-    dev = np.abs(np.asarray(trace) - baseline)
-    return float(np.max(dev))
-
-
-def _oriented(trace: np.ndarray, kind: str, baseline: float) -> tuple[np.ndarray, float]:
-    """Trace rectified so thresholds are upward crossings of a positive
-    reference; returns (oriented trace, positive reference)."""
-    trace = np.asarray(trace, dtype=float)
-    ref = _reference(trace, kind, baseline)
+        raise ParameterError("measure_trace needs matching non-empty "
+                             "times/trace")
     if kind == "noise":
-        return np.abs(trace - baseline), ref
-    if ref < 0:
-        return -trace, -ref
-    return trace, ref
+        excursion = oriented = np.abs(trace - trace[0])
+    else:
+        excursion = np.abs(trace)
+        oriented = -trace if trace[-1] < 0 else trace
+    i = int(np.argmax(excursion))        # argmax returns the first maximum
+    ref = float(oriented[i if kind == "noise" else -1])
+    t10, t50, t90 = (first_crossing(times, oriented, f * ref) if ref else None
+                     for f in (0.1, 0.5, 0.9))
+    return TraceMeasurement(
+        kind=kind, peak_v=float(excursion[i]), t_peak=float(times[i]),
+        delay=None if t50 is None or t_source is None else t50 - t_source,
+        rise_time=None if t10 is None or t90 is None else t90 - t10)
 
 
-def propagation_delay(times: np.ndarray, source_trace: np.ndarray,
-                      output_trace: np.ndarray, threshold: float = 0.5,
-                      kind: str = "signal", baseline: float = 0.0
-                      ) -> float | None:
-    """Threshold crossing of the output minus that of the source.
-
-    The source is treated as a signal (threshold times its settled
-    final); the output threshold references its settled final for
-    signal kind or its peak excursion for noise kind. None when either
-    trace never crosses, or when the output reference is zero (a flat
-    trace has no delay).
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError("threshold must lie in (0, 1)")
-    if kind not in KINDS:
-        raise ParameterError(f"unknown trace kind {kind!r}")
-    src, src_ref = _oriented(source_trace, "signal", 0.0)
-    out, out_ref = _oriented(output_trace, kind, baseline)
-    if src_ref == 0.0 or out_ref == 0.0:
-        return None
-    t_src = first_crossing(times, src, threshold * src_ref)
-    t_out = first_crossing(times, out, threshold * out_ref)
-    if t_src is None or t_out is None:
-        return None
-    return t_out - t_src
-
-
-def rise_time(times: np.ndarray, trace: np.ndarray, lo: float = 0.10,
-              hi: float = 0.90, kind: str = "signal",
-              baseline: float = 0.0) -> float | None:
-    """Time between the first lo- and hi-fraction crossings."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ParameterError("need 0 <= lo < hi <= 1")
-    if kind not in KINDS:
-        raise ParameterError(f"unknown trace kind {kind!r}")
-    tr, ref = _oriented(trace, kind, baseline)
-    if ref == 0.0:
-        return None
-    t_lo = first_crossing(times, tr, lo * ref)
-    t_hi = first_crossing(times, tr, hi * ref)
-    if t_lo is None or t_hi is None:
-        return None
-    return t_hi - t_lo
-
-
-def measure_scenario(waves: WaveformSet, roles: dict[str, str]) -> ScenarioResult:
-    """Bundle the aggressor signal metrics and victim noise metrics.
+def measure_scenario(waves: WaveformSet, roles: dict[str, str]
+                     ) -> dict[str, TraceMeasurement]:
+    """The aggressor's signal and the victim's noise measurements, by role.
 
     ``roles`` maps "source", "aggressor", and "victim" to node labels
     (the stimulus entry node, the aggressor load node, and the victim
-    load node). The victim baseline is its own initial sample.
+    load node). Both delays count from the source's own 50% time.
     """
     for role in ("source", "aggressor", "victim"):
         if role not in roles:
             raise ParameterError(f"missing role {role!r} "
                                  f"(got {sorted(roles)})")
     t = waves.times
-    src = waves.trace(roles["source"])
-    agg = waves.trace(roles["aggressor"])
-    vic = waves.trace(roles["victim"])
-
-    agg_peak, agg_tpk = peak_noise(t, agg, baseline=0.0)
-    agg_m = TraceMeasurement(
-        kind="signal", peak_v=agg_peak, t_peak=agg_tpk,
-        delay=propagation_delay(t, src, agg, kind="signal"),
-        rise_time=rise_time(t, agg, kind="signal"))
-
-    vic_base = float(vic[0])
-    vic_peak, vic_tpk = peak_noise(t, vic, baseline=vic_base)
-    vic_m = TraceMeasurement(
-        kind="noise", peak_v=vic_peak, t_peak=vic_tpk,
-        delay=propagation_delay(t, src, vic, kind="noise", baseline=vic_base),
-        rise_time=rise_time(t, vic, kind="noise", baseline=vic_base))
-
-    return ScenarioResult(
-        scenario=str(waves.metadata.get("scenario", "")),
-        measurements={"aggressor": agg_m, "victim": vic_m})
+    t_src = measure_trace(t, waves.trace(roles["source"]), "signal").delay
+    return {"aggressor": measure_trace(t, waves.trace(roles["aggressor"]),
+                                       "signal", t_src),
+            "victim": measure_trace(t, waves.trace(roles["victim"]),
+                                    "noise", t_src)}

@@ -20,8 +20,10 @@ default termination, so ``build_ladder`` checks only ``n_segments``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -131,6 +133,9 @@ class LadderSpec:
     key order. ``terminations`` is stored with an entry for every
     non-shield line: the one given, else the stock driver and load,
     driven by the stimulus for an aggressor and quiet for any other line.
+    Both are stored read-only (``types.MappingProxyType``, each coupling
+    entry too), so what construction checked is what build_ladder reads;
+    ``dataclasses.replace`` makes a changed spec.
 
     Construction refuses, with a ParameterError, no lines, a line name
     used twice, a pair that does not name two distinct known lines or
@@ -140,8 +145,9 @@ class LadderSpec:
     """
 
     lines: tuple[LineSpec, ...]
-    couplings: dict[tuple[str, str], dict] = field(default_factory=dict)
-    terminations: dict[str, TerminationSpec] = field(default_factory=dict)
+    couplings: Mapping[tuple[str, str], Mapping[str, float]] = field(
+        default_factory=dict)
+    terminations: Mapping[str, TerminationSpec] = field(default_factory=dict)
     taps: TapSchedule | None = None
     name: str = ""
 
@@ -183,11 +189,12 @@ class LadderSpec:
         if self.taps is not None and "shield" not in roles.values():
             raise ParameterError("a tap schedule needs a line with role shield")
         object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "couplings", dict(sorted(couplings.items())))
-        object.__setattr__(self, "terminations", {
+        object.__setattr__(self, "couplings", MappingProxyType(
+            {k: MappingProxyType(v) for k, v in sorted(couplings.items())}))
+        object.__setattr__(self, "terminations", MappingProxyType({
             ln.name: self.terminations.get(ln.name) or TerminationSpec(
                 source_ref="stimulus" if ln.role == "aggressor" else "quiet")
-            for ln in lines if ln.role != "shield"})
+            for ln in lines if ln.role != "shield"}))
 
 
 @dataclass(frozen=True)

@@ -764,6 +764,38 @@ class TestCliExitCodes:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_same_pair_key_twice_exits_1(self, tmp_path, capsys):
+        # YAML kept the later value, 6.0, and the run went on in silence
+        rc = main(["run", "--preset", "shield", "--set",
+                   "overrides.m_total={aggressor:victim: 5.0, "
+                   "aggressor:victim: 6.0}", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: --set overrides.m_total: unparseable value " in err
+        assert "found repeated key 'aggressor:victim'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys):
+        # YAML kept the later dt and the deck said .tran 1e-10
+        cfg = tmp_path / "dup.yaml"
+        cfg.write_text("sim: {dt: 5e-11, t_end: 2.4e-6, dt: 1e-10}\n")
+        rc = main(["export-netlist", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert (f"error: config parse error in {cfg} at line 1, column 33: "
+                f"found repeated key 'dt'" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_window_not_whole_steps_exits_1(self, tmp_path, capsys):
+        # the run stopped at 9e-10 while the deck's .tran and the summary
+        # said 1e-9
+        rc = main(["run", "--preset", "shield", "--set", "sim.dt=3e-10",
+                   "--set", "sim.t_end=1e-9", "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("error: t_end=1e-09 is not a whole number of dt=3e-10 steps"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_coupling_naming_unknown_line_exits_1(self, tmp_path, capsys,
                                                   monkeypatch):
         # the scenario's LadderSpec refuses it, before any mapping reads it

@@ -488,6 +488,13 @@ class TestSimConfigAndWaveformSet:
         with pytest.raises(ParameterError, match="unknown method"):
             SimConfig(dt=0.1, t_end=1.0, method="rk4")
 
+    def test_window_is_whole_steps(self):
+        with pytest.raises(ParameterError, match=r"t_end=1e-09 is not a "
+                                                 r"whole number of dt=3e-10"):
+            SimConfig(dt=3e-10, t_end=1e-9)
+        # the stock window divides to 47999.99999999999, within 1e-9
+        assert SimConfig(dt=5e-11, t_end=2.4e-6).t_end == 2.4e-6
+
     def test_waveform_validation(self):
         t = np.arange(4) * 1.0
         with pytest.raises(ParameterError, match="length"):

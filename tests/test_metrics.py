@@ -1,20 +1,32 @@
 """Measurement-layer tests: synthetic traces with known answers first,
 then whole-scenario measurements on real runs."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtalksim.config import resolve_stimulus
+from xtalksim.config import resolve_stimulus, write_summary_json
 from xtalksim.engine import SimConfig, run_transient
 from xtalksim.errors import ParameterError
 from xtalksim.metrics import (ScenarioResult, TraceMeasurement,
-                              first_crossing, measure_scenario, peak_noise,
-                              propagation_delay, rise_time)
+                              first_crossing, measure_scenario, measure_trace)
 from xtalksim.network import LadderSpec, LineSpec, build_ladder
 
 approx = pytest.approx
+
+
+def delay(t, src, out, kind="signal"):
+    """Delay of ``out`` from the source's 50% time, as measure_scenario
+    takes it."""
+    return measure_trace(t, out, kind,
+                         measure_trace(t, src, "signal").delay).delay
+
+
+def rise_time(t, trace, kind="signal"):
+    return measure_trace(t, trace, kind).rise_time
 
 
 class TestFirstCrossing:
@@ -46,39 +58,42 @@ class TestPeakNoise:
     def test_triangle(self):
         t = np.arange(0.0, 61.0)
         v = np.where(t <= 30, t, 60 - t) * (0.59 / 30)
-        peak, t_pk = peak_noise(t, v)
-        assert peak == approx(0.59, rel=1e-12)
-        assert t_pk == approx(30.0)
+        m = measure_trace(t, v, "signal")
+        assert m.peak_v == approx(0.59, rel=1e-12)
+        assert m.t_peak == approx(30.0)
 
     def test_all_zero(self):
         t = np.arange(4.0)
-        assert peak_noise(t, np.zeros(4)) == (0.0, 0.0)
+        m = measure_trace(t, np.zeros(4), "signal")
+        assert (m.peak_v, m.t_peak) == (0.0, 0.0)
 
     def test_constant_offset_from_baseline(self):
-        t = np.arange(4.0) + 7.0
-        peak, t_pk = peak_noise(t, np.full(4, 3.0), baseline=1.0)
-        assert peak == approx(2.0)
-        assert t_pk == approx(7.0)           # first occurrence
+        t = np.arange(5.0) + 7.0
+        v = np.array([1.0, 3.0, 3.0, 3.0, 3.0])   # baseline is v[0]
+        m = measure_trace(t, v, "noise")
+        assert m.peak_v == approx(2.0)
+        assert m.t_peak == approx(8.0)       # first occurrence
 
     def test_negative_excursion_counts(self):
         t = np.arange(5.0)
         v = np.array([0.0, -0.3, 0.1, -0.2, 0.0])
-        assert peak_noise(t, v) == (approx(0.3), approx(1.0))
+        m = measure_trace(t, v, "signal")
+        assert (m.peak_v, m.t_peak) == (approx(0.3), approx(1.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError):
-            peak_noise(np.arange(3.0), np.zeros(2))
+            measure_trace(np.arange(3.0), np.zeros(2), "signal")
 
     @given(st.floats(min_value=0.1, max_value=100.0),
            st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_scale_and_shift_equivariance(self, scale, shift):
         t = np.arange(0.0, 21.0)
-        v = np.sin(t / 3.0)
-        p0, tp0 = peak_noise(t, v, baseline=0.0)
-        p1, tp1 = peak_noise(t, scale * v + shift, baseline=shift)
-        assert p1 == approx(scale * p0, rel=1e-9)
-        assert tp1 == approx(tp0)
+        v = np.sin(t / 3.0)       # v[0] = 0: the shifted trace starts at shift
+        m0 = measure_trace(t, v, "noise")
+        m1 = measure_trace(t, scale * v + shift, "noise")
+        assert m1.peak_v == approx(scale * m0.peak_v, rel=1e-9)
+        assert m1.t_peak == approx(m0.t_peak)
 
 
 class TestPropagationDelay:
@@ -87,19 +102,20 @@ class TestPropagationDelay:
         t = np.arange(80) * dt
         src = np.clip(t / 4.0, 0.0, 1.0)
         out = np.concatenate([np.zeros(5), src[:-5]])
-        assert propagation_delay(t, src, out) == approx(5 * dt, rel=1e-12)
+        assert delay(t, src, out) == approx(5 * dt, rel=1e-12)
 
     def test_flat_output_has_no_delay(self):
         t = np.arange(10.0)
         src = np.clip(t / 4.0, 0.0, 1.0)
-        assert propagation_delay(t, src, np.zeros(10)) is None
+        assert delay(t, src, np.zeros(10)) is None
+        assert delay(t, np.zeros(10), src) is None     # no source time
 
     def test_noise_kind_references_own_peak(self):
         t = np.arange(0.0, 61.0)
         src = np.clip(t / 10.0, 0.0, 1.0)
         bump = np.where(t <= 30, t, 60 - t) * (0.59 / 30)
-        d1 = propagation_delay(t, src, bump, kind="noise")
-        d2 = propagation_delay(t, src, 0.001 * bump, kind="noise")
+        d1 = delay(t, src, bump, kind="noise")
+        d2 = delay(t, src, 0.001 * bump, kind="noise")
         assert d1 is not None
         assert d2 == approx(d1, rel=1e-12)   # amplitude-independent
 
@@ -107,14 +123,12 @@ class TestPropagationDelay:
         t = np.arange(0.0, 11.0)
         src = np.clip(t / 4.0, 0.0, 1.0)
         out = -np.clip((t - 2.0) / 4.0, 0.0, 1.0)
-        assert propagation_delay(t, src, out) == approx(2.0, rel=1e-12)
+        assert delay(t, src, out) == approx(2.0, rel=1e-12)
 
-    def test_threshold_validation(self):
+    def test_kind_validation(self):
         t = np.arange(4.0)
-        with pytest.raises(ParameterError, match="threshold"):
-            propagation_delay(t, t, t, threshold=1.0)
         with pytest.raises(ParameterError, match="kind"):
-            propagation_delay(t, t, t, kind="carrier")
+            measure_trace(t, t, "carrier")
 
 
 class TestRiseTime:
@@ -148,28 +162,26 @@ class TestRiseTime:
         t = np.arange(4.0)
         assert rise_time(t, np.zeros(4)) is None
 
-    def test_bounds_validation(self):
-        t = np.arange(4.0)
-        with pytest.raises(ParameterError):
-            rise_time(t, t, lo=0.9, hi=0.1)
-
 
 class TestMeasurementTypes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="kind"):
             TraceMeasurement(kind="carrier")
 
-    def test_round_trip_dicts(self):
+    def test_summary_json_fields(self, tmp_path):
         m = TraceMeasurement(kind="noise", peak_v=0.1, t_peak=2.0,
                              delay=None, rise_time=3.0)
-        assert m.to_dict() == {"kind": "noise", "peak_v": 0.1, "t_peak": 2.0,
-                               "delay": None, "rise_time": 3.0}
-        r = ScenarioResult(scenario="s", measurements={"victim": m},
+        r = ScenarioResult(scenario="s", params={"n_segments": 12},
+                           measurements={"victim": m},
                            waveform_files=("w.csv",), version="1")
-        d = r.to_dict()
-        assert d["scenario"] == "s"
-        assert d["measurements"]["victim"]["rise_time"] == 3.0
-        assert d["waveform_files"] == ["w.csv"]
+        path = tmp_path / "s_summary.json"
+        write_summary_json(path, r, timestamp="T")
+        assert json.loads(path.read_text()) == {
+            "scenario": "s", "params": {"n_segments": 12},
+            "measurements": {"victim": {"kind": "noise", "peak_v": 0.1,
+                                        "t_peak": 2.0, "delay": None,
+                                        "rise_time": 3.0}},
+            "waveform_files": ["w.csv"], "version": "1", "timestamp": "T"}
 
 
 def uncoupled_run():
@@ -193,13 +205,14 @@ class TestMeasureScenario:
                                      "aggressor": "aggressor_3"})
 
     def test_decoupled_victim_yields_absent_metrics(self):
-        result = measure_scenario(uncoupled_run(), self.ROLES)
-        vic = result.measurements["victim"]
+        measured = measure_scenario(uncoupled_run(), self.ROLES)
+        assert list(measured) == ["aggressor", "victim"]
+        vic = measured["victim"]
         assert vic.kind == "noise"
         assert vic.peak_v <= 1e-12
         assert vic.delay is None
         assert vic.rise_time is None
-        agg = result.measurements["aggressor"]
+        agg = measured["aggressor"]
         # the fast edge rings the ladder, so the peak overshoots the rail
         assert 1.0 <= agg.peak_v < 2.0
         assert agg.delay is not None and agg.delay > 0

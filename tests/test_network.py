@@ -280,6 +280,22 @@ class TestBuildErrors:
         assert spec.couplings == {("a", "b"): {"m_total": 6e-6}}
         assert replace(spec) == spec
 
+    def test_spec_is_read_only(self):
+        # a coupling added after the construction check used to reach
+        # build_ladder and end in KeyError: ('zz', 1)
+        spec = preset_tables("no-shield")
+        with pytest.raises(TypeError):
+            spec.couplings[("aggressor", "zz")] = {"m_total": 1e-6}
+        with pytest.raises(TypeError):
+            spec.couplings[("aggressor", "victim")]["m_total"] = 1.0
+        with pytest.raises(TypeError):
+            spec.terminations["victim"] = TerminationSpec()
+        changed = replace(spec, couplings={("victim", "aggressor"):
+                                           {"m_total": 1e-6}})
+        assert changed.couplings == {("aggressor", "victim"):
+                                     {"m_total": 1e-6}}
+        assert len(build_ladder(changed, n_segments=4).mutuals) == 4
+
     def test_overtight_coupling_fails_validation(self):
         with pytest.raises(ParameterError,
                            match=r"Ka_b_1: \|M\|/sqrt\(Li\*Lj\) "
