@@ -25,6 +25,9 @@ missing geometry, overrides, stimulus or sim block is a copy of its
 ``DEFAULT_*``, a written block is read as written, and the keys of
 ``output`` take their defaults one by one. In every block a null value
 is a key not set.
+
+This module imports no numpy: ``run_scenario`` and
+``write_waveforms_csv`` load it when they run.
 """
 
 from __future__ import annotations
@@ -36,20 +39,42 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .engine import (STEP_EDGE_S, SimConfig, Stimulus, WaveformSet,
-                     run_transient, smooth_edge)
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
-from .metrics import ScenarioResult, measure_scenario
+from .inputs import STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
 from .network import (PRESET_NAMES, CoupledNetwork, LadderSpec, LineSpec,
                       TapSchedule, TerminationSpec, build_ladder,
                       preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
+
+# The numpy-backed names the run path calls by their name in this
+# module, where a tracer (perfbench --trace 1) may wrap them. They are
+# bound on first numeric use, by _bind_numeric or an attribute read
+# through __getattr__, so a command that only describes a circuit
+# imports no numpy.
+_NUMERIC = {"run_transient": "engine", "WaveformSet": "engine",
+            "measure_scenario": "metrics", "ScenarioResult": "metrics"}
+
+
+def _bind_numeric() -> None:
+    """Bind each name of _NUMERIC not bound yet; one already bound, by
+    this or by a caller's wrapper, is kept."""
+    from importlib import import_module
+
+    for name, module in _NUMERIC.items():
+        if name not in globals():
+            globals()[name] = getattr(
+                import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        _bind_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 CONFIG_BLOCKS = ("geometry", "overrides", "scenario", "stimulus", "sim", "output")
 # sweep axis -> the config key each row sets
@@ -762,6 +787,20 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
                              f"{_MAX_RUN_BYTES / 2**30:g} GiB limit")
 
 
+def _check_window(sim: SimConfig, stimulus: Stimulus) -> None:
+    """Refuse a window that ends before the drive's last change: the
+    delay_s-shifted time of the last breakpoint whose value differs from
+    the one before it. Delay and rise time read their levels from the
+    settled end of the run, which such a window never reaches."""
+    pts = stimulus.points
+    changes = [t for (_, v0), (t, v) in zip(pts, pts[1:]) if v != v0]
+    if changes and sim.t_end < changes[-1] + stimulus.delay_s:
+        raise ParameterError(
+            f"sim.t_end={sim.t_end:g} ends before the drive's last change "
+            f"at {changes[-1] + stimulus.delay_s:g} s; measurements need "
+            f"the settled drive, so end the window at or after it")
+
+
 @dataclass(frozen=True)
 class ResolvedScenario:
     """Everything a run needs, derived from one config."""
@@ -777,7 +816,8 @@ class ResolvedScenario:
 def _run_blocks(config: ToolkitConfig) -> tuple:
     """Every block but geometry and overrides, read by its reader:
     (scenario LadderSpec, sim, n_segments, output, stimulus).
-    The run size is checked before the stimulus is built."""
+    The run size is checked before the stimulus is built, and the
+    window against the built stimulus."""
     sim_block = config.sim
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
@@ -790,7 +830,9 @@ def _run_blocks(config: ToolkitConfig) -> tuple:
     output = resolve_output(config.output)
     _check_run_size(len(spec.lines), n_segments, sim, output["nodes"],
                     config.stimulus)
-    return spec, sim, n_segments, output, resolve_stimulus(config.stimulus)
+    stimulus = resolve_stimulus(config.stimulus)
+    _check_window(sim, stimulus)
+    return spec, sim, n_segments, output, stimulus
 
 
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
@@ -821,6 +863,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
 def run_scenario(config: ToolkitConfig
                  ) -> tuple[ScenarioResult, WaveformSet, ResolvedScenario]:
     """Resolve, simulate, measure. File writing is the caller's job."""
+    _bind_numeric()
     resolved = resolve(config)
     waves = run_transient(resolved.network, resolved.stimulus, resolved.sim)
     measurements = (measure_scenario(waves, resolved.roles)
@@ -846,6 +889,8 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
     ``%`` format per chunk of rows is about twice as fast, and the chunks
     keep the formatted text small.
     """
+    import numpy as np
+
     labels = list(waves.node_traces)
     data = np.column_stack([waves.times]
                            + [waves.node_traces[lbl] for lbl in labels])

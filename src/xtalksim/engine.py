@@ -25,6 +25,10 @@ q = (C/dt + theta G)^-1 b are built once per run by one solve.
 
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
+The run inputs ``Stimulus``, ``smooth_edge``, ``SimConfig``,
+``METHODS`` and ``STEP_EDGE_S`` are defined in ``xtalksim.inputs``,
+which imports no numpy, and are re-exported here. The package imports
+this module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
 this one name, which perfbench swaps for a counting proxy.
@@ -32,108 +36,17 @@ this one name, which perfbench swaps for a counting proxy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, SolverError
+# STEP_EDGE_S and smooth_edge are re-exported, not used here
+from .inputs import METHODS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
 from .network import GROUND, CoupledNetwork
 
 
 sla = np.linalg
-
-METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
-
-
-# Width of a step's edge. A PWL card needs an edge of nonzero width,
-# and 1 fs is far below any sample interval in use.
-STEP_EDGE_S = 1e-15
-
-
-@dataclass(frozen=True)
-class Stimulus:
-    """Drive waveform for the driven sources of a network.
-
-    Every drive is piecewise linear: the (time, value) ``points`` are
-    interpolated linearly, scaled by ``amplitude_v`` and shifted by
-    ``delay_s``, holding the first/last value outside the covered span.
-    A step is the edge ``((0, 0), (STEP_EDGE_S, 1))``, so the engine and
-    an exported deck read the same breakpoints.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    amplitude_v: float = 1.0
-    delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.amplitude_v):
-            raise ParameterError("stimulus amplitude must be finite")
-        if not math.isfinite(self.delay_s):
-            raise ParameterError(f"stimulus delay_s must be finite, "
-                                 f"got {self.delay_s!r}")
-        if not self.points or len(self.points) < 2:
-            raise ParameterError("pwl stimulus needs at least two points")
-        pts = tuple((float(t), float(v)) for t, v in self.points)
-        object.__setattr__(self, "points", pts)
-        if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
-            raise ParameterError("pwl point times must be strictly increasing")
-        if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
-            raise ParameterError("pwl points must be finite")
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        """Waveform sampled at the given times (vectorized)."""
-        tk, vk = np.array(self.points).T
-        return self.amplitude_v * np.interp(
-            np.asarray(times, dtype=float) - self.delay_s, tk, vk)
-
-
-def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
-                delay_s: float = 0.0, samples: int = 64) -> Stimulus:
-    """Smooth 0-to-amplitude edge as a piecewise-linear stimulus.
-
-    Samples the S-curve 3s^2 - 2s^3 over the rise. A plain ramp has
-    slope discontinuities at both corners which ring the artificial
-    cutoff resonance of a lumped ladder; that ringing does not converge
-    away with more segments, so small difference signals (shielded
-    victim noise) keep shifting as n grows. The smooth edge carries
-    negligible energy at those frequencies and makes peak readings
-    stable under segment-count refinement.
-    """
-    if not rise_time_s > 0:
-        raise ParameterError("smooth_edge needs a positive rise time")
-    if samples < 2:
-        raise ParameterError("smooth_edge needs at least 2 samples")
-    s = np.linspace(0.0, 1.0, samples + 1)
-    v = 3.0 * s ** 2 - 2.0 * s ** 3
-    pts = tuple((float(rise_time_s * si), float(vi)) for si, vi in zip(s, v))
-    return Stimulus(pts, amplitude_v, delay_s)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float
-    t_end: float
-    method: str = "trapezoidal"
-    output_nodes: str | tuple[str, ...] = "all"
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.dt < self.t_end and math.isfinite(self.t_end)):
-            raise ParameterError(f"need 0 < dt < t_end, got dt={self.dt!r} "
-                                 f"t_end={self.t_end!r}")
-        # the run takes whole steps while the deck's .tran and the summary
-        # report t_end, so a window of part steps would end off t_end
-        steps = self.t_end / self.dt
-        if not (math.isfinite(steps)
-                and abs(steps - round(steps)) <= 1e-9 * steps):
-            raise ParameterError(f"t_end={self.t_end!r} is not a whole number "
-                                 f"of dt={self.dt!r} steps ({steps:.9g})")
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}; "
-                                 f"choose one of {', '.join(METHODS)}")
-        if self.output_nodes != "all":
-            object.__setattr__(self, "output_nodes",
-                               tuple(str(x) for x in self.output_nodes))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .engine import SimConfig, Stimulus
+from .inputs import SimConfig, Stimulus
 from .network import CoupledNetwork, split_names
 
 TIE_OHMS_FLOOR = 1e-9

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-import numpy as np
-
 from .errors import ParameterError
 
 ROLES = ("aggressor", "victim", "shield")
@@ -386,12 +384,7 @@ class CoupledNetwork:
                     f"need the source-voltage derivative, which this "
                     f"formulation does not carry. Put a resistor between.")
 
-        try:
-            np.linalg.cholesky(_inductance_matrix(self.inductors, self.mutuals))
-        except np.linalg.LinAlgError:
-            raise ParameterError(
-                "branch inductance matrix is not positive definite; "
-                "mutuals: " + ", ".join(m.name for m in self.mutuals)) from None
+        _check_inductance(self.inductors, self.mutuals)
 
         # ground, 0-ohm-tied and source nodes hold known voltages, so a
         # zero-resistance inductor between two of them closes a loop
@@ -431,13 +424,22 @@ class CoupledNetwork:
         return matches[0]
 
 
-def _inductance_matrix(inductors: tuple[Inductor, ...],
-                       mutuals: tuple[Mutual, ...]) -> np.ndarray:
-    """Branch inductance matrix, summed the way assemble stamps it.
-    Refuses, by name, a mutual on one branch, a second mutual on a
-    branch pair and a pair whose |k| is not < 1."""
+def _check_inductance(inductors: tuple[Inductor, ...],
+                      mutuals: tuple[Mutual, ...]) -> None:
+    """Refuse, by name, a mutual on one branch, a second mutual on a
+    branch pair, a pair whose |k| is not < 1, and a branch inductance
+    matrix, summed the way assemble stamps it, that is not positive
+    definite.
+
+    Two branches that no chain of mutuals joins share no entry, so the
+    matrix is positive definite when the block of each group of joined
+    branches is, and each block is factored on its own, in plain Python.
+    A preset block is at most 3 x 3; a block of b branches costs about
+    b^3 / 6 multiply-adds, some 4 ms at 48 branches and 55 ms at 144.
+    """
     l_h = [ind.l_h for ind in inductors]
     coupled: dict[frozenset, str] = {}
+    group = list(range(len(l_h)))
     for m in mutuals:
         i, j = m.branch_i, m.branch_j
         pair = frozenset((i, j))
@@ -454,13 +456,40 @@ def _inductance_matrix(inductors: tuple[Inductor, ...],
             raise ParameterError(
                 f"{m.name}: |M|/sqrt(Li*Lj) = {k:.4g} is not < 1, the "
                 f"inductance matrix is not positive definite")
-    L = np.zeros((len(l_h), len(l_h)))
-    for b, l in enumerate(l_h):
-        L[b, b] = l
+        group[_root(group, i)] = _root(group, j)
+    blocks: dict[int, list[Mutual]] = {}
     for m in mutuals:
-        L[m.branch_i, m.branch_j] += m.m_h
-        L[m.branch_j, m.branch_i] += m.m_h
-    return L
+        blocks.setdefault(_root(group, m.branch_i), []).append(m)
+    for block_ms in blocks.values():
+        at = {b: k for k, b in enumerate(sorted(
+            {b for m in block_ms for b in (m.branch_i, m.branch_j)}))}
+        block = [[0.0] * len(at) for _ in at]
+        for b, k in at.items():
+            block[k][k] = l_h[b]
+        for m in block_ms:
+            i, j = at[m.branch_i], at[m.branch_j]
+            block[i][j] = block[j][i] = m.m_h
+        if not _positive_definite(block):
+            raise ParameterError(
+                "branch inductance matrix is not positive definite; "
+                "mutuals: " + ", ".join(m.name for m in mutuals))
+
+
+def _positive_definite(a: list[list[float]]) -> bool:
+    """Whether the symmetric matrix ``a`` has a Cholesky factor: every
+    pivot of the row-by-row factorization is > 0."""
+    factor: list[list[float]] = []
+    for i, row in enumerate(a):
+        li: list[float] = []
+        for j, lj in enumerate(factor):
+            # li holds j entries here, so zip pairs the first j of each
+            li.append((row[j] - sum(x * y for x, y in zip(li, lj))) / lj[j])
+        pivot = row[i] - sum(x * x for x in li)
+        if not pivot > 0.0:
+            return False
+        li.append(math.sqrt(pivot))
+        factor.append(li)
+    return True
 
 
 def _root(parent: list[int], i: int) -> int:

@@ -250,6 +250,23 @@ class TestResolve:
             resolve(apply_set_overrides(preset_config("no-shield"),
                                         ["output.nodes=some"]))
 
+    def test_window_must_reach_the_drive_last_change(self):
+        # the drive's last change is its last breakpoint of a new value,
+        # shifted by delay_s: a flat tail may be cut, the edge may not
+        def window(t_end, delay_s=0.0):
+            return config_from_mapping({
+                "scenario": {"preset": "no-shield"},
+                "stimulus": {"kind": "pwl", "delay_s": delay_s,
+                             "points": [[0, 0], [1e-7, 1], [3e-7, 1]]},
+                "sim": {"dt": 1e-9, "t_end": t_end}})
+
+        assert resolve(window(1e-7)).sim.t_end == 1e-7
+        with pytest.raises(ParameterError, match=r"^sim\.t_end=2e-07 ends "
+                           r"before the drive's last change at 2\.5e-07 s"):
+            resolve(window(2e-7, delay_s=1.5e-7))
+        with pytest.raises(ParameterError, match=r"^sim\.t_end=9\.9e-08 "):
+            resolve(window(9.9e-8))
+
     def test_sim_block_needs_dt_and_t_end(self):
         cfg = config_from_mapping({"scenario": {"preset": "shield"},
                                    "sim": {"dt": 1e-9}})
@@ -563,6 +580,22 @@ class TestRunSweep:
                          "shield_width_scale", [1.0, 2.0])
         assert all("needs a shielded preset" in r["error"] for r in rows)
 
+    def test_layout_without_a_victim_is_not_measured(self):
+        # no aggressor/victim pair: a run keeps its waveforms and measures
+        # nothing, and each sweep row says why it holds no metrics
+        cfg = config_from_mapping({
+            "scenario": dict(EXPLICIT_PAIR, couplings=[],
+                             lines=EXPLICIT_PAIR["lines"][:1]),
+            "sim": {"dt": 1e-9, "t_end": 4e-7}})
+        assert resolve(cfg).roles == {}
+        result, waves, _ = run_scenario(cfg)
+        assert result.measurements == {}
+        assert "a_src" in waves.node_traces
+        rows = run_sweep(cfg, "n_segments", [2, 4])
+        assert [r["error"] for r in rows] == [
+            "sweep needs one aggressor and one victim line to measure"] * 2
+        assert all(r["victim_peak_v"] is None for r in rows)
+
     def test_sweep_validation(self):
         cfg = short_preset("shield")
         with pytest.raises(ParameterError, match="at least two"):
@@ -795,6 +828,19 @@ class TestCliExitCodes:
         assert ("error: t_end=1e-09 is not a whole number of dt=3e-10 steps"
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "export-netlist"])
+    def test_window_ending_before_the_drive_exits_1(self, tmp_path, capsys,
+                                                    command):
+        # the run exited 0 with a 31.0 ns delay and a 10.9 ns rise, read
+        # against the 200 ns smooth edge cut off half done
+        out = tmp_path / "o"
+        rc = main([command, "--preset", "no-shield", "--set",
+                   "sim.t_end=1e-7", "--out", str(out)])
+        assert rc == 1
+        assert ("error: sim.t_end=1e-07 ends before the drive's last change "
+                "at 2e-07 s" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_coupling_naming_unknown_line_exits_1(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -211,6 +211,18 @@ class TestAgainstExactSolution:
         assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
                                       waves) < 1e-3
 
+    def test_resistive_ground_ties(self):
+        # a tie of more than 0 ohms is a conductance to ground in G, not
+        # a node merged with ground
+        net = build_ladder(preset_tables("shield-3taps",
+                                         tie_resistance_ohm=5.0),
+                           n_segments=4)
+        assert {t.ohms for t in net.ties} == {5.0}
+        assert "shield_0" in assemble(net).unknown_labels
+        waves = run_transient(net, oracle_stim(), oracle_sim())
+        assert engine_vs_oracle_error(net, oracle_stim(), oracle_sim(),
+                                      waves) < 1e-3
+
     def test_rc_against_oracle_both_methods(self):
         # for a linear-per-step input the oracle is exact, so what is
         # left is pure truncation error. The ramp starts one sample in,
@@ -479,6 +491,15 @@ class TestStimulus:
             smooth_edge(0.0)
         with pytest.raises(ParameterError):
             smooth_edge(1e-9, samples=1)
+
+    def test_smooth_edge_equals_the_numpy_curve_at_64_samples(self):
+        # the curve is built from Python floats; at the default 64
+        # samples every point is the numpy construction's, bit for bit
+        for rise in (1.5e-7, 2e-7, 2.5e-7, 3.3e-9):
+            s = np.linspace(0.0, 1.0, 65)
+            v = 3.0 * s ** 2 - 2.0 * s ** 3
+            assert smooth_edge(rise, samples=64).points == tuple(
+                (float(rise * si), float(vi)) for si, vi in zip(s, v))
 
 
 class TestSimConfigAndWaveformSet:

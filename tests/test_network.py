@@ -1,16 +1,19 @@
 """Structural tests for ladder construction and validation."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from _reference import capacitor_kind, make_network
 from xtalksim.engine import assemble
 from xtalksim.errors import ParameterError
 from xtalksim.network import (Capacitor, GroundTie, Inductor, LadderSpec,
-                              LineSpec, Mutual, Resistor,
+                              LineSpec, Mutual, Resistor, _check_inductance,
                               STOCK_COUPLING_CAP_ADJACENT_F,
                               STOCK_COUPLING_CAP_SHIELDED_F,
                               STOCK_LINE_INDUCTANCE_H,
@@ -346,6 +349,60 @@ class TestValidateNetwork:
                 mutuals=[Mutual("K12", 0, 1, 0.9), Mutual("K23", 1, 2, 0.9)],
                 resistors=[Resistor("Rg", 1, 0, 1.0),
                            Resistor("Rh", 4, 0, 1.0)])
+
+    @staticmethod
+    def numpy_accepts(l_h, mutuals) -> bool:
+        """Whether numpy's Cholesky factors the dense inductance matrix."""
+        L = np.diag(l_h)
+        for m in mutuals:
+            L[m.branch_i, m.branch_j] = L[m.branch_j, m.branch_i] = m.m_h
+        try:
+            np.linalg.cholesky(L)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @staticmethod
+    def python_accepts(l_h, mutuals) -> bool:
+        inductors = tuple(Inductor(f"L{b}", 0, 0, l) for b, l in enumerate(l_h))
+        try:
+            _check_inductance(inductors, tuple(mutuals))
+        except ParameterError as exc:
+            assert str(exc).startswith("branch inductance matrix is not "
+                                       "positive definite; mutuals: ")
+            return False
+        return True
+
+    @given(st.lists(st.floats(1e-9, 1e-3), min_size=1, max_size=4),
+           st.lists(st.floats(-0.99, 0.99), min_size=6, max_size=6),
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    @example([1.0, 1.0, 1.0], [0.9, -0.9, 0.9, 0, 0, 0],
+             [True, True, True, False, False, False])
+    @settings(max_examples=300, deadline=None)
+    def test_cholesky_agrees_with_numpy(self, l_h, ks, coupled):
+        # every pairwise |k| < 1 passes the pair screen, so the block
+        # factorization alone decides; k = 0.9, -0.9, 0.9 is indefinite
+        pairs = [(i, j, k) for (i, j), k, on in zip(
+            itertools.combinations(range(len(l_h)), 2), ks, coupled) if on]
+        mutuals = [Mutual(f"K{i}_{j}", i, j, k * np.sqrt(l_h[i] * l_h[j]))
+                   for i, j, k in pairs]
+        # keep off the rounding boundary, where either factorization
+        # may round a zero pivot to either side
+        unit = np.eye(len(l_h))
+        for i, j, k in pairs:
+            unit[i, j] = unit[j, i] = k
+        assume(abs(np.linalg.eigvalsh(unit)).min() > 1e-9)
+        assert (self.python_accepts(l_h, mutuals)
+                == self.numpy_accepts(l_h, mutuals))
+
+    @pytest.mark.parametrize("k, accepted", [(0.4, True), (0.6, False)])
+    def test_cholesky_of_a_48_branch_chain(self, k, accepted):
+        # one block of 48 branches; the smallest eigenvalue of L / 1 uH
+        # is 1 - 2k cos(pi / 49): 0.2 at k = 0.4 and -0.2 at k = 0.6
+        l_h = [1e-6] * 48
+        chain = [Mutual(f"K{b}", b, b + 1, k * 1e-6) for b in range(47)]
+        assert self.python_accepts(l_h, chain) is accepted
+        assert self.numpy_accepts(l_h, chain) is accepted
 
     def test_floating_node_finding(self):
         with pytest.raises(ParameterError,
