@@ -12,8 +12,9 @@ document) or ``--preset <name>`` (bundled defaults), plus any number of
 ``--set block.key=value`` overrides applied on top.
 
 Exit codes: 0 success, 1 config/parameter error (a network the
-construction check refuses among them), 2 SolverError (a numerical
-failure of the solve), 3 file I/O error.
+construction check refuses among them) or a ``run`` or ``sweep``
+without numpy installed, 2 SolverError (a numerical failure of the
+solve), 3 file I/O error.
 """
 
 from __future__ import annotations
@@ -219,6 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ModuleNotFoundError as exc:
+        # run and sweep import numpy after resolve has read the config
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

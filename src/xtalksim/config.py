@@ -43,7 +43,7 @@ from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
-from .inputs import STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
+from .inputs import BLOCK_STEPS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
 from .network import (PRESET_NAMES, CoupledNetwork, LadderSpec, LineSpec,
                       TapSchedule, TerminationSpec, build_ladder,
                       preset_tables)
@@ -106,7 +106,8 @@ DEFAULT_SIM = {
 }
 DEFAULT_OUTPUT = {"directory": "out", "formats": ["csv", "json"], "nodes": "ends"}
 # Largest run resolve accepts, in the bytes _check_run_size estimates;
-# each preset at n_segments = 48 with output.nodes=all estimates 0.11 GiB.
+# at n_segments = 48 with output.nodes=all, shield and shield-3taps
+# estimate 0.149 GiB and no-shield 0.091 GiB.
 _MAX_RUN_BYTES = 4 * 2**30
 _DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
                    "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
@@ -760,14 +761,18 @@ def _measurement_roles(network: CoupledNetwork) -> dict[str, str]:
 
 
 def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
-                    nodes, stimulus: dict) -> None:
+                    nodes, stimulus: dict) -> float:
     """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
     the network or the stimulus is built, naming the field that weighs
-    most. The estimate counts eight dense n x n arrays (G, C, P and the
-    arrays of its solve) over at most 2 n_segments + 2 unknowns per
-    line, the stored traces with the time axis and drive, and 256 bytes
-    per stimulus breakpoint (a pair of Python floats, held twice while
-    the Stimulus is built, and its array copies)."""
+    most; return the estimate in bytes. It counts, over at most
+    2 n_segments + 2 unknowns per line, eleven dense n x n arrays (G,
+    C, P, the arrays of its solve, and P^m with its power temporaries);
+    the stored traces with the time axis and drive; the engine's lifted
+    operator, (n + m) m doubles per trace for blocks of
+    m = min(BLOCK_STEPS, steps // n), which m <= steps // n keeps near
+    the traces' own size; and 256 bytes per stimulus breakpoint (a pair
+    of Python floats, held twice while the Stimulus is built, and its
+    array copies)."""
     unknowns = n_lines * (2 * max(n_segments, 1) + 2)
     if nodes == "ends":
         traces = 2 * n_lines
@@ -776,8 +781,11 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     else:
         traces = unknowns
     samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
-    need = {"sim.n_segments": 64.0 * unknowns ** 2,
-            "sim.dt": 8.0 * (sim.t_end / sim.dt + 1) * (traces + 3),
+    steps = sim.t_end / sim.dt
+    m = min(BLOCK_STEPS, steps // unknowns)
+    need = {"sim.n_segments": 88.0 * unknowns ** 2,
+            "sim.dt": 8.0 * ((steps + 1) * (traces + 3)
+                             + (unknowns + m) * m * traces),
             "stimulus.samples": 256.0 * (samples + 1)}
     total = sum(need.values())
     if total > _MAX_RUN_BYTES:
@@ -785,6 +793,7 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
         raise ParameterError(f"{field}: the run would hold about "
                              f"{total / 2**30:.3g} GiB, over the "
                              f"{_MAX_RUN_BYTES / 2**30:g} GiB limit")
+    return total
 
 
 def _check_window(sim: SimConfig, stimulus: Stimulus) -> None:
@@ -863,8 +872,8 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
 def run_scenario(config: ToolkitConfig
                  ) -> tuple[ScenarioResult, WaveformSet, ResolvedScenario]:
     """Resolve, simulate, measure. File writing is the caller's job."""
-    _bind_numeric()
     resolved = resolve(config)
+    _bind_numeric()
     waves = run_transient(resolved.network, resolved.stimulus, resolved.sim)
     measurements = (measure_scenario(waves, resolved.roles)
                     if resolved.roles else {})
@@ -886,19 +895,20 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
     """CSV with header ``time,<node>,...``, 9 significant digits.
 
     The bytes equal ``np.savetxt(fmt="%.9g", delimiter=",")``'s; one
-    ``%`` format per chunk of rows is about twice as fast, and the chunks
-    keep the formatted text small.
+    ``%`` format per chunk of rows is about twice as fast. Each chunk is
+    stacked from slices of the traces, so neither the formatted text nor
+    a copy of the traces is ever whole.
     """
     import numpy as np
 
     labels = list(waves.node_traces)
-    data = np.column_stack([waves.times]
-                           + [waves.node_traces[lbl] for lbl in labels])
-    row_fmt = ",".join(["%.9g"] * data.shape[1]) + "\n"
+    columns = [waves.times] + [waves.node_traces[lbl] for lbl in labels]
+    row_fmt = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(["time"] + labels) + "\n")
-        for start in range(0, len(data), _CSV_CHUNK_ROWS):
-            blk = data[start:start + _CSV_CHUNK_ROWS]
+        for start in range(0, len(waves.times), _CSV_CHUNK_ROWS):
+            blk = np.column_stack([c[start:start + _CSV_CHUNK_ROWS]
+                                   for c in columns])
             fh.write((row_fmt * len(blk)) % tuple(blk.ravel().tolist()))
 
 

@@ -23,6 +23,21 @@ x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
 q = (C/dt + theta G)^-1 b are built once per run by one solve.
 
+After the first step the recurrence is lifted (Bamieh, Pearson, Francis
+& Tannenbaum 1991; the block filters of Burrus 1972): the steps are
+grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
+w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks.
+Phase 1 steps the block starts, s_{j+1} = P^m s_j + Q_m w_j with
+Q_m = [P^(m-1) q, ..., P q, q]. Phase 2 fills the kept traces of a
+whole chunk with one product [X_s, W] L written straight into the trace
+array: X_s stacks the chunk's block starts, and the lifted operator L
+stacks O_m, the kept rows of P, ..., P^m, over T_m, the block Toeplitz
+matrix of the Markov parameters (P^i q)[keep]. That is the same
+recurrence with its products regrouped. The first step, a tail shorter
+than m, a run with m < 2 and a chunk whose samples or end state are not
+finite take the plain recurrence, one step at a time, which names the
+first non-finite sample.
+
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
 The run inputs ``Stimulus``, ``smooth_edge``, ``SimConfig``,
@@ -36,17 +51,23 @@ this one name, which perfbench swaps for a counting proxy.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, SolverError
 # STEP_EDGE_S and smooth_edge are re-exported, not used here
-from .inputs import METHODS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
+from .inputs import (BLOCK_STEPS, METHODS, STEP_EDGE_S, SimConfig, Stimulus,
+                     smooth_edge)
 from .network import GROUND, CoupledNetwork
 
 
 sla = np.linalg
+
+# Lifted blocks per phase-2 product: the block starts of one chunk are
+# all the run holds of X_s.
+_CHUNK_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -179,10 +200,9 @@ def dc_operating_point(network: CoupledNetwork,
 
 def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
                  sim: SimConfig) -> str:
-    import hashlib
     blob = "|".join((repr(network), repr(stimulus),
                      repr((sim.dt, sim.t_end, sim.method))))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return f"{zlib.crc32(blob.encode()):08x}"
 
 
 def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
@@ -201,6 +221,70 @@ def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
     return np.ascontiguousarray(Pq[:, :-1]), Pq[:, -1]
 
 
+def _step(P: np.ndarray, q: np.ndarray, x: np.ndarray, w: np.ndarray,
+          rows: np.ndarray, keep: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The plain recurrence x <- P x + q w_k over w, writing the kept
+    unknowns of each new state to rows[k]; the first state that is not
+    finite raises a SolverError naming its time, times[k]. Returns the
+    last state."""
+    for k, wk in enumerate(w):
+        x = P @ x + q * wk
+        if not np.isfinite(x).all():
+            raise SolverError(f"divergence: non-finite sample at "
+                              f"t={times[k]:.6g} s")
+        rows[k] = x[keep]
+    return x
+
+
+def _lifted_operators(P: np.ndarray, q: np.ndarray, m: int, keep: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P^m, Q_m and the lifted operator L of m-step blocks.
+
+    L is (n + m) x (m kept): its first n rows are O_m, whose column
+    block i holds P^(i+1)[keep]^T, and its last m rows are T_m, whose
+    row l carries (P^(i-l) q)[keep] in column block i >= l. A block
+    start s and drive row w give the block's kept samples [s, w] L.
+    """
+    n, kept = len(q), len(keep)
+    L = np.zeros((n + m, m, kept))
+    Q = np.empty((n, m))
+    rows = np.eye(n)[keep]                  # P^i[keep], from i = 0
+    v = q                                   # P^i q
+    for i in range(m):
+        Q[:, m - 1 - i] = v
+        L[n + np.arange(m - i), np.arange(i, m)] = v[keep]
+        rows = rows @ P
+        L[:n, i] = rows.T
+        v = P @ v
+    return np.linalg.matrix_power(P, m), Q, L.reshape(n + m, m * kept)
+
+
+def _step_blocks(P: np.ndarray, q: np.ndarray, m: int, x: np.ndarray,
+                 w: np.ndarray, out: np.ndarray, keep: np.ndarray,
+                 times: np.ndarray) -> tuple[int, np.ndarray]:
+    """Steps 1 up to the last whole block of m, lifted (see the module
+    docstring); out[k + 1] receives the kept unknowns of step k.
+    Returns the next step and its start state."""
+    n = len(x)
+    nb = (len(w) - 1) // m
+    Pm, Q, L = _lifted_operators(P, q, m, keep)
+    Z = np.empty((_CHUNK_BLOCKS, n + m))    # [X_s, W] of one chunk
+    for j0 in range(0, nb, _CHUNK_BLOCKS):
+        cb = min(_CHUNK_BLOCKS, nb - j0)
+        k0, k1 = 1 + j0 * m, 1 + (j0 + cb) * m
+        z, start = Z[:cb], x
+        z[:, n:] = w[k0:k1].reshape(cb, m)
+        qw = z[:, n:] @ Q.T
+        for j in range(cb):
+            z[j, :n] = x
+            x = Pm @ x + qw[j]
+        rows = out[k0 + 1:k1 + 1]
+        np.matmul(z, L, out=rows.reshape(cb, -1))
+        if not (np.isfinite(x).all() and np.isfinite(rows).all()):
+            x = _step(P, q, start, w[k0:k1], rows, keep, times[k0 + 1:k1 + 1])
+    return 1 + nb * m, x
+
+
 def run_transient(network: CoupledNetwork, stimulus: Stimulus,
                   sim: SimConfig) -> WaveformSet:
     """Integrate the network response to the stimulus.
@@ -210,7 +294,9 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     step is always backward Euler; subsequent steps use the configured
     method. Deterministic for fixed inputs. Only the unknowns behind the
     requested traces are stored, and the branch currents only with
-    ``output_nodes="all"``.
+    ``output_nodes="all"``. Every array of the result is read-only: the
+    traces are views of the stored unknowns, of the drive and of one
+    zeros array that every quiet source and ground-tied node shares.
     """
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
@@ -233,30 +319,32 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     x = _dc_solve(sys, b * drive[0])
 
     theta = METHODS[sim.method]
+    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
+    w[0] = drive[1]
+    out = np.empty((steps + 1, len(keep)))
+    out[0] = x[keep]
+    m = min(BLOCK_STEPS, steps // max(n, 1))
     # an overflow is reported by the non-finite checks, which name it
     with np.errstate(all="ignore"):
-        first = _step_matrices(sys, b, sim.dt, 1.0)
-        rest = first if theta == 1.0 else _step_matrices(sys, b, sim.dt, theta)
-        w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
-        w[0] = drive[1]
-
-        out = np.empty((steps + 1, len(keep)))
-        out[0] = x[keep]
-        for k in range(steps):
-            P, q = first if k == 0 else rest
-            x = P @ x + q * w[k]
-            if not np.isfinite(x).all():
-                raise SolverError(f"divergence: non-finite sample at "
-                                  f"t={times[k + 1]:.6g} s")
-            out[k + 1] = x[keep]
+        P, q = _step_matrices(sys, b, sim.dt, 1.0)
+        x = _step(P, q, x, w[:1], out[1:2], keep, times[1:2])
+        if theta != 1.0:
+            P, q = _step_matrices(sys, b, sim.dt, theta)
+        k = 1
+        if m >= 2:
+            k, x = _step_blocks(P, q, m, x, w, out, keep, times)
+        _step(P, q, x, w[k:], out[k + 1:], keep, times[k + 1:])
 
     # out's columns: the kept node unknowns in label order, then branches;
-    # a node whose slot is past the unknowns reads its source or ground
-    columns = iter(out.T)
+    # a node whose slot is past the unknowns reads its source or ground.
+    # The traces are views of read-only arrays, so none is copied.
     zeros = np.zeros(steps + 1)
+    for arr in (times, drive, zeros, out):
+        arr.flags.writeable = False
+    columns = iter(out.T)
     known = [drive if d else zeros for d in sys.source_driven] + [zeros]
     node_traces = {lbl: next(columns) if slot[lbl] < n
-                   else known[slot[lbl] - n].copy() for lbl in labels}
+                   else known[slot[lbl] - n] for lbl in labels}
     branch_currents = dict(zip(sys.unknown_labels[nv:], columns))
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}

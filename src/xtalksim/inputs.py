@@ -4,6 +4,7 @@
 ``STEP_EDGE_S`` live here, apart from the engine, so that a command
 which only describes a circuit (``extract``, ``export-netlist``) reads
 them without importing numpy; ``engine`` re-exports every one.
+``BLOCK_STEPS`` sits here too, since ``config`` sizes a run with it.
 ``Stimulus.values`` is the one numeric reader, and it imports numpy on
 its first call.
 """
@@ -20,6 +21,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
+
+# Steps per block of the engine's lifted recurrence. A run takes
+# min(BLOCK_STEPS, steps // unknowns), so the lifted operator is never
+# larger than the traces it fills, and steps one at a time below 2.
+BLOCK_STEPS = 48
 
 
 # Width of a step's edge. A PWL card needs an edge of nonzero width,

@@ -10,7 +10,8 @@ import pytest
 from xtalksim.cli import main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
-                             ToolkitConfig, _pin, apply_set_overrides,
+                             ToolkitConfig, _check_run_size, _pin,
+                             apply_set_overrides,
                              config_from_mapping,
                              extraction_report, load_config, preset_config,
                              resolve, resolve_stimulus,
@@ -18,7 +19,7 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
                              write_waveforms_csv)
-from xtalksim.engine import WaveformSet
+from xtalksim.engine import SimConfig, WaveformSet
 from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  InterconnectGeometry, coupling_capacitance,
@@ -770,6 +771,17 @@ class TestCliExitCodes:
         assert f"error: {field}: the run would hold about" in err
         assert "GiB limit" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_run_size_estimate_of_the_presets_at_48_segments(self):
+        # the figures quoted beside _MAX_RUN_BYTES: the traces of every
+        # unknown, 48001 samples each, and a lifted operator of blocks
+        # of 48 steps, (294 + 48) * 48 doubles per trace on shield
+        sim = SimConfig(dt=DEFAULT_SIM["dt"], t_end=DEFAULT_SIM["t_end"])
+        gib = {name: _check_run_size(len(preset_tables(name).lines), 48, sim,
+                                     "all", DEFAULT_STIMULUS) / 2**30
+               for name in PRESET_NAMES}
+        assert gib == approx({"no-shield": 0.091, "shield": 0.149,
+                              "shield-3taps": 0.149}, abs=5e-4)
 
     def test_coupling_pair_given_twice_exits_1(self, tmp_path, capsys):
         # the later entry used to replace the earlier one in silence, and

@@ -6,14 +6,18 @@ no code with the companion-model integrators.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
-from xtalksim.config import (apply_set_overrides, preset_config,
+from xtalksim import engine
+from xtalksim.config import (apply_set_overrides, end_labels, preset_config,
                              resolve_stimulus, run_scenario)
 from xtalksim.engine import (MnaSystem, SimConfig, WaveformSet, _step_matrices,
                              assemble, dc_operating_point, run_transient,
@@ -359,6 +363,24 @@ class TestBehaviour:
         other = run_transient(net, EDGE, SimConfig(dt=2e-9, t_end=200e-9))
         assert other.metadata["config_hash"] != a.metadata["config_hash"]
 
+    def test_traces_are_read_only_and_quiet_ones_share_a_buffer(
+            self, stock_runs):
+        _, waves, resolved = stock_runs["shield"]
+        arrays = [waves.times, *waves.node_traces.values(),
+                  *waves.branch_currents.values()]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            waves.trace("victim_12")[0] = 1.0
+        net = resolved.network
+        quiet = [net.nodes[s.node] for s in net.sources if not s.driven]
+        quiet += [net.nodes[t.node] for t in net.ties if t.ohms == 0.0]
+        quiet = [lbl for lbl in quiet if lbl in waves.node_traces]
+        assert len(quiet) >= 2                   # victim_src and shield_12
+        first = waves.trace(quiet[0])
+        assert np.all(first == 0.0)
+        for label in quiet[1:]:
+            assert np.shares_memory(first, waves.trace(label)), label
+
     def test_dc_ic_matches_first_sample(self):
         net = build_ladder(preset_tables("shield"), n_segments=2)
         waves = run_transient(net, EDGE, SHORT)
@@ -426,6 +448,77 @@ class TestStepMatrices:
                 match=r"divergence: non-finite sample at t=1\.39e-06 s"):
             run_transient(net, resolve_stimulus({"kind": "step"}),
                           SimConfig(dt=1e-9, t_end=10e-6))
+
+
+# ---------------------------------------------------------------- lifting
+
+RC = rc_network(1.0, 1e-7)                                  # 1 unknown
+SHIELD_1 = build_ladder(preset_tables("shield"), n_segments=1)  # 7 unknowns
+KEPT = {"ends": end_labels, "all": lambda net: "all",
+        "sources": lambda net: tuple(net.nodes[s.node] for s in net.sources)}
+
+
+def _plain(*args) -> WaveformSet:
+    """run_transient one step at a time, as with fewer than 2 steps per
+    block."""
+    with mock.patch.object(engine, "BLOCK_STEPS", 1):
+        return run_transient(*args)
+
+
+class TestLiftedStepping:
+    """The lifted recurrence is the plain one with its products
+    regrouped: every trace agrees to rounding, and a divergence names
+    the same first non-finite sample."""
+
+    @given(net=st.sampled_from([RC, SHIELD_1]),
+           steps=st.integers(min_value=2, max_value=3200),
+           method=st.sampled_from(["trapezoidal", "backward-euler"]),
+           kept=st.sampled_from(sorted(KEPT)))
+    @settings(max_examples=40, deadline=None)
+    # with 1 unknown, m = min(48, steps): fewer than 2 blocks, then tails
+    # of 0 and m - 1 with one chunk and with two
+    @example(net=RC, steps=49, method="trapezoidal", kept="all")
+    @example(net=RC, steps=96, method="backward-euler", kept="all")
+    @example(net=RC, steps=48 * 40 + 1, method="trapezoidal", kept="sources")
+    @example(net=RC, steps=48 * 40 + 48, method="trapezoidal", kept="all")
+    # with 7 unknowns: plain below 14 steps, m capped by steps // 7 below
+    # 336, and tails of 0 and m - 1 past the first chunk of 32 blocks
+    @example(net=SHIELD_1, steps=13, method="trapezoidal", kept="all")
+    @example(net=SHIELD_1, steps=200, method="trapezoidal", kept="ends")
+    @example(net=SHIELD_1, steps=48 * 40 + 1, method="trapezoidal", kept="all")
+    @example(net=SHIELD_1, steps=48 * 40 + 48, method="backward-euler",
+             kept="ends")
+    def test_lifted_equals_plain(self, net, steps, method, kept):
+        dt = 1e-9
+        sim = SimConfig(dt=dt, t_end=steps * dt, method=method,
+                        output_nodes=KEPT[kept](net))
+        lifted, plain = run_transient(net, EDGE, sim), _plain(net, EDGE, sim)
+        for got, want in ((lifted.node_traces, plain.node_traces),
+                          (lifted.branch_currents, plain.branch_currents)):
+            assert list(got) == list(want)
+            scale = max((np.max(np.abs(tr)) for tr in want.values()),
+                        default=0.0)
+            for label, tr in want.items():
+                assert np.max(np.abs(got[label] - tr)) <= 1e-12 * scale, label
+
+    @pytest.mark.parametrize("kept", ["all", "sources"])
+    @pytest.mark.parametrize("t_end, after_step", [
+        (3000e-9, 1 + 32 * 48),     # in the second chunk of 32 blocks
+        (2112e-9, 1 + 43 * 48),     # in the tail: 2111 = 43 * 48 + 47
+    ], ids=["after-first-chunk", "in-tail"])
+    def test_divergence_names_the_plain_time(self, kept, t_end, after_step):
+        # P = 1.4 per step: the samples overflow near step 2110
+        net = rc_network(1.0, -3e-9)
+        sim = SimConfig(dt=1e-9, t_end=t_end, output_nodes=KEPT[kept](net))
+        stim = resolve_stimulus({"kind": "step"})
+        with np.errstate(over="ignore"):
+            with pytest.raises(SolverError, match="divergence") as plain:
+                _plain(net, stim, sim)
+            with pytest.raises(SolverError, match="divergence") as lifted:
+                run_transient(net, stim, sim)
+        assert str(lifted.value) == str(plain.value)
+        t = float(str(plain.value).split("t=")[1].split()[0])
+        assert after_step < round(t / sim.dt) <= round(t_end / sim.dt)
 
 
 # ------------------------------------------------------------- input guards

@@ -1,6 +1,7 @@
-"""Import hygiene: no command loads scipy, numpy loads on the first
-transient and no earlier, OpenSSL on the first transient too, and yaml
-on the first config file or --set.
+"""Import hygiene: no command loads scipy or OpenSSL, numpy loads on
+the first transient and no earlier, and yaml on the first config file
+or --set. Without numpy, run refuses a bad config as usual and names
+numpy for a good one.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy (through tests/_reference.py).
@@ -42,7 +43,8 @@ def _fresh(tmp_path, *argv: str, without: tuple[str, ...] = ()) -> dict:
         [json.dumps(list(argv))] if argv else [])
     proc = subprocess.run([sys.executable, "-c", SCRIPT, *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]),
+            "stderr": proc.stderr}
 
 
 @pytest.mark.parametrize("argv", [
@@ -82,3 +84,20 @@ def test_run_needs_no_scipy(tmp_path, no_scipy):
     assert out["rc"] == 0
     assert "scipy" not in out["modules"]
     assert "numpy" in out["modules"]
+    # the run's fingerprint is a CRC-32, so no run maps OpenSSL
+    assert "_hashlib" not in out["modules"]
+
+
+@pytest.mark.parametrize("sets, message", [
+    ((), "error: run needs numpy, which is not installed"),
+    (("--set", "sim.dt=1"), "error: need 0 < dt < t_end"),
+], ids=["good-config", "refused-config"])
+def test_run_without_numpy_exits_1(tmp_path, sets, message):
+    # the config is resolved before numpy is imported, so a refusal
+    # reads as one with numpy installed
+    out = _fresh(tmp_path, "run", "--preset", "shield", *sets, "--out", "run",
+                 without=("numpy",))
+    assert out["rc"] == 1
+    assert message in out["stderr"]
+    assert "Traceback" not in out["stderr"]
+    assert not (tmp_path / "run").exists()
