@@ -44,9 +44,9 @@ from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
 from .inputs import BLOCK_STEPS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
-from .network import (PRESET_NAMES, CoupledNetwork, LadderSpec, LineSpec,
-                      TapSchedule, TerminationSpec, build_ladder,
-                      preset_tables)
+from .network import (PRESET_NAMES, STOCK_LINE_RESISTANCE_OHM,
+                      CoupledNetwork, LadderSpec, LineSpec, TapSchedule,
+                      TerminationSpec, build_ladder, preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -93,9 +93,9 @@ DEFAULT_GEOMETRY = {
 }
 # The stock parameter set quotes 500 ohm per line where the sheet
 # arithmetic gives 125 at the default width; the bundled configs pin it.
-DEFAULT_OVERRIDES = {"r_total": 500.0}
+DEFAULT_OVERRIDES = {"r_total": STOCK_LINE_RESISTANCE_OHM}
 # A plain ramp has slope discontinuities that ring the lumped ladder's
-# artificial cutoff (see engine.smooth_edge); the bundled runs use the
+# artificial cutoff (see inputs.smooth_edge); the bundled runs use the
 # smooth edge so peak readings converge under segment refinement.
 DEFAULT_STIMULUS = {
     "kind": "smooth-edge", "amplitude_v": 1.0, "rise_time_s": 2.0e-7,
@@ -290,13 +290,19 @@ def parse_scalar(raw: str, where: str):
 
 
 def _set_key(data: dict, path: list[str], value) -> None:
-    """Set ``block.key[.subkey]`` on a config mapping."""
-    cursor = data.setdefault(path[0], {})
-    for part in path[1:-1]:
+    """Set ``block.key[.subkey]`` on a config mapping. A missing or null
+    key on the way is created as a mapping; any other value is refused,
+    since replacing it would drop what it held (``r_total: 500`` would
+    leave every line not named under it to the sheet formula)."""
+    cursor = data
+    for depth, part in enumerate(path[:-1], 1):
         nxt = cursor.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            cursor[part] = nxt
+        if nxt is None:
+            nxt = cursor[part] = {}
+        elif not isinstance(nxt, dict):
+            raise ParameterError(
+                f"{'.'.join(path[:depth])} holds {nxt!r}, not a mapping, so "
+                f"{'.'.join(path)} cannot be set; set the whole value instead")
         cursor = nxt
     cursor[path[-1]] = value
 
@@ -668,7 +674,7 @@ def resolve_stimulus(block: dict) -> Stimulus:
 
     ``step`` is the edge ``((0, 0), (STEP_EDGE_S, 1))``; ``ramp`` the
     edge ``((0, 0), (rise_time_s, 1))``, a zero rise being a step;
-    ``pwl`` the points as given; ``smooth-edge`` ``engine.smooth_edge``.
+    ``pwl`` the points as given; ``smooth-edge`` ``inputs.smooth_edge``.
     """
     b = dict(block)
     _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",

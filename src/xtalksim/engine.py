@@ -40,10 +40,9 @@ first non-finite sample.
 
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
-The run inputs ``Stimulus``, ``smooth_edge``, ``SimConfig``,
-``METHODS`` and ``STEP_EDGE_S`` are defined in ``xtalksim.inputs``,
-which imports no numpy, and are re-exported here. The package imports
-this module, and numpy with it, only on first numeric use.
+The run inputs ``Stimulus`` and ``SimConfig`` are defined in
+``xtalksim.inputs``, which imports no numpy. The package imports this
+module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
 this one name, which perfbench swaps for a counting proxy.
@@ -57,9 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SolverError
-# STEP_EDGE_S and smooth_edge are re-exported, not used here
-from .inputs import (BLOCK_STEPS, METHODS, STEP_EDGE_S, SimConfig, Stimulus,
-                     smooth_edge)
+from .inputs import BLOCK_STEPS, METHODS, SimConfig, Stimulus
 from .network import GROUND, CoupledNetwork
 
 

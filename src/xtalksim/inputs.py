@@ -3,7 +3,7 @@
 ``Stimulus``, ``smooth_edge``, ``SimConfig``, ``METHODS`` and
 ``STEP_EDGE_S`` live here, apart from the engine, so that a command
 which only describes a circuit (``extract``, ``export-netlist``) reads
-them without importing numpy; ``engine`` re-exports every one.
+them without importing numpy.
 ``BLOCK_STEPS`` sits here too, since ``config`` sizes a run with it.
 ``Stimulus.values`` is the one numeric reader, and it imports numpy on
 its first call.
@@ -40,6 +40,7 @@ class Stimulus:
     Every drive is piecewise linear: the (time, value) ``points`` are
     interpolated linearly, scaled by ``amplitude_v`` and shifted by
     ``delay_s``, holding the first/last value outside the covered span.
+    The shifted times ``delay_s + t`` must strictly increase too.
     A step is the edge ``((0, 0), (STEP_EDGE_S, 1))``, so the engine and
     an exported deck read the same breakpoints.
     """
@@ -62,6 +63,14 @@ class Stimulus:
             raise ParameterError("pwl point times must be strictly increasing")
         if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
             raise ParameterError("pwl points must be finite")
+        # in doubles a large delay can round two close times to one, and
+        # the deck's card would then drop a breakpoint the engine keeps
+        for (t1, _), (t2, _) in zip(pts, pts[1:]):
+            if not self.delay_s + t1 < self.delay_s + t2:
+                raise ParameterError(
+                    f"stimulus delay_s={self.delay_s!r} merges the breakpoints "
+                    f"at t={t1!r} and t={t2!r}: both fall at "
+                    f"{self.delay_s + t2!r} s")
 
     def values(self, times: np.ndarray) -> np.ndarray:
         """Waveform sampled at the given times (vectorized)."""

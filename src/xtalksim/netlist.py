@@ -44,12 +44,7 @@ def _pwl_points(stimulus: Stimulus) -> list[tuple[float, float]]:
            for t, v in stimulus.points]
     if pts[0][0] > 0.0:
         pts.insert(0, (0.0, pts[0][1]))
-    out = []
-    for t, v in pts:
-        if out and t <= out[-1][0]:
-            continue
-        out.append((t, v))
-    return out
+    return pts
 
 
 def _pwl_card(stimulus: Stimulus) -> str:

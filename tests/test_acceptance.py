@@ -18,10 +18,11 @@ import pytest
 
 from _reference import capacitor_kind, engine_vs_oracle_error, rc_network
 from xtalksim.config import preset_config, resolve_stimulus, run_scenario
-from xtalksim.engine import SimConfig, dc_operating_point, run_transient
+from xtalksim.engine import dc_operating_point, run_transient
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  coupling_capacitance, line_capacitance,
                                  mutual_inductance_bracket, self_inductance)
+from xtalksim.inputs import SimConfig
 from xtalksim.netlist import export_netlist
 from xtalksim.network import (LadderSpec, LineSpec, TerminationSpec,
                               build_ladder, preset_tables)

@@ -19,11 +19,12 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
                              write_waveforms_csv)
-from xtalksim.engine import SimConfig, WaveformSet
+from xtalksim.engine import WaveformSet
 from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  InterconnectGeometry, coupling_capacitance,
                                  extract_all)
+from xtalksim.inputs import SimConfig
 from xtalksim.network import (PRESET_NAMES,
                               STOCK_COUPLING_CAP_ADJACENT_F, build_ladder,
                               preset_tables)
@@ -209,6 +210,20 @@ class TestConfigDocuments:
             apply_set_overrides(cfg, ["dt=1e-10"])
         with pytest.raises(ParameterError, match="must start with a config block"):
             apply_set_overrides(cfg, ["simulation.dt=1e-10"])
+
+    def test_set_through_a_scalar_exits_1(self, tmp_path, capsys):
+        # the preset's r_total: 500 became {aggressor: 50}, which moved
+        # the shield and the victim to the 125 ohm sheet value in silence
+        out = tmp_path / "o"
+        rc = main(["run", "--preset", "shield", "--set",
+                   "overrides.r_total.aggressor=50", "--out", str(out)])
+        assert rc == 1
+        assert ("error: overrides.r_total holds 500.0, not a mapping"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert main(["run", "--preset", "shield", *_sets(), "--set",
+                     "overrides.r_total={aggressor: 50}", "--out",
+                     str(out)]) == 0
 
     @pytest.mark.parametrize("assignment", [
         "stimulus.amplitude_v=2",
@@ -871,6 +886,7 @@ class TestCliExitCodes:
         assert ("error: coupling pair ('a', 'zz') does not name two "
                 "distinct known lines" in err)
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, message", [
         ({"name": 5}, "scenario.lines[0]: line name must be a string, got 5"),

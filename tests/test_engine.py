@@ -19,10 +19,10 @@ from _reference import (divider_network, engine_vs_oracle_error,
 from xtalksim import engine
 from xtalksim.config import (apply_set_overrides, end_labels, preset_config,
                              resolve_stimulus, run_scenario)
-from xtalksim.engine import (MnaSystem, SimConfig, WaveformSet, _step_matrices,
-                             assemble, dc_operating_point, run_transient,
-                             smooth_edge)
+from xtalksim.engine import (MnaSystem, WaveformSet, _step_matrices,
+                             assemble, dc_operating_point, run_transient)
 from xtalksim.errors import ParameterError, SolverError
+from xtalksim.inputs import SimConfig, smooth_edge
 from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Resistor,
                               TerminationSpec, VoltageSource, build_ladder,
                               preset_tables)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtalksim.config import resolve_stimulus, write_summary_json
-from xtalksim.engine import SimConfig, run_transient
+from xtalksim.engine import run_transient
 from xtalksim.errors import ParameterError
+from xtalksim.inputs import SimConfig
 from xtalksim.metrics import (ScenarioResult, TraceMeasurement,
                               first_crossing, measure_scenario, measure_trace)
 from xtalksim.network import LadderSpec, LineSpec, build_ladder

@@ -7,9 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from _reference import make_network
+from xtalksim.cli import main
 from xtalksim.config import resolve_stimulus
-from xtalksim.engine import SimConfig, run_transient, smooth_edge
+from xtalksim.engine import run_transient
 from xtalksim.errors import ParameterError
+from xtalksim.inputs import SimConfig, smooth_edge
 from xtalksim.netlist import TIE_OHMS_FLOOR, _pwl_points, export_netlist
 from xtalksim.network import (Inductor, LadderSpec, LineSpec, Mutual,
                               Resistor, VoltageSource, build_ladder,
@@ -181,6 +183,20 @@ class TestSourceCards:
         times = numbers[::2]
         assert len(times) == 3
         assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+
+    def test_delay_merging_breakpoints_is_refused(self, tmp_path, capsys):
+        # 100 + STEP_EDGE_S == 100 in doubles: the card held 0 V for good
+        # while the engine drove 1 V from t = 101 s
+        rc = main(["export-netlist", "--preset", "no-shield",
+                   "--set", "stimulus.kind=step",
+                   "--set", "stimulus.samples=null",
+                   "--set", "stimulus.rise_time_s=null",
+                   "--set", "stimulus.delay_s=100", "--set", "sim.dt=1",
+                   "--set", "sim.t_end=200", "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("error: stimulus delay_s=100.0 merges the breakpoints at "
+                "t=0.0 and t=1e-15" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_smooth_edge_point_count(self):
         deck = export_netlist(self.net(), smooth_edge(2e-7, samples=64), SIM)
