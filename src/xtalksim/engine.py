@@ -18,10 +18,14 @@ Integration is fixed-step implicit with theta = METHODS[method]: 1/2
 always backward Euler, to damp the spurious transient a discontinuous
 source derivative would otherwise feed into the trapezoidal rule.
 Driven sources all follow the one stimulus s(t) and quiet ones hold
-0 V, so B u(t) = b s(t) and each step is the recurrence
+0 V, so B u(t) = b s(t) and each later step is the recurrence
 x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
-q = (C/dt + theta G)^-1 b are built once per run by one solve.
+q = (C/dt + theta G)^-1 b are built once per run by one solve, for the
+configured theta only. The first step is one vector solve,
+(C/dt + G) x_1 = (C/dt) x_0 + b s(dt), taken after P and q are built.
+A run then drops the MnaSystem, and with it G and C, before it
+allocates its time axis, drive and traces.
 
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
@@ -33,10 +37,10 @@ whole chunk with one product [X_s, W] L written straight into the trace
 array: X_s stacks the chunk's block starts, and the lifted operator L
 stacks O_m, the kept rows of P, ..., P^m, over T_m, the block Toeplitz
 matrix of the Markov parameters (P^i q)[keep]. That is the same
-recurrence with its products regrouped. The first step, a tail shorter
-than m, a run with m < 2 and a chunk whose samples or end state are not
-finite take the plain recurrence, one step at a time, which names the
-first non-finite sample.
+recurrence with its products regrouped. A tail shorter than m, a run
+with m < 2 and a chunk whose samples or end state are not finite take
+the plain recurrence, one step at a time, which names the first
+non-finite sample.
 
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
@@ -45,7 +49,8 @@ The run inputs ``Stimulus`` and ``SimConfig`` are defined in
 module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
-this one name, which perfbench swaps for a counting proxy.
+this one name, which perfbench swaps for a counting proxy: a run makes
+three solves, the DC state, P and q, and the first step.
 """
 
 from __future__ import annotations
@@ -202,20 +207,50 @@ def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
     return f"{zlib.crc32(blob.encode()):08x}"
 
 
-def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
-                   theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """P and q of the theta-method step (see the module docstring)."""
-    Cdt = sys.C / dt
-    rhs = np.column_stack((Cdt - (1.0 - theta) * sys.G, b))
+def _step_solve(A: np.ndarray, rhs: np.ndarray, theta: float,
+                dt: float) -> np.ndarray:
+    """Solve A X = rhs for the step matrix A = C/dt + theta G."""
     try:
-        Pq = sla.solve(Cdt + theta * sys.G, rhs)
+        return sla.solve(A, rhs)
     except sla.LinAlgError:
         raise SolverError(f"singular step matrix C/dt + theta G "
                           f"(theta={theta:g}, dt={dt:g} s)") from None
+
+
+def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
+                   theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """P and q of the theta-method step (see the module docstring).
+
+    One solve with A = C/dt + theta G of the right-hand side
+    [C/dt - (1 - theta) G, b], filled in place, so P is a view of its
+    first n columns and q its last column. At the solve the build holds
+    G, C, A, the right-hand side and the solution, besides the copies of
+    A and of the right-hand side that numpy.linalg.solve hands LAPACK.
+    """
+    n = len(b)
+    A = sys.C / dt
+    rhs = np.empty((n, n + 1))
+    np.subtract(A, (1.0 - theta) * sys.G, out=rhs[:, :n])
+    rhs[:, n] = b
+    A += theta * sys.G
+    Pq = _step_solve(A, rhs, theta, dt)
     if not np.isfinite(Pq).all():
         raise SolverError(f"non-finite step matrices P, q "
                           f"(theta={theta:g}, dt={dt:g} s)")
-    return np.ascontiguousarray(Pq[:, :-1]), Pq[:, -1]
+    return Pq[:, :n], Pq[:, n]
+
+
+def _first_step(sys: MnaSystem, b: np.ndarray, dt: float, x: np.ndarray,
+                s1: float) -> np.ndarray:
+    """The backward-Euler first step as one vector solve,
+    (C/dt + G) x_1 = (C/dt) x_0 + b s(dt); a state that is not finite
+    raises a SolverError naming t = dt."""
+    A = sys.C / dt
+    A += sys.G
+    x = _step_solve(A, sys.C @ (x / dt) + b * s1, 1.0, dt)
+    if not np.isfinite(x).all():
+        raise SolverError(f"divergence: non-finite sample at t={dt:.6g} s")
+    return x
 
 
 def _step(P: np.ndarray, q: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -297,6 +332,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     """
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
+    theta = METHODS[sim.method]
 
     n, nv = len(sys.unknown_labels), sys.n_node_unknowns
     slot = dict(zip(network.nodes[1:], sys.slot[1:]))
@@ -310,23 +346,25 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 
-    times = np.arange(steps + 1) * sim.dt
-    drive = stimulus.values(times)
+    # P and q, the first step and the initial state need G and C; the
+    # run then drops them before it allocates anything of time length.
+    s0, s1 = stimulus.values(np.array([0.0, sim.dt]))
     b = sys.B @ np.array(sys.source_driven, dtype=float)
-    x = _dc_solve(sys, b * drive[0])
-
-    theta = METHODS[sim.method]
-    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
-    w[0] = drive[1]
-    out = np.empty((steps + 1, len(keep)))
-    out[0] = x[keep]
-    m = min(BLOCK_STEPS, steps // max(n, 1))
+    x0 = _dc_solve(sys, b * s0)
     # an overflow is reported by the non-finite checks, which name it
     with np.errstate(all="ignore"):
-        P, q = _step_matrices(sys, b, sim.dt, 1.0)
-        x = _step(P, q, x, w[:1], out[1:2], keep, times[1:2])
-        if theta != 1.0:
-            P, q = _step_matrices(sys, b, sim.dt, theta)
+        P, q = _step_matrices(sys, b, sim.dt, theta)
+        x = _first_step(sys, b, sim.dt, x0, s1)
+    unknown_labels, driven = sys.unknown_labels, sys.source_driven
+    del sys
+
+    times = np.arange(steps + 1) * sim.dt
+    drive = stimulus.values(times)
+    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
+    out = np.empty((steps + 1, len(keep)))
+    out[0], out[1] = x0[keep], x[keep]
+    m = min(BLOCK_STEPS, steps // max(n, 1))
+    with np.errstate(all="ignore"):
         k = 1
         if m >= 2:
             k, x = _step_blocks(P, q, m, x, w, out, keep, times)
@@ -339,10 +377,10 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     for arr in (times, drive, zeros, out):
         arr.flags.writeable = False
     columns = iter(out.T)
-    known = [drive if d else zeros for d in sys.source_driven] + [zeros]
+    known = [drive if d else zeros for d in driven] + [zeros]
     node_traces = {lbl: next(columns) if slot[lbl] < n
                    else known[slot[lbl] - n] for lbl in labels}
-    branch_currents = dict(zip(sys.unknown_labels[nv:], columns))
+    branch_currents = dict(zip(unknown_labels[nv:], columns))
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}
     return WaveformSet(times=times, node_traces=node_traces,

@@ -1,6 +1,7 @@
 """Config documents, file formats, sweeps, and the command-line layer."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
                              write_waveforms_csv)
-from xtalksim.engine import WaveformSet
+from xtalksim.engine import WaveformSet, run_transient
 from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  InterconnectGeometry, coupling_capacitance,
@@ -224,6 +225,18 @@ class TestConfigDocuments:
         assert main(["run", "--preset", "shield", *_sets(), "--set",
                      "overrides.r_total={aggressor: 50}", "--out",
                      str(out)]) == 0
+
+    def test_line_table_leaves_unnamed_lines_at_the_formula(self, tmp_path):
+        # a table replaces the preset's r_total: 500 as a whole, so the
+        # lines it does not name take the sheet formula's 125 ohm
+        assert main(["run", "--preset", "shield", *_sets(), "--set",
+                     "overrides.r_total={aggressor: 50}", "--out",
+                     str(tmp_path)]) == 0
+        params = json.loads(
+            (tmp_path / summary_filename("shield")).read_text())["params"]
+        assert {name: line["r_total"] for name, line
+                in params["lines"].items()} == approx(
+            {"aggressor": 50.0, "shield": 125.0, "victim": 125.0})
 
     @pytest.mark.parametrize("assignment", [
         "stimulus.amplitude_v=2",
@@ -795,8 +808,25 @@ class TestCliExitCodes:
         gib = {name: _check_run_size(len(preset_tables(name).lines), 48, sim,
                                      "all", DEFAULT_STIMULUS) / 2**30
                for name in PRESET_NAMES}
-        assert gib == approx({"no-shield": 0.091, "shield": 0.149,
-                              "shield-3taps": 0.149}, abs=5e-4)
+        assert gib == approx({"no-shield": 0.090, "shield": 0.147,
+                              "shield-3taps": 0.147}, abs=5e-4)
+
+    @pytest.mark.parametrize("nodes", ["ends", "all"])
+    def test_run_size_estimate_covers_the_traced_peak(self, nodes):
+        # tracemalloc sees numpy's arrays, not the copies numpy.linalg
+        # hands LAPACK, which the estimate counts too
+        resolved = resolve(apply_set_overrides(
+            preset_config("shield"),
+            ["sim.n_segments=48", f"output.nodes={nodes}"]))
+        estimate = _check_run_size(len(resolved.network.lines), 48,
+                                   resolved.sim, nodes, DEFAULT_STIMULUS)
+        tracemalloc.start()
+        try:
+            run_transient(resolved.network, resolved.stimulus, resolved.sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate >= peak
 
     def test_coupling_pair_given_twice_exits_1(self, tmp_path, capsys):
         # the later entry used to replace the earlier one in silence, and

@@ -5,6 +5,7 @@ piecewise-exact matrix-exponential solution in _reference, which shares
 no code with the companion-model integrators.
 """
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -18,7 +19,7 @@ from _reference import (divider_network, engine_vs_oracle_error,
                         rl_network)
 from xtalksim import engine
 from xtalksim.config import (apply_set_overrides, end_labels, preset_config,
-                             resolve_stimulus, run_scenario)
+                             resolve, resolve_stimulus, run_scenario)
 from xtalksim.engine import (MnaSystem, WaveformSet, _step_matrices,
                              assemble, dc_operating_point, run_transient)
 from xtalksim.errors import ParameterError, SolverError
@@ -448,6 +449,63 @@ class TestStepMatrices:
                 match=r"divergence: non-finite sample at t=1\.39e-06 s"):
             run_transient(net, resolve_stimulus({"kind": "step"}),
                           SimConfig(dt=1e-9, t_end=10e-6))
+
+
+class TestLeanStepBuild:
+    """The first step is one vector solve, and a run drops G and C before
+    it allocates its traces."""
+
+    # the DC state sits at 0.5 V, so (C/dt) x_0 weighs in the first step
+    RISE = resolve_stimulus({"kind": "pwl", "points": [[0.0, 0.5],
+                                                       [2e-8, 1.0]]})
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_first_step_is_backward_euler(self, name, method):
+        net = build_ladder(preset_tables(name), n_segments=12)
+        dt = 5e-11
+        ws = run_transient(net, self.RISE,
+                           SimConfig(dt=dt, t_end=4 * dt, method=method))
+        traces = {**ws.node_traces, **ws.branch_currents}
+        sys = assemble(net)
+        x0, x1 = (np.array([traces[lbl][k] for lbl in sys.unknown_labels])
+                  for k in (0, 1))
+        b = sys.B @ np.array(sys.source_driven, dtype=float)
+        P, q = _step_matrices(sys, b, dt, 1.0)
+        want = P @ x0 + q * self.RISE.values(np.array([dt]))[0]
+        assert np.max(np.abs(x1 - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    def test_first_step_overflow_names_dt(self, method):
+        # C/dt + G = -1e-10 while P and q stay finite: x_1 = -1e310
+        dt = 1e-9
+        net = rc_network(1.0, -(1.0 + 1e-10) * dt)
+        stim = resolve_stimulus({"kind": "step", "amplitude_v": 1e300})
+        with pytest.raises(SolverError, match=r"divergence: non-finite "
+                                              r"sample at t=1e-09 s$"):
+            run_transient(net, stim,
+                          SimConfig(dt=dt, t_end=10 * dt, method=method))
+
+    def test_run_holds_under_six_n_squared_doubles(self):
+        """The tracemalloc peak of a run, less what its WaveformSet holds,
+        stays under 6 n^2 doubles on shield-3taps at 48 segments. The
+        copies numpy.linalg hands LAPACK are not traced."""
+        resolved = resolve(apply_set_overrides(
+            preset_config("shield-3taps"),
+            ["sim.n_segments=48", "output.nodes=ends"]))
+        n = len(assemble(resolved.network).unknown_labels)
+        tracemalloc.start()
+        try:
+            ws = run_transient(resolved.network, resolved.stimulus,
+                               resolved.sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [ws.times, *ws.node_traces.values(),
+                  *ws.branch_currents.values()]
+        held = {id(a): a.nbytes for a in (a if a.base is None else a.base
+                                          for a in arrays)}
+        assert peak - sum(held.values()) < 6 * 8 * n * n
 
 
 # ---------------------------------------------------------------- lifting
