@@ -107,7 +107,7 @@ DEFAULT_SIM = {
 DEFAULT_OUTPUT = {"directory": "out", "formats": ["csv", "json"], "nodes": "ends"}
 # Largest run resolve accepts, in the bytes _check_run_size estimates;
 # at n_segments = 48 with output.nodes=all, shield and shield-3taps
-# estimate 0.147 GiB and no-shield 0.090 GiB.
+# estimate 0.145 GiB and no-shield 0.089 GiB.
 _MAX_RUN_BYTES = 4 * 2**30
 _DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
                    "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
@@ -771,11 +771,12 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
     the network or the stimulus is built, naming the field that weighs
     most; return the estimate in bytes. It counts, over at most
-    2 n_segments + 2 unknowns per line, seven dense n x n arrays, what
-    the engine holds at the solve behind P and q: G, C, C/dt + theta G,
-    the right-hand side, the solution, and the copies numpy.linalg.solve
-    makes of C/dt + theta G and of the right-hand side (P^m with its
-    power temporaries comes later and holds fewer);
+    2 n_segments + 2 unknowns per line, five dense n x n arrays, what
+    the engine holds at the solve behind P and q: C/dt + theta G, the
+    right-hand side, the solution, and the copies numpy.linalg.solve
+    makes of C/dt + theta G and of the right-hand side (G and C are
+    dropped before it, and P^m with its power temporaries comes later
+    and holds fewer);
     the stored traces with the time axis and drive; the engine's lifted
     operator, (n + m) m doubles per trace for blocks of
     m = min(BLOCK_STEPS, steps // n), which m <= steps // n keeps near
@@ -792,8 +793,8 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
     steps = sim.t_end / sim.dt
     m = min(BLOCK_STEPS, steps // unknowns)
-    need = {"sim.n_segments": 56.0 * unknowns ** 2,
-            "sim.dt": 8.0 * ((steps + 1) * (traces + 3)
+    need = {"sim.n_segments": 40.0 * unknowns ** 2,
+            "sim.dt": 8.0 * ((steps + 1) * (traces + 2)
                              + (unknowns + m) * m * traces),
             "stimulus.samples": 256.0 * (samples + 1)}
     total = sum(need.values())

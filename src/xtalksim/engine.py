@@ -23,14 +23,19 @@ x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
 q = (C/dt + theta G)^-1 b are built once per run by one solve, for the
 configured theta only. The first step is one vector solve,
-(C/dt + G) x_1 = (C/dt) x_0 + b s(dt), taken after P and q are built.
-A run then drops the MnaSystem, and with it G and C, before it
-allocates its time axis, drive and traces.
+(C/dt + G) x_1 = (C/dt) x_0 + b s(dt), taken before P and q are built.
+A run then forms A = C/dt + theta G and the right-hand side
+[C/dt - (1 - theta) G, b] and drops the MnaSystem, and with it G and C,
+before that solve: at the solve it holds five n x n arrays, A, the
+right-hand side, the solution and the copies of the first two that
+numpy.linalg.solve hands LAPACK.
 
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
 grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
-w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks.
+w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks;
+the drive rows are formed chunk by chunk, so no array of the run's
+length is held but the time axis, the drive and the stored traces.
 Phase 1 steps the block starts, s_{j+1} = P^m s_j + Q_m w_j with
 Q_m = [P^(m-1) q, ..., P q, q]. Phase 2 fills the kept traces of a
 whole chunk with one product [X_s, W] L written straight into the trace
@@ -50,7 +55,7 @@ module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
 this one name, which perfbench swaps for a counting proxy: a run makes
-three solves, the DC state, P and q, and the first step.
+three solves, the DC state, the first step, and P and q.
 """
 
 from __future__ import annotations
@@ -217,22 +222,25 @@ def _step_solve(A: np.ndarray, rhs: np.ndarray, theta: float,
                           f"(theta={theta:g}, dt={dt:g} s)") from None
 
 
-def _step_matrices(sys: MnaSystem, b: np.ndarray, dt: float,
+def _step_operands(sys: MnaSystem, b: np.ndarray, dt: float,
                    theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """P and q of the theta-method step (see the module docstring).
-
-    One solve with A = C/dt + theta G of the right-hand side
-    [C/dt - (1 - theta) G, b], filled in place, so P is a view of its
-    first n columns and q its last column. At the solve the build holds
-    G, C, A, the right-hand side and the solution, besides the copies of
-    A and of the right-hand side that numpy.linalg.solve hands LAPACK.
-    """
+    """A = C/dt + theta G and the right-hand side [C/dt - (1 - theta) G, b]
+    of the solve behind P and q, filled in place."""
     n = len(b)
     A = sys.C / dt
     rhs = np.empty((n, n + 1))
     np.subtract(A, (1.0 - theta) * sys.G, out=rhs[:, :n])
     rhs[:, n] = b
     A += theta * sys.G
+    return A, rhs
+
+
+def _step_matrices(A: np.ndarray, rhs: np.ndarray, theta: float,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """P and q of the theta-method step (see the module docstring): one
+    solve of the operands of _step_operands, so P is a view of the
+    solution's first n columns and q its last column."""
+    n = len(A)
     Pq = _step_solve(A, rhs, theta, dt)
     if not np.isfinite(Pq).all():
         raise SolverError(f"non-finite step matrices P, q "
@@ -253,13 +261,20 @@ def _first_step(sys: MnaSystem, b: np.ndarray, dt: float, x: np.ndarray,
     return x
 
 
-def _step(P: np.ndarray, q: np.ndarray, x: np.ndarray, w: np.ndarray,
-          rows: np.ndarray, keep: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The plain recurrence x <- P x + q w_k over w, writing the kept
-    unknowns of each new state to rows[k]; the first state that is not
-    finite raises a SolverError naming its time, times[k]. Returns the
-    last state."""
-    for k, wk in enumerate(w):
+def _drive_rows(drive: np.ndarray, theta: float) -> np.ndarray:
+    """The drive w_k = (1 - theta) s_k + theta s_{k+1} of the steps
+    between the samples ``drive``."""
+    return (1.0 - theta) * drive[:-1] + theta * drive[1:]
+
+
+def _step(P: np.ndarray, q: np.ndarray, x: np.ndarray, drive: np.ndarray,
+          theta: float, rows: np.ndarray, keep: np.ndarray,
+          times: np.ndarray) -> np.ndarray:
+    """The plain recurrence x <- P x + q w_k over the steps between the
+    samples ``drive``, writing the kept unknowns of each new state to
+    rows[k]; the first state that is not finite raises a SolverError
+    naming its time, times[k]. Returns the last state."""
+    for k, wk in enumerate(_drive_rows(drive, theta)):
         x = P @ x + q * wk
         if not np.isfinite(x).all():
             raise SolverError(f"divergence: non-finite sample at "
@@ -292,20 +307,21 @@ def _lifted_operators(P: np.ndarray, q: np.ndarray, m: int, keep: np.ndarray
 
 
 def _step_blocks(P: np.ndarray, q: np.ndarray, m: int, x: np.ndarray,
-                 w: np.ndarray, out: np.ndarray, keep: np.ndarray,
-                 times: np.ndarray) -> tuple[int, np.ndarray]:
+                 drive: np.ndarray, theta: float, out: np.ndarray,
+                 keep: np.ndarray, times: np.ndarray) -> tuple[int, np.ndarray]:
     """Steps 1 up to the last whole block of m, lifted (see the module
-    docstring); out[k + 1] receives the kept unknowns of step k.
-    Returns the next step and its start state."""
+    docstring); out[k + 1] receives the kept unknowns of step k, the
+    step from drive[k] to drive[k + 1]. Returns the next step and its
+    start state."""
     n = len(x)
-    nb = (len(w) - 1) // m
+    nb = (len(drive) - 2) // m
     Pm, Q, L = _lifted_operators(P, q, m, keep)
     Z = np.empty((_CHUNK_BLOCKS, n + m))    # [X_s, W] of one chunk
     for j0 in range(0, nb, _CHUNK_BLOCKS):
         cb = min(_CHUNK_BLOCKS, nb - j0)
         k0, k1 = 1 + j0 * m, 1 + (j0 + cb) * m
         z, start = Z[:cb], x
-        z[:, n:] = w[k0:k1].reshape(cb, m)
+        z[:, n:] = _drive_rows(drive[k0:k1 + 1], theta).reshape(cb, m)
         qw = z[:, n:] @ Q.T
         for j in range(cb):
             z[j, :n] = x
@@ -313,7 +329,8 @@ def _step_blocks(P: np.ndarray, q: np.ndarray, m: int, x: np.ndarray,
         rows = out[k0 + 1:k1 + 1]
         np.matmul(z, L, out=rows.reshape(cb, -1))
         if not (np.isfinite(x).all() and np.isfinite(rows).all()):
-            x = _step(P, q, start, w[k0:k1], rows, keep, times[k0 + 1:k1 + 1])
+            x = _step(P, q, start, drive[k0:k1 + 1], theta, rows, keep,
+                      times[k0 + 1:k1 + 1])
     return 1 + nb * m, x
 
 
@@ -327,8 +344,8 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     method. Deterministic for fixed inputs. Only the unknowns behind the
     requested traces are stored, and the branch currents only with
     ``output_nodes="all"``. Every array of the result is read-only: the
-    traces are views of the stored unknowns, of the drive and of one
-    zeros array that every quiet source and ground-tied node shares.
+    traces are views of the stored unknowns, of the drive and, for every
+    quiet source and ground-tied node, one zero-stride view of a single 0.
     """
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
@@ -346,35 +363,37 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 
-    # P and q, the first step and the initial state need G and C; the
-    # run then drops them before it allocates anything of time length.
+    # the initial state, the first step and the operands of P and q need
+    # G and C; the run drops them before the solve behind P and q
     s0, s1 = stimulus.values(np.array([0.0, sim.dt]))
     b = sys.B @ np.array(sys.source_driven, dtype=float)
     x0 = _dc_solve(sys, b * s0)
+    unknown_labels, driven = sys.unknown_labels, sys.source_driven
     # an overflow is reported by the non-finite checks, which name it
     with np.errstate(all="ignore"):
-        P, q = _step_matrices(sys, b, sim.dt, theta)
         x = _first_step(sys, b, sim.dt, x0, s1)
-    unknown_labels, driven = sys.unknown_labels, sys.source_driven
-    del sys
+        A, rhs = _step_operands(sys, b, sim.dt, theta)
+        del sys
+        P, q = _step_matrices(A, rhs, theta, sim.dt)
+    del A, rhs
 
-    times = np.arange(steps + 1) * sim.dt
+    times = np.arange(steps + 1, dtype=float)
+    times *= sim.dt
     drive = stimulus.values(times)
-    w = (1.0 - theta) * drive[:-1] + theta * drive[1:]
     out = np.empty((steps + 1, len(keep)))
     out[0], out[1] = x0[keep], x[keep]
     m = min(BLOCK_STEPS, steps // max(n, 1))
     with np.errstate(all="ignore"):
         k = 1
         if m >= 2:
-            k, x = _step_blocks(P, q, m, x, w, out, keep, times)
-        _step(P, q, x, w[k:], out[k + 1:], keep, times[k + 1:])
+            k, x = _step_blocks(P, q, m, x, drive, theta, out, keep, times)
+        _step(P, q, x, drive[k:], theta, out[k + 1:], keep, times[k + 1:])
 
     # out's columns: the kept node unknowns in label order, then branches;
     # a node whose slot is past the unknowns reads its source or ground.
     # The traces are views of read-only arrays, so none is copied.
-    zeros = np.zeros(steps + 1)
-    for arr in (times, drive, zeros, out):
+    zeros = np.broadcast_to(0.0, (steps + 1,))
+    for arr in (times, drive, out):
         arr.flags.writeable = False
     columns = iter(out.T)
     known = [drive if d else zeros for d in driven] + [zeros]

@@ -73,12 +73,15 @@ class Stimulus:
                     f"{self.delay_s + t2!r} s")
 
     def values(self, times: np.ndarray) -> np.ndarray:
-        """Waveform sampled at the given times (vectorized)."""
+        """Waveform sampled at the given times (vectorized), interpolated
+        between the shifted breakpoints ``delay_s + t`` that a deck's PWL
+        card prints, so no shifted copy of the times is made."""
         import numpy as np
 
         tk, vk = np.array(self.points).T
-        return self.amplitude_v * np.interp(
-            np.asarray(times, dtype=float) - self.delay_s, tk, vk)
+        v = np.interp(times, tk + self.delay_s, vk)
+        v *= self.amplitude_v
+        return v
 
 
 def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
