@@ -32,11 +32,8 @@ This module imports no numpy: ``run_scenario`` and
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ParameterError, ToolkitError
@@ -783,7 +780,9 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     the traces' own size; and 256 bytes per stimulus breakpoint (a pair
     of Python floats, held twice while the Stimulus is built, and its
     array copies)."""
-    unknowns = n_lines * (2 * max(n_segments, 1) + 2)
+    # in floats: from n_segments ~ 1e154 the n^2 term is inf, and refused,
+    # where an int square would fail to convert
+    unknowns = n_lines * (2.0 * max(n_segments, 1) + 2)
     if nodes == "ends":
         traces = 2 * n_lines
     elif isinstance(nodes, (list, tuple)):
@@ -793,7 +792,7 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
     steps = sim.t_end / sim.dt
     m = min(BLOCK_STEPS, steps // unknowns)
-    need = {"sim.n_segments": 40.0 * unknowns ** 2,
+    need = {"sim.n_segments": 40.0 * unknowns * unknowns,
             "sim.dt": 8.0 * ((steps + 1) * (traces + 2)
                              + (unknowns + m) * m * traces),
             "stimulus.samples": 256.0 * (samples + 1)}
@@ -905,26 +904,42 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
     """CSV with header ``time,<node>,...``, 9 significant digits.
 
     The bytes equal ``np.savetxt(fmt="%.9g", delimiter=",")``'s; one
-    ``%`` format per chunk of rows is about twice as fast. Each chunk is
-    stacked from slices of the traces, so neither the formatted text nor
-    a copy of the traces is ever whole.
+    ``%`` format per chunk of rows is about twice as fast. A column that
+    holds one value through a chunk (a quiet trace, a settled drive) is
+    written into that chunk's row format as text, so only the varying
+    columns are formatted; 0.0 and -0.0 print differently, so a chunk
+    holding both varies. Each chunk is stacked from slices of the
+    traces, so neither the formatted text nor a copy of the traces is
+    ever whole.
     """
     import numpy as np
 
     labels = list(waves.node_traces)
     columns = [waves.times] + [waves.node_traces[lbl] for lbl in labels]
-    row_fmt = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(["time"] + labels) + "\n")
         for start in range(0, len(waves.times), _CSV_CHUNK_ROWS):
-            blk = np.column_stack([c[start:start + _CSV_CHUNK_ROWS]
-                                   for c in columns])
-            fh.write((row_fmt * len(blk)) % tuple(blk.ravel().tolist()))
+            chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+            fmts, varying = [], []
+            for col in chunk:
+                if ((col == col[0]).all()
+                        and (np.signbit(col) == np.signbit(col[0])).all()):
+                    fmts.append("%.9g" % col[0])
+                else:
+                    fmts.append("%.9g")
+                    varying.append(col)
+            rows = (",".join(fmts) + "\n") * len(chunk[0])
+            if varying:
+                rows %= tuple(np.column_stack(varying).ravel().tolist())
+            fh.write(rows)
 
 
 def write_summary_json(path, result: ScenarioResult,
                        timestamp: str | None = None) -> None:
     """Summary JSON; deterministic except for the timestamp field."""
+    import json
+    from datetime import datetime, timezone
+
     data = asdict(result)
     data["timestamp"] = (timestamp if timestamp is not None
                          else datetime.now(timezone.utc).isoformat())
@@ -981,6 +996,8 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
 
 def write_sweep_csv(path, axis: str, rows: list[dict]) -> None:
     """Sweep rows as CSV: axis value, metrics, error message."""
+    import csv
+
     def fmt(x):
         return "" if x is None else f"{x:.9g}"
 

@@ -54,8 +54,10 @@ The run inputs ``Stimulus`` and ``SimConfig`` are defined in
 module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
-this one name, which perfbench swaps for a counting proxy: a run makes
-three solves, the DC state, the first step, and P and q.
+this one name: a run makes three ``solve`` calls, for the DC state, the
+first step, and P and q. perfbench swaps it for a proxy that counts
+``lu_factor`` and ``lu_solve``, which the engine never calls, so its
+``engine.lu_*.calls`` read 0.
 """
 
 from __future__ import annotations

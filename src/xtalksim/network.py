@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import ParameterError
@@ -505,6 +504,8 @@ def _tap_segment(fraction: float, n_segments: int) -> int:
     pos = fraction * n_segments
     seg = int(round(pos))
     if abs(pos - seg) > 1e-9 or not 0 < seg < n_segments:
+        from fractions import Fraction
+
         frac = Fraction(fraction).limit_denominator(10 ** 6)
         q = frac.denominator
         suggestion = q * max(1, round(n_segments / q))
@@ -620,7 +621,7 @@ def preset_tables(name: str, tap_count: int | None = None,
         tap_count = 3 if name == "shield-3taps" else 0
     if tap_count < 0:
         raise ParameterError("tap count must be >= 0")
-    taps = TapSchedule(fractions=tuple(Fraction(i, tap_count + 1)
+    taps = TapSchedule(fractions=tuple(i / (tap_count + 1)
                                        for i in range(1, tap_count + 1)),
                        tie_resistance_ohm=tie_resistance_ohm)
     agg = _signal_line("aggressor", "aggressor")
