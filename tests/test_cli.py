@@ -54,7 +54,342 @@ def short_preset(name: str, *extra: str):
     return apply_set_overrides(preset_config(name), [*SHORT, *extra])
 
 
+A, V = EXPLICIT_PAIR["lines"]
+(AV,) = EXPLICIT_PAIR["couplings"]
+
+
+def _pair(**scenario) -> dict:
+    """A config document: EXPLICIT_PAIR with some scenario keys replaced."""
+    return {"scenario": dict(EXPLICIT_PAIR, **scenario),
+            "sim": {"dt": 1e-9, "t_end": 4e-7}}
+
+
+def _repeated_key(key: str, text: str, column: int) -> str:
+    """pyyaml's message for a mapping that repeats ``key``."""
+    return (f"found repeated key '{key}'\n  in \"<unicode string>\", line 1, "
+            f"column {column}:\n    {text}\n{' ' * (column + 3)}^")
+
+
+TAPS = "--preset shield --axis tap_count --values"
+TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
+NOT_A_NUMBER = "{} must be a number, got 'lots'"
+NEEDS_SHIELD = "geometry.{} needs a shielded preset (a line with role shield)"
+AFTER_DRIVE = ("sim.t_end=1e-07 ends before the drive's last change at "
+               "2e-07 s; measurements need the settled drive, so end the "
+               "window at or after it")
+
+# Every refusal of the command line is a row of REFUSALS or of the four
+# tables after it: (command, arguments, config, exit code, message). The
+# arguments are a shell line, {cfg} the config file's path; the config is
+# YAML text, a mapping written as JSON, or None for no file; the message
+# is all that follows "error: ", with {cfg} for the path.
+REFUSALS = {
+    # usage errors exit 1 like config errors
+    "run-neither-flag": (
+        "run", "", None, 1, "give exactly one of --config or --preset"),
+    "run-both-flags": (
+        "run", "--preset no-shield --config {cfg}", None, 1,
+        "give exactly one of --config or --preset"),
+    "run-set-without-value": (
+        "run", "--preset no-shield --set sim.dt", None, 1,
+        "--set needs key=value, got 'sim.dt'"),
+    "run-unknown-preset": (
+        "run", "--preset ghost", None, 1,
+        "argument --preset: invalid choice: 'ghost' (choose from "
+        "'no-shield', 'shield', 'shield-3taps')"),
+    "sweep-one-value": (
+        "sweep", f"{TAPS} 3", None, 1,
+        "a sweep needs at least two axis values"),
+    "sweep-non-number-value": (
+        "sweep", f"{TAPS} 1,2x", None, 1,
+        "--values entries must be numbers, got '2x'"),
+    "sweep-bool-value": (
+        "sweep", f"{TAPS} 0,true", None, 1,
+        "--values entries must be numbers, got 'true'"),
+    # the output block is read before any sweep row runs
+    "sweep-unknown-output-key": (
+        "sweep", f"--set output.bogus=1 {TAPS} 0,1", None, 1,
+        "output block: unknown key(s) bogus; allowed: directory, formats, "
+        "nodes"),
+    "sweep-bad-output-nodes": (
+        "sweep", f"--set output.nodes=5 {TAPS} 0,1", None, 1,
+        "output.nodes must be 'all', 'ends', or a list of node labels, "
+        "got 5"),
+    "run-missing-config": (
+        "run", "--config {cfg}", None, 3,
+        "[Errno 2] No such file or directory: '{cfg}'"),
+    # YAML would keep the later dt, and the deck said .tran 1e-10
+    "export-netlist-repeated-config-key": (
+        "export-netlist", "--config {cfg}",
+        "sim: {dt: 5e-11, t_end: 2.4e-6, dt: 1e-10}\n", 1,
+        "config parse error in {cfg} at line 1, column 33: "
+        + _repeated_key("dt", "sim: {dt: 5e-11, t_end: 2.4e-6, dt: 1e-10}",
+                        33)),
+    # C/dt overflows to inf, so the step matrices come out non-finite
+    "run-non-finite-step-matrices": (
+        "run", "--config {cfg}",
+        _pair(couplings=[], lines=[dict(A, c_total=1.0e308), V]), 2,
+        "non-finite step matrices P, q (theta=0.5, dt=1e-09 s)"),
+    "run-bool-for-a-number": (
+        "run", "--preset shield --set sim.t_end=true", None, 1,
+        "sim.t_end must be a number, got True"),
+    "run-sim-without-t_end": (
+        "run", "--config {cfg}",
+        "scenario: {preset: shield}\nsim: {dt: 1e-9}\n", 1,
+        "sim block needs dt and t_end"),
+    # the scenario's description: lines, couplings, terminations, taps
+    "run-repeated-line-name": (
+        "run", "--config {cfg}", _pair(lines=[A, dict(V, name="a")],
+                                       couplings=[]),
+        1, "line names must be unique"),
+    "run-negative-cm_total": (
+        "run", "--config {cfg}",
+        _pair(couplings=[dict(AV, cm_total=-1e-12)]),
+        1, "coupling ('a', 'v'): cm_total must be >= 0, got -1e-12"),
+    "run-termination-for-unknown-line": (
+        "run", "--config {cfg}",
+        _pair(terminations={"zz": {"driver_resistance_ohm": 1.0}}), 1,
+        "termination names unknown line 'zz'"),
+    "run-termination-for-a-shield": (
+        "run", "--config {cfg}",
+        _pair(lines=[A, V, dict(A, name="s", role="shield")],
+              terminations={"s": {"driver_resistance_ohm": 1.0}}), 1,
+        "line 's' is a shield; its ends are ground ties, not terminations"),
+    **{f"run-{case}-without-shield": (
+        "run", argv, config, 1, "a tap schedule needs a line with role shield")
+       for case, argv, config in (
+           ("tap_count", "--preset no-shield --set scenario.tap_count=1",
+            None),
+           ("tie_resistance_ohm",
+            "--preset no-shield --set scenario.tie_resistance_ohm=5", None),
+           ("taps", "--config {cfg}",
+            _pair(taps={"tie_resistance_ohm": 5.0})))},
+    # overrides, read in the formula units
+    "run-unknown-override-key": (
+        "run", "--preset shield --set overrides.g_total=1", None, 1,
+        "unknown override keys: ['g_total']"),
+    "run-override-naming-unknown-line": (
+        "run", "--preset shield --set 'overrides.l_total={ghost: 80}'", None,
+        1, "override l_total names unknown line 'ghost'"),
+    "run-override-in-henries": (
+        "run", "--preset shield --set "
+               "'overrides.m_total={aggressor:victim: 7.51e-6}'", None, 1,
+        "overrides.m_total[aggressor:victim] = 7.51e-06 is read in uH, the "
+        "unit of the formula values, not H; for 7.51e-06 H write 7.51"),
+    # --set may pass through mappings only; the preset's r_total: 500
+    # became {aggressor: 50}, which moved the other lines in silence
+    "run-set-through-a-scalar": (
+        "run", "--preset shield --set overrides.r_total.aggressor=50", None,
+        1, "overrides.r_total holds 500.0, not a mapping, so "
+           "overrides.r_total.aggressor cannot be set; set the whole value "
+           "instead"),
+    **{f"run-non-finite-{field}": (
+        "run", f"--preset shield --set {field}=.nan", None, 1, message)
+       for field, message in {
+           "scenario.tie_resistance_ohm": "tie_resistance_ohm must be finite "
+                                          "and >= 0, got nan",
+           "stimulus.delay_s": "stimulus delay_s must be finite, got nan",
+           "stimulus.rise_time_s": "stimulus rise_time_s must be finite and "
+                                   ">= 0, got nan",
+       }.items()},
+    # the kind is read before the preset's smooth-edge keys are checked
+    "export-netlist-unknown-stimulus-kind": (
+        "export-netlist", "--preset shield --set stimulus.kind=bogus", None,
+        1, "unknown stimulus kind 'bogus'"),
+    **{f"run-{key}-without-shield": (
+        "run", f"--preset no-shield --set geometry.{key}=2.0", None, 1,
+        NEEDS_SHIELD.format(key))
+       for key in ("shield_width_scale", "shield_separation_um")},
+    # refused at once, before one tap position is made
+    "export-netlist-tap-count-beyond-segments": (
+        "export-netlist",
+        "--preset shield --set scenario.tap_count=1000000000", None, 1,
+        "scenario.tap_count=1000000000: taps at i/(tap_count+1) land on "
+        "interior nodes only when tap_count <= sim.n_segments - 1 = 11"),
+    # a pair named twice, where the later value used to win in silence
+    "run-pair-override-named-twice": (
+        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
+               "5.0, victim:aggressor: 6.0}'", None, 1,
+        "overrides.m_total names pair aggressor:victim twice, as "
+        "'aggressor:victim' and 'victim:aggressor'"),
+    "run-same-pair-key-twice": (
+        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
+               "5.0, aggressor:victim: 6.0}'", None, 1,
+        "--set overrides.m_total: unparseable value '{aggressor:victim: 5.0, "
+        "aggressor:victim: 6.0}': " + _repeated_key(
+            "aggressor:victim",
+            "{aggressor:victim: 5.0, aggressor:victim: 6.0}", 25)),
+    # the deck came out with no K cards at all
+    "export-netlist-coupling-pair-given-twice": (
+        "export-netlist", "--config {cfg}",
+        _pair(couplings=[AV, {"pair": ["v", "a"], "cm_total": 10e-12}]), 1,
+        "scenario.couplings[1] gives pair a:v again, after "
+        "scenario.couplings[0]; give each pair one entry"),
+    "run-coupling-naming-unknown-line": (
+        "run", "--config {cfg}",
+        _pair(couplings=[{"pair": ["a", "zz"], "m_total": 6e-6}]), 1,
+        "coupling pair ('a', 'zz') does not name two distinct known lines"),
+    # the deck would lose a breakpoint the engine keeps
+    "run-delay-merging-breakpoints": (
+        "run", "--preset shield --set stimulus.kind=step --set "
+               "stimulus.samples=null --set stimulus.rise_time_s=null --set "
+               "stimulus.delay_s=100", None, 1,
+        "stimulus delay_s=100.0 merges the breakpoints at t=0.0 and "
+        "t=1e-15: both fall at 100.0 s"),
+    # the window: whole steps that reach the drive's last change
+    "run-window-not-whole-steps": (
+        "run", "--preset shield --set sim.dt=3e-10 --set sim.t_end=1e-9",
+        None, 1, "t_end=1e-09 is not a whole number of dt=3e-10 steps "
+                 "(3.33333333)"),
+    **{f"{command}-window-ending-before-the-drive": (
+        command, "--preset no-shield --set sim.t_end=1e-7", None, 1,
+        AFTER_DRIVE) for command in ("run", "export-netlist")},
+    # a run too large to hold, refused before anything is built
+    "export-netlist-too-large-samples": (
+        "export-netlist", "--preset shield --set stimulus.samples=1e12", None,
+        1, "stimulus.samples: " + TOO_LARGE.format("2.38e+05")),
+    "export-netlist-too-large-n_segments": (
+        "export-netlist", "--preset shield --set sim.n_segments=1e9", None, 1,
+        "sim.n_segments: " + TOO_LARGE.format("1.34e+12")),
+    "run-too-large-dt": (
+        "run", "--preset shield --set sim.dt=1e-20", None, 1,
+        "sim.dt: " + TOO_LARGE.format("1.43e+07")),
+    # n_segments squared passes the largest float
+    **{f"{command}-n_segments-1e200": (
+        command, "--preset shield --set sim.n_segments=1e200", None, 1,
+        "sim.n_segments: " + TOO_LARGE.format("inf"))
+       for command in ("run", "export-netlist", "extract")},
+    # a network the construction check refuses, or a name the deck or
+    # the output files cannot carry: run writes nothing, export-netlist
+    # no deck
+    **{f"{command}-{case}": (command, "--config {cfg}", config, 1, message)
+       for command in ("run", "export-netlist")
+       for case, config, message in (
+           ("zero-ohm-driver",
+            _pair(terminations={"a": {"driver_resistance_ohm": 0.0}}),
+            "scenario.terminations[a]: driver_resistance_ohm must be finite "
+            "and > 0, got 0.0"),
+           # every shield node reaches ground; the 0-ohm loop through the
+           # two end ties is what leaves the DC currents unset
+           ("zero-resistance-shield-loop",
+            _pair(lines=[A, V, dict(A, name="s", role="shield",
+                                    r_total=0.0)]),
+            "Ls_12 closes a loop of zero-resistance inductors, whose DC "
+            "current nothing sets"),
+           ("coupling-k-of-1.07",
+            _pair(couplings=[dict(AV, m_total=80e-6)]),
+            "Ka_v_1: |M|/sqrt(Li*Lj) = 1.069 is not < 1, the inductance "
+            "matrix is not positive definite"),
+           ("line-name-not-a-string",
+            _pair(couplings=[], lines=[dict(A, name=5), V]),
+            "scenario.lines[0]: line name must be a string, got 5"),
+           ("line-name-with-whitespace",
+            _pair(couplings=[], lines=[dict(A, name="agg one"), V]),
+            "node label 'agg one_src' is empty or holds whitespace or a "
+            "non-printable character; a deck card cannot carry it"),
+       )},
+}
+# Rows that keep the test names and case ids they had before the table:
+# a value that is not a number, or not of the shape its reader takes
+NON_NUMBER = {
+    f"{entry}-{field}": ("run", argv, config, 1, NOT_A_NUMBER.format(field))
+    for entry, field, argv, config in (
+        ("lines", "scenario.lines[0].r_total", "--config {cfg}",
+         _pair(lines=[dict(A, r_total="lots"), V])),
+        ("couplings", "scenario.couplings[0].cm_total", "--config {cfg}",
+         _pair(couplings=[dict(AV, cm_total="lots")])),
+        ("terminations", "scenario.terminations[a].load_capacitance_f",
+         "--config {cfg}",
+         _pair(terminations={"a": {"load_capacitance_f": "lots"}})),
+        *(("set", key, f"--preset shield --set {key}=lots", None)
+          for key in ("geometry.width_um", "geometry.shield_width_scale",
+                      "overrides.r_total", "scenario.tie_resistance_ohm",
+                      "stimulus.amplitude_v", "sim.dt")))}
+WRONG_SHAPE = {
+    **{f"{edit}-{edit.partition('=')[0]}": (
+        "run", f"--preset shield --set {edit}", None, 1, message)
+       for edit, message in {
+           "overrides.m_total=5": "overrides.m_total must be a mapping of "
+                                  "'a:b' pairs to values, got 5",
+           "overrides.cm_total=[1]": "overrides.cm_total must be a mapping "
+                                     "of 'a:b' pairs to values, got [1]",
+           "output.formats=5": "output.formats must be a list, got 5",
+           "output.formats=[[1]]": "output.formats: unknown format(s) "
+                                   "[[1]]; allowed: ('csv', 'json')",
+           "geometry.coefficients=[1]": "geometry.coefficients: unknown "
+                                        "coefficient set [1]; available: "
+                                        "paper-literal, table-compat",
+       }.items()},
+    **{case: ("run", "--config {cfg}", config, 1, message)
+       for case, config, message in (
+           ("edit5-scenario.taps.fractions", _pair(taps={"fractions": "abc"}),
+            "scenario.taps.fractions must be a list, got 'abc'"),
+           ("edit6-scenario.taps.fractions", _pair(taps={"fractions": 0.5}),
+            "scenario.taps.fractions must be a list, got 0.5"),
+           ("edit7-scenario.taps.fractions[0]",
+            _pair(taps={"fractions": ["abc"]}),
+            "scenario.taps.fractions[0] must be a number, got 'abc'"),
+           ("edit8-scenario.lines[1]",
+            _pair(lines=[A, {k: V[k] for k in V if k != "c_total"}]),
+            "scenario.lines[1]: LineSpec.__init__() missing 1 required "
+            "positional argument: 'c_total'"),
+           ("edit9-scenario.lines[1]", _pair(lines=[A, dict(V, bogus=1)]),
+            "scenario.lines[1]: LineSpec.__init__() got an unexpected "
+            "keyword argument 'bogus'"))},
+}
+# the name builds the file names and the deck's title comment
+SCENARIO_NAMES = {
+    f"{command}-{name}": (
+        command, "--config {cfg}", _pair(name=name), 1,
+        f"scenario name {name!r} names the output files and the deck title, "
+        f"so it may hold no '/', '\\' or non-printable character")
+    for command in ("run", "export-netlist")
+    for name in ("../escaped", "a\\b", "two\nlines", "bell\x07")}
+# extract reads every block with the reader a run uses
+EXTRACT = {
+    label: ("extract", f"--preset shield --set {edit}", None, 1, message)
+    for label, edit, message in (
+        ("scenario", "scenario.bogus=1", "scenario block: unknown key(s) "
+         "bogus; allowed: couplings, lines, name, preset, tap_count, taps, "
+         "terminations, tie_resistance_ohm"),
+        ("stimulus", "stimulus.kind=nope", "unknown stimulus kind 'nope'"),
+        ("sim", "sim.bogus=1", "sim block: unknown key(s) bogus; allowed: "
+         "dt, method, n_segments, t_end"),
+        ("output-formats", "output.formats=[xml]", "output.formats: unknown "
+         "format(s) ['xml']; allowed: ('csv', 'json')"),
+        ("output-nodes", "output.nodes=5", "output.nodes must be 'all', "
+         "'ends', or a list of node labels, got 5"),
+        ("run-size", "stimulus.samples=1e12",
+         "stimulus.samples: " + TOO_LARGE.format("2.38e+05")))}
+
+
+def _refusal_test(rows: dict):
+    """A test that runs each row of ``rows`` and checks its refusal."""
+    @pytest.mark.parametrize("command, argv, config, code, message",
+                             rows.values(), ids=rows)
+    def test(self, tmp_path, capsys, command, argv, config, code, message):
+        cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        if config is not None:
+            cfg.write_text(config if isinstance(config, str)
+                           else json.dumps(config))
+        args = [arg.replace("{cfg}", str(cfg)) for arg in shlex.split(argv)]
+        # --out one level down: neither directory may be made
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no raw numpy warning first
+            rc = main([command, *args, "--out", str(out / "deep")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert (rc, captured.err) == (
+            code, f"error: {message.replace('{cfg}', str(cfg))}\n")
+        assert captured.out == ""
+        assert not out.exists()
+    return test
+
+
 class TestConfigDocuments:
+    test_non_number_field_exits_1_naming_it = _refusal_test(NON_NUMBER)
+    test_wrong_shape_exits_1_naming_it = _refusal_test(WRONG_SHAPE)
+
     def test_checked_in_configs_match_presets(self):
         for name in PRESET_NAMES:
             cfg = load_config(CONFIG_DIR / f"{name}.yaml")
@@ -582,316 +917,6 @@ class TestRunSweep:
             f"{rows[1]['victim_peak_v'] * 1e3:.4f} mV at 3 taps")
 
 
-A, V = EXPLICIT_PAIR["lines"]
-(AV,) = EXPLICIT_PAIR["couplings"]
-
-
-def _pair(**scenario) -> dict:
-    """A config document: EXPLICIT_PAIR with some scenario keys replaced."""
-    return {"scenario": dict(EXPLICIT_PAIR, **scenario),
-            "sim": {"dt": 1e-9, "t_end": 4e-7}}
-
-
-def _repeated_key(key: str, text: str, column: int) -> str:
-    """pyyaml's message for a mapping that repeats ``key``."""
-    return (f"found repeated key '{key}'\n  in \"<unicode string>\", line 1, "
-            f"column {column}:\n    {text}\n{' ' * (column + 3)}^")
-
-
-TAPS = "--preset shield --axis tap_count --values"
-TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
-NOT_A_NUMBER = "{} must be a number, got 'lots'"
-NEEDS_SHIELD = "geometry.{} needs a shielded preset (a line with role shield)"
-AFTER_DRIVE = ("sim.t_end=1e-07 ends before the drive's last change at "
-               "2e-07 s; measurements need the settled drive, so end the "
-               "window at or after it")
-
-# Every refusal of the command line, as (command, arguments, config,
-# exit code, message). The arguments are a shell line where {cfg} is
-# the config file's path; the config is YAML text, a mapping written as
-# JSON, or None for no file; the message is all that follows "error: ",
-# with {cfg} for the path.
-REFUSALS = {
-    # usage errors exit 1 like config errors
-    "run-neither-flag": (
-        "run", "", None, 1, "give exactly one of --config or --preset"),
-    "run-both-flags": (
-        "run", "--preset no-shield --config {cfg}", None, 1,
-        "give exactly one of --config or --preset"),
-    "run-set-without-value": (
-        "run", "--preset no-shield --set sim.dt", None, 1,
-        "--set needs key=value, got 'sim.dt'"),
-    "run-unknown-preset": (
-        "run", "--preset ghost", None, 1,
-        "argument --preset: invalid choice: 'ghost' (choose from "
-        "'no-shield', 'shield', 'shield-3taps')"),
-    "sweep-one-value": (
-        "sweep", f"{TAPS} 3", None, 1,
-        "a sweep needs at least two axis values"),
-    "sweep-non-number-value": (
-        "sweep", f"{TAPS} 1,2x", None, 1,
-        "--values entries must be numbers, got '2x'"),
-    "sweep-bool-value": (
-        "sweep", f"{TAPS} 0,true", None, 1,
-        "--values entries must be numbers, got 'true'"),
-    # the output block is read before any sweep row runs
-    "sweep-unknown-output-key": (
-        "sweep", f"--set output.bogus=1 {TAPS} 0,1", None, 1,
-        "output block: unknown key(s) bogus; allowed: directory, formats, "
-        "nodes"),
-    "sweep-bad-output-nodes": (
-        "sweep", f"--set output.nodes=5 {TAPS} 0,1", None, 1,
-        "output.nodes must be 'all', 'ends', or a list of node labels, "
-        "got 5"),
-    "run-missing-config": (
-        "run", "--config {cfg}", None, 3,
-        "[Errno 2] No such file or directory: '{cfg}'"),
-    # YAML would keep the later dt, and the deck said .tran 1e-10
-    "export-netlist-repeated-config-key": (
-        "export-netlist", "--config {cfg}",
-        "sim: {dt: 5e-11, t_end: 2.4e-6, dt: 1e-10}\n", 1,
-        "config parse error in {cfg} at line 1, column 33: "
-        + _repeated_key("dt", "sim: {dt: 5e-11, t_end: 2.4e-6, dt: 1e-10}",
-                        33)),
-    # C/dt overflows to inf, so the step matrices come out non-finite
-    "run-non-finite-step-matrices": (
-        "run", "--config {cfg}",
-        _pair(couplings=[], lines=[dict(A, c_total=1.0e308), V]), 2,
-        "non-finite step matrices P, q (theta=0.5, dt=1e-09 s)"),
-    # a value that is not a number, or not of the shape its reader takes
-    "run-non-number-line-field": (
-        "run", "--config {cfg}", _pair(lines=[dict(A, r_total="lots"), V]),
-        1, NOT_A_NUMBER.format("scenario.lines[0].r_total")),
-    "run-non-number-coupling-field": (
-        "run", "--config {cfg}",
-        _pair(couplings=[dict(AV, cm_total="lots")]),
-        1, NOT_A_NUMBER.format("scenario.couplings[0].cm_total")),
-    "run-non-number-termination-field": (
-        "run", "--config {cfg}",
-        _pair(terminations={"a": {"load_capacitance_f": "lots"}}),
-        1, NOT_A_NUMBER.format("scenario.terminations[a].load_capacitance_f")),
-    **{f"run-non-number-{field}": (
-        "run", f"--preset shield --set {field}=lots", None, 1,
-        NOT_A_NUMBER.format(field))
-       for field in ("geometry.width_um", "geometry.shield_width_scale",
-                     "overrides.r_total", "scenario.tie_resistance_ohm",
-                     "stimulus.amplitude_v", "sim.dt")},
-    **{f"run-wrong-shape-{edit}": (
-        "run", f"--preset shield --set {edit}", None, 1, message)
-       for edit, message in {
-           "overrides.m_total=5": "overrides.m_total must be a mapping of "
-                                  "'a:b' pairs to values, got 5",
-           "overrides.cm_total=[1]": "overrides.cm_total must be a mapping "
-                                     "of 'a:b' pairs to values, got [1]",
-           "output.formats=5": "output.formats must be a list, got 5",
-           "output.formats=[[1]]": "output.formats: unknown format(s) "
-                                   "[[1]]; allowed: ('csv', 'json')",
-           "geometry.coefficients=[1]": "geometry.coefficients: unknown "
-                                        "coefficient set [1]; available: "
-                                        "paper-literal, table-compat",
-       }.items()},
-    **{f"run-wrong-shape-{case}": ("run", "--config {cfg}", config, 1, message)
-       for case, config, message in (
-           ("fractions-a-string", _pair(taps={"fractions": "abc"}),
-            "scenario.taps.fractions must be a list, got 'abc'"),
-           ("fractions-a-number", _pair(taps={"fractions": 0.5}),
-            "scenario.taps.fractions must be a list, got 0.5"),
-           ("fraction-a-string", _pair(taps={"fractions": ["abc"]}),
-            "scenario.taps.fractions[0] must be a number, got 'abc'"),
-           ("line-without-c_total",
-            _pair(lines=[A, {k: V[k] for k in V if k != "c_total"}]),
-            "scenario.lines[1]: LineSpec.__init__() missing 1 required "
-            "positional argument: 'c_total'"),
-           ("line-with-unknown-key", _pair(lines=[A, dict(V, bogus=1)]),
-            "scenario.lines[1]: LineSpec.__init__() got an unexpected "
-            "keyword argument 'bogus'"))},
-    "run-bool-for-a-number": (
-        "run", "--preset shield --set sim.t_end=true", None, 1,
-        "sim.t_end must be a number, got True"),
-    "run-sim-without-t_end": (
-        "run", "--config {cfg}",
-        "scenario: {preset: shield}\nsim: {dt: 1e-9}\n", 1,
-        "sim block needs dt and t_end"),
-    # the scenario's description: lines, couplings, terminations, taps
-    "run-repeated-line-name": (
-        "run", "--config {cfg}", _pair(lines=[A, dict(V, name="a")],
-                                       couplings=[]),
-        1, "line names must be unique"),
-    "run-negative-cm_total": (
-        "run", "--config {cfg}",
-        _pair(couplings=[dict(AV, cm_total=-1e-12)]),
-        1, "coupling ('a', 'v'): cm_total must be >= 0, got -1e-12"),
-    "run-termination-for-unknown-line": (
-        "run", "--config {cfg}",
-        _pair(terminations={"zz": {"driver_resistance_ohm": 1.0}}), 1,
-        "termination names unknown line 'zz'"),
-    "run-termination-for-a-shield": (
-        "run", "--config {cfg}",
-        _pair(lines=[A, V, dict(A, name="s", role="shield")],
-              terminations={"s": {"driver_resistance_ohm": 1.0}}), 1,
-        "line 's' is a shield; its ends are ground ties, not terminations"),
-    **{f"run-{case}-without-shield": (
-        "run", argv, config, 1, "a tap schedule needs a line with role shield")
-       for case, argv, config in (
-           ("tap_count", "--preset no-shield --set scenario.tap_count=1",
-            None),
-           ("tie_resistance_ohm",
-            "--preset no-shield --set scenario.tie_resistance_ohm=5", None),
-           ("taps", "--config {cfg}",
-            _pair(taps={"tie_resistance_ohm": 5.0})))},
-    # overrides, read in the formula units
-    "run-unknown-override-key": (
-        "run", "--preset shield --set overrides.g_total=1", None, 1,
-        "unknown override keys: ['g_total']"),
-    "run-override-naming-unknown-line": (
-        "run", "--preset shield --set 'overrides.l_total={ghost: 80}'", None,
-        1, "override l_total names unknown line 'ghost'"),
-    "run-override-in-henries": (
-        "run", "--preset shield --set "
-               "'overrides.m_total={aggressor:victim: 7.51e-6}'", None, 1,
-        "overrides.m_total[aggressor:victim] = 7.51e-06 is read in uH, the "
-        "unit of the formula values, not H; for 7.51e-06 H write 7.51"),
-    # --set may pass through mappings only; the preset's r_total: 500
-    # became {aggressor: 50}, which moved the other lines in silence
-    "run-set-through-a-scalar": (
-        "run", "--preset shield --set overrides.r_total.aggressor=50", None,
-        1, "overrides.r_total holds 500.0, not a mapping, so "
-           "overrides.r_total.aggressor cannot be set; set the whole value "
-           "instead"),
-    **{f"run-non-finite-{field}": (
-        "run", f"--preset shield --set {field}=.nan", None, 1, message)
-       for field, message in {
-           "scenario.tie_resistance_ohm": "tie_resistance_ohm must be finite "
-                                          "and >= 0, got nan",
-           "stimulus.delay_s": "stimulus delay_s must be finite, got nan",
-           "stimulus.rise_time_s": "stimulus rise_time_s must be finite and "
-                                   ">= 0, got nan",
-       }.items()},
-    # the kind is read before the preset's smooth-edge keys are checked
-    "export-netlist-unknown-stimulus-kind": (
-        "export-netlist", "--preset shield --set stimulus.kind=bogus", None,
-        1, "unknown stimulus kind 'bogus'"),
-    **{f"run-{key}-without-shield": (
-        "run", f"--preset no-shield --set geometry.{key}=2.0", None, 1,
-        NEEDS_SHIELD.format(key))
-       for key in ("shield_width_scale", "shield_separation_um")},
-    # refused at once, before one tap position is made
-    "export-netlist-tap-count-beyond-segments": (
-        "export-netlist",
-        "--preset shield --set scenario.tap_count=1000000000", None, 1,
-        "scenario.tap_count=1000000000: taps at i/(tap_count+1) land on "
-        "interior nodes only when tap_count <= sim.n_segments - 1 = 11"),
-    # a pair named twice, where the later value used to win in silence
-    "run-pair-override-named-twice": (
-        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
-               "5.0, victim:aggressor: 6.0}'", None, 1,
-        "overrides.m_total names pair aggressor:victim twice, as "
-        "'aggressor:victim' and 'victim:aggressor'"),
-    "run-same-pair-key-twice": (
-        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
-               "5.0, aggressor:victim: 6.0}'", None, 1,
-        "--set overrides.m_total: unparseable value '{aggressor:victim: 5.0, "
-        "aggressor:victim: 6.0}': " + _repeated_key(
-            "aggressor:victim",
-            "{aggressor:victim: 5.0, aggressor:victim: 6.0}", 25)),
-    # the deck came out with no K cards at all
-    "export-netlist-coupling-pair-given-twice": (
-        "export-netlist", "--config {cfg}",
-        _pair(couplings=[AV, {"pair": ["v", "a"], "cm_total": 10e-12}]), 1,
-        "scenario.couplings[1] gives pair a:v again, after "
-        "scenario.couplings[0]; give each pair one entry"),
-    "run-coupling-naming-unknown-line": (
-        "run", "--config {cfg}",
-        _pair(couplings=[{"pair": ["a", "zz"], "m_total": 6e-6}]), 1,
-        "coupling pair ('a', 'zz') does not name two distinct known lines"),
-    # the deck would lose a breakpoint the engine keeps
-    "run-delay-merging-breakpoints": (
-        "run", "--preset shield --set stimulus.kind=step --set "
-               "stimulus.samples=null --set stimulus.rise_time_s=null --set "
-               "stimulus.delay_s=100", None, 1,
-        "stimulus delay_s=100.0 merges the breakpoints at t=0.0 and "
-        "t=1e-15: both fall at 100.0 s"),
-    # the window: whole steps that reach the drive's last change
-    "run-window-not-whole-steps": (
-        "run", "--preset shield --set sim.dt=3e-10 --set sim.t_end=1e-9",
-        None, 1, "t_end=1e-09 is not a whole number of dt=3e-10 steps "
-                 "(3.33333333)"),
-    **{f"{command}-window-ending-before-the-drive": (
-        command, "--preset no-shield --set sim.t_end=1e-7", None, 1,
-        AFTER_DRIVE) for command in ("run", "export-netlist")},
-    # a run too large to hold, refused before anything is built
-    "export-netlist-too-large-samples": (
-        "export-netlist", "--preset shield --set stimulus.samples=1e12", None,
-        1, "stimulus.samples: " + TOO_LARGE.format("2.38e+05")),
-    "export-netlist-too-large-n_segments": (
-        "export-netlist", "--preset shield --set sim.n_segments=1e9", None, 1,
-        "sim.n_segments: " + TOO_LARGE.format("1.34e+12")),
-    "run-too-large-dt": (
-        "run", "--preset shield --set sim.dt=1e-20", None, 1,
-        "sim.dt: " + TOO_LARGE.format("1.43e+07")),
-    # n_segments squared passes the largest float
-    **{f"{command}-n_segments-1e200": (
-        command, "--preset shield --set sim.n_segments=1e200", None, 1,
-        "sim.n_segments: " + TOO_LARGE.format("inf"))
-       for command in ("run", "export-netlist", "extract")},
-    # extract reads every block with the reader a run uses
-    **{f"extract-{assignment}": (
-        "extract", f"--preset shield --set {assignment}", None, 1, message)
-       for assignment, message in {
-           "scenario.bogus=1": "scenario block: unknown key(s) bogus; "
-                               "allowed: couplings, lines, name, preset, "
-                               "tap_count, taps, terminations, "
-                               "tie_resistance_ohm",
-           "stimulus.kind=nope": "unknown stimulus kind 'nope'",
-           "sim.bogus=1": "sim block: unknown key(s) bogus; allowed: dt, "
-                          "method, n_segments, t_end",
-           "output.formats=[xml]": "output.formats: unknown format(s) "
-                                   "['xml']; allowed: ('csv', 'json')",
-           "output.nodes=5": "output.nodes must be 'all', 'ends', or a list "
-                             "of node labels, got 5",
-           "stimulus.samples=1e12": "stimulus.samples: "
-                                    + TOO_LARGE.format("2.38e+05"),
-       }.items()},
-    # a network the construction check refuses, or a name the deck or
-    # the output files cannot carry: run writes nothing, export-netlist
-    # no deck
-    **{f"{command}-{case}": (command, "--config {cfg}", config, 1, message)
-       for command in ("run", "export-netlist")
-       for case, config, message in (
-           ("zero-ohm-driver",
-            _pair(terminations={"a": {"driver_resistance_ohm": 0.0}}),
-            "scenario.terminations[a]: driver_resistance_ohm must be finite "
-            "and > 0, got 0.0"),
-           # every shield node reaches ground; the 0-ohm loop through the
-           # two end ties is what leaves the DC currents unset
-           ("zero-resistance-shield-loop",
-            _pair(lines=[A, V, dict(A, name="s", role="shield",
-                                    r_total=0.0)]),
-            "Ls_12 closes a loop of zero-resistance inductors, whose DC "
-            "current nothing sets"),
-           ("coupling-k-of-1.07",
-            _pair(couplings=[dict(AV, m_total=80e-6)]),
-            "Ka_v_1: |M|/sqrt(Li*Lj) = 1.069 is not < 1, the inductance "
-            "matrix is not positive definite"),
-           ("line-name-not-a-string",
-            _pair(couplings=[], lines=[dict(A, name=5), V]),
-            "scenario.lines[0]: line name must be a string, got 5"),
-           ("line-name-with-whitespace",
-            _pair(couplings=[], lines=[dict(A, name="agg one"), V]),
-            "node label 'agg one_src' is empty or holds whitespace or a "
-            "non-printable character; a deck card cannot carry it"),
-           *((f"scenario-name-{label}", _pair(name=name),
-              f"scenario name {name!r} names the output files and the deck "
-              f"title, so it may hold no '/', '\\' or non-printable "
-              f"character")
-             for label, name in (("parent", "../escaped"),
-                                 ("backslash", "a\\b"),
-                                 ("newline", "two\nlines"),
-                                 ("bell", "bell\x07"))),
-       )},
-}
-
-
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):
         rc = main(["run", "--preset", "no-shield", *_sets(),
@@ -908,25 +933,8 @@ class TestCliExitCodes:
         assert rc == 0
         assert "tap_count=1.0: victim peak" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command, argv, config, code, message",
-                             REFUSALS.values(), ids=REFUSALS)
-    def test_refusal(self, tmp_path, capsys, command, argv, config, code,
-                     message):
-        cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
-        if config is not None:
-            cfg.write_text(config if isinstance(config, str)
-                           else json.dumps(config))
-        args = [arg.replace("{cfg}", str(cfg)) for arg in shlex.split(argv)]
-        # --out one level down: neither directory may be made
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")     # no raw numpy warning first
-            rc = main([command, *args, "--out", str(out / "deep")])
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert (rc, captured.err) == (
-            code, f"error: {message.replace('{cfg}', str(cfg))}\n")
-        assert captured.out == ""
-        assert not out.exists()
+    test_refusal = _refusal_test(REFUSALS)
+    test_scenario_name_stays_inside_out = _refusal_test(SCENARIO_NAMES)
 
     def test_run_size_estimate_of_the_presets_at_48_segments(self):
         # the figures quoted beside _MAX_RUN_BYTES: the traces of every
@@ -979,6 +987,8 @@ def _sets():
 
 
 class TestCliOutputs:
+    test_extract_checks_blocks_it_does_not_read = _refusal_test(EXTRACT)
+
     def test_run_writes_csv_and_json(self, tmp_path, capsys):
         rc = main(["run", "--preset", "shield", *_sets(),
                    "--out", str(tmp_path)])
