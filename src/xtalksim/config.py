@@ -32,8 +32,10 @@ This module imports no numpy: ``run_scenario`` and
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import re
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParameterError, ToolkitError
@@ -117,12 +119,18 @@ def _require_mapping(value, name: str) -> dict:
     return value
 
 
-def _check_keys(block: dict, allowed: set[str], name: str) -> None:
+def _check_keys(block: dict, allowed: set[str], name: str,
+                required: frozenset[str] = frozenset()) -> None:
     unknown = set(block) - allowed
     if unknown:
         raise ParameterError(f"{name} block: unknown key(s) "
                              f"{', '.join(sorted(map(str, unknown)))}; "
                              f"allowed: {', '.join(sorted(allowed))}")
+    missing = required - set(block)
+    if missing:
+        raise ParameterError(f"{name} block: missing key(s) "
+                             f"{', '.join(sorted(missing))}; "
+                             f"required: {', '.join(sorted(required))}")
 
 
 def _number(value, where: str, kind: type = float):
@@ -189,11 +197,12 @@ def config_from_mapping(data: dict) -> ToolkitConfig:
     return ToolkitConfig(**{name: data.get(name) for name in CONFIG_BLOCKS})
 
 
-def _load_yaml(text: str):
-    """``yaml.safe_load`` that refuses a mapping which repeats a key, and
-    names the key: the later entry would replace the earlier one without
-    a word. yaml is imported on first use, which keeps the package
-    import quick."""
+@functools.cache
+def _unique_key_loader():
+    """A ``yaml.SafeLoader`` that refuses a mapping which repeats a key,
+    and names the key: the later entry would replace the earlier one
+    without a word. Built on first use, which imports yaml then and
+    keeps the package import quick."""
     import yaml
 
     class UniqueKeyLoader(yaml.SafeLoader):
@@ -214,14 +223,23 @@ def _load_yaml(text: str):
                 seen.add(key)
             return super().construct_mapping(node, deep)
 
-    return yaml.load(text, Loader=UniqueKeyLoader)
+    return UniqueKeyLoader
+
+
+def _load_yaml(text: str):
+    """``yaml.safe_load`` through ``_unique_key_loader``."""
+    import yaml
+
+    return yaml.load(text, Loader=_unique_key_loader())
 
 
 def load_config(path) -> ToolkitConfig:
     """Read and parse a YAML config file.
 
     Parse errors carry the line/column from the YAML parser; structural
-    errors name the offending block.
+    errors name the offending block. A value YAML reads but Python
+    cannot build (an integer over Python's digit limit, a date such as
+    2001-02-30) is refused naming the file.
     """
     import yaml
 
@@ -232,6 +250,8 @@ def load_config(path) -> ToolkitConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ParameterError(f"config parse error in {path}{where}: {exc}")
+    except ValueError as exc:
+        raise ParameterError(f"config parse error in {path}: {exc}") from None
     if data is None:
         raise ParameterError(f"config file {path} is empty")
     return config_from_mapping(data)
@@ -267,16 +287,38 @@ def apply_set_overrides(config: ToolkitConfig,
     return config_from_mapping(data)
 
 
+# A plain decimal number, which the YAML 1.1 int and float resolvers
+# and int()/float() read alike: digits, a point and an exponent, and
+# ASCII spaces around them, all of which YAML strips. A leading zero
+# before more digits (YAML's octal), "_", ":", a tab or a digit of
+# another script is left to YAML, where it reads differently. Kept as
+# a string, so re compiles it on the first value and not on import.
+_PLAIN_NUMBER = r" *[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)? *"
+
+
 def parse_scalar(raw: str, where: str):
     """A command-line value read as YAML. YAML 1.1 leaves dotless
     scientific notation ("1e-10") a string, so a string that reads as
-    an int or float becomes that number."""
+    an int or float becomes that number.
+
+    A plain decimal number (``24``, ``-0.5``, ``1e-7``) is read by
+    ``int()`` or ``float()`` without importing yaml, to the value and
+    type the YAML reading gives. A value Python cannot build, such as
+    an integer over its digit limit, is refused naming ``where``."""
+    if re.fullmatch(_PLAIN_NUMBER, raw):
+        kind = float if any(c in raw for c in ".eE") else int
+        try:
+            return kind(raw)
+        except ValueError as exc:         # over the int digit limit
+            raise ParameterError(f"{where}: {exc}") from None
     import yaml
 
     try:
         value = _load_yaml(raw)
     except yaml.YAMLError as exc:
         raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
     if isinstance(value, str):
         for kind in (int, float):
             try:
@@ -537,14 +579,20 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 
 def _record(cls, entry, where: str, numbers: tuple[str, ...]):
     """``cls(**entry)`` for a mapping ``entry``, each of ``numbers`` it
-    holds read by ``_number``; ``where`` names the entry in errors,
-    those of ``cls`` too."""
+    holds read by ``_number``. Its keys are checked against the fields
+    of ``cls`` as ``_check_keys`` checks a block's, those without a
+    default required; ``where`` names the entry in errors, those of
+    ``cls`` too."""
     _require_mapping(entry, where)
+    record = [f for f in fields(cls) if f.init]
+    _check_keys(entry, {f.name for f in record}, where,
+                frozenset(f.name for f in record if f.default is MISSING
+                          and f.default_factory is MISSING))
     values = {k: _number(v, f"{where}.{k}") if k in numbers else v
               for k, v in entry.items()}
     try:
         return cls(**values)
-    except (TypeError, ParameterError) as exc:
+    except ParameterError as exc:
         raise ParameterError(f"{where}: {exc}") from None
 
 
@@ -592,7 +640,6 @@ def _parse_taps(entry) -> TapSchedule | None:
     if entry is None:
         return None
     _require_mapping(entry, "scenario.taps")
-    _check_keys(entry, {"fractions", "tie_resistance_ohm"}, "scenario.taps")
     fractions = entry.get("fractions", ())
     if not isinstance(fractions, (list, tuple)):
         raise ParameterError(f"scenario.taps.fractions must be a list, "

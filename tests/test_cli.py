@@ -8,15 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtalksim.cli import main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
-                             ToolkitConfig, _check_run_size, _pin,
+                             ToolkitConfig, _check_run_size, _load_yaml, _pin,
                              apply_set_overrides,
                              config_from_mapping,
-                             extraction_report, load_config, preset_config,
-                             resolve, resolve_stimulus,
+                             extraction_report, load_config, parse_scalar,
+                             preset_config, resolve, resolve_stimulus,
                              run_scenario, run_sweep, summary_filename,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
@@ -70,6 +72,17 @@ def _repeated_key(key: str, text: str, column: int) -> str:
             f"column {column}:\n    {text}\n{' ' * (column + 3)}^")
 
 
+# an integer of 5000 digits, over Python's limit for reading one
+HUGE_INT = "1" + "0" * 4999
+
+
+def _over_digit_limit(digits: str) -> str:
+    """Python's message for an integer over its digit limit."""
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
 TAPS = "--preset shield --axis tap_count --values"
 TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
 NOT_A_NUMBER = "{} must be a number, got 'lots'"
@@ -106,6 +119,18 @@ REFUSALS = {
     "sweep-bool-value": (
         "sweep", f"{TAPS} 0,true", None, 1,
         "--values entries must be numbers, got 'true'"),
+    # an integer over Python's digit limit, as a value on the command
+    # line or in a file
+    "export-netlist-set-over-the-digit-limit": (
+        "export-netlist", f"--preset shield --set sim.n_segments={HUGE_INT}",
+        None, 1, "--set sim.n_segments: " + _over_digit_limit(HUGE_INT)),
+    "sweep-value-over-the-digit-limit": (
+        "sweep", f"{TAPS} 1,{HUGE_INT}", None, 1,
+        "--values: " + _over_digit_limit(HUGE_INT)),
+    "export-netlist-config-over-the-digit-limit": (
+        "export-netlist", "--config {cfg}",
+        f"scenario: {{preset: shield}}\nsim: {{n_segments: {HUGE_INT}}}\n",
+        1, "config parse error in {cfg}: " + _over_digit_limit(HUGE_INT)),
     # the output block is read before any sweep row runs
     "sweep-unknown-output-key": (
         "sweep", f"--set output.bogus=1 {TAPS} 0,1", None, 1,
@@ -331,11 +356,15 @@ WRONG_SHAPE = {
             "scenario.taps.fractions[0] must be a number, got 'abc'"),
            ("edit8-scenario.lines[1]",
             _pair(lines=[A, {k: V[k] for k in V if k != "c_total"}]),
-            "scenario.lines[1]: LineSpec.__init__() missing 1 required "
-            "positional argument: 'c_total'"),
+            "scenario.lines[1] block: missing key(s) c_total; required: "
+            "c_total, l_total, name, r_total, role"),
            ("edit9-scenario.lines[1]", _pair(lines=[A, dict(V, bogus=1)]),
-            "scenario.lines[1]: LineSpec.__init__() got an unexpected "
-            "keyword argument 'bogus'"))},
+            "scenario.lines[1] block: unknown key(s) bogus; allowed: "
+            "c_total, l_total, name, r_total, role"),
+           ("edit10-scenario.terminations[a]",
+            _pair(terminations={"a": {"bogus": 1}}),
+            "scenario.terminations[a] block: unknown key(s) bogus; allowed: "
+            "driver_resistance_ohm, load_capacitance_f, source_ref"))},
 }
 # the name builds the file names and the deck's title comment
 SCENARIO_NAMES = {
@@ -517,6 +546,62 @@ class TestConfigDocuments:
                                            [assignment]))
         assert bare.params == full.params
         assert bare.stimulus == full.stimulus
+
+
+# The command-line values where parse_scalar's int()/float() shortcut
+# and the YAML 1.1 resolvers could part: octal, hex, "_", sexagesimal,
+# a point with no digit before it, signed zeros, an overflow to inf, and
+# whitespace that is not an ASCII space; and values Python cannot build,
+# an integer over its digit limit and a date past the month's end
+EDGE_SCALARS = ("010", "0x1A", "1_000", "1:30", ".5", "+.5", "1.", "-0",
+                "-0.0", "1e400", "\t12", "12\n", HUGE_INT, "2001-02-30")
+
+
+def _yaml_reading(raw: str):
+    """What parse_scalar gives for ``raw`` read by YAML alone, then a
+    string taken as an int or float; ParameterError for a refusal."""
+    import yaml
+    try:
+        value = _load_yaml(raw)
+    except (yaml.YAMLError, ValueError):
+        return ParameterError
+    if isinstance(value, str):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    return value
+
+
+def _assert_reads_as_yaml(raw: str) -> None:
+    try:
+        value = parse_scalar(raw, "--set x")
+    except ParameterError:
+        value = ParameterError
+    # the repr tells -0.0 from 0.0 and lets nan equal itself
+    expected = _yaml_reading(raw)
+    assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+class TestParseScalar:
+    """parse_scalar reads a plain decimal number without yaml; every
+    value gives what the YAML reading gives, in type, value, sign of
+    zero, and refusal."""
+
+    @pytest.mark.parametrize("raw", EDGE_SCALARS, ids=lambda raw: (
+        "5000-digits" if raw == HUGE_INT else repr(raw)))
+    def test_edge_values_read_as_yaml(self, raw):
+        _assert_reads_as_yaml(raw)
+
+    @given(st.one_of(
+        st.text(alphabet="0123456789+-.eE_ \t\n\r\x0b\xa0\u0663",
+                max_size=10),
+        st.from_regex(r" {0,2}[-+]?[0-9]{1,4}(\.[0-9]{0,3})?"
+                      r"([eE][-+]?[0-9]{1,3})? {0,2}", fullmatch=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_strings_read_as_yaml(self, raw):
+        _assert_reads_as_yaml(raw)
 
 
 class TestResolve:

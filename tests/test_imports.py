@@ -1,7 +1,8 @@
 """Import hygiene: no command loads scipy or OpenSSL, numpy loads on
 the first transient and no earlier, and yaml on the first config file
-or --set. Without numpy, run refuses a bad config as usual and names
-numpy for a good one.
+or --set / --values entry that is not a plain decimal number. Without
+numpy, run refuses a bad config as usual and names numpy for a good
+one.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy (through tests/_reference.py).
@@ -18,6 +19,7 @@ import pytest
 import xtalksim
 
 SRC = Path(xtalksim.__file__).resolve().parent.parent
+CONFIGS = SRC.parent / "configs"
 
 # runs a CLI command, then prints its exit code and the loaded modules;
 # each leading "--no-<module>" makes every import of that module fail,
@@ -61,6 +63,29 @@ def test_commands_without_a_transient_skip_scipy_and_openssl(tmp_path, argv):
     # import what they write with
     assert not {"numpy", "scipy", "_hashlib", "yaml", "json", "csv",
                 "datetime", "fractions"} & set(out["modules"])
+
+
+SHORT = ("--set", "sim.dt=1e-9", "--set", "sim.t_end=4e-7")
+
+
+@pytest.mark.parametrize("argv, reads_yaml", [
+    (("extract", "--preset", "shield",
+      "--set", "geometry.separation_um=1.5"), False),
+    (("export-netlist", "--preset", "shield", "--set", "sim.n_segments=24",
+      "--set", "stimulus.rise_time_s=2e-7", "--out", "deck"), False),
+    (("run", "--preset", "no-shield", *SHORT, "--out", "run"), False),
+    (("sweep", "--preset", "shield-3taps", "--axis", "n_segments",
+      "--values", "12,24", *SHORT, "--out", "sweep"), False),
+    (("extract", "--config", str(CONFIGS / "shield.yaml")), True),
+    (("extract", "--preset", "shield", "--set", "output.formats=[csv]"),
+     True),
+], ids=["extract", "export-netlist", "run", "sweep", "config-file",
+        "yaml-value"])
+def test_plain_numbers_on_the_command_line_read_no_yaml(tmp_path, argv,
+                                                         reads_yaml):
+    out = _fresh(tmp_path, *argv)
+    assert out["rc"] == 0
+    assert ("yaml" in out["modules"]) is reads_yaml
 
 
 @pytest.mark.parametrize("argv, rc", [
