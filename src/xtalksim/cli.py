@@ -20,6 +20,7 @@ solve), 3 file I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -162,7 +163,13 @@ def cmd_export_netlist(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``xtalksim`` argument parser, built on the first call; later
+    calls return the same object, which every ``main`` call in the
+    process parses with, so no caller may change it. A parse keeps no
+    state in the parser, and each subcommand's ``func`` reads the config
+    helpers from this module's globals when it runs."""
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="YAML config document")
@@ -207,9 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code; ``--help`` raises ``SystemExit(0)``. It may be
+    called any number of times in one process; the parser is built on
+    the first call, not on import, and every later call reuses it."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

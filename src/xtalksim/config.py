@@ -239,13 +239,13 @@ def load_config(path) -> ToolkitConfig:
     Parse errors carry the line/column from the YAML parser; structural
     errors name the offending block. A value YAML reads but Python
     cannot build (an integer over Python's digit limit, a date such as
-    2001-02-30) is refused naming the file.
+    2001-02-30) is refused naming the file, and so is a file that is
+    not UTF-8, YAML's encoding.
     """
     import yaml
 
-    text = Path(path).read_text()
     try:
-        data = _load_yaml(text)
+        data = _load_yaml(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -427,9 +427,7 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
     per-line mapping, ``m_total``/``cm_total`` a mapping of "a:b" (or
     tuple) pair keys, each pair once, where 0 removes the pair."""
     by_label = {f.name: dict(getattr(f0, f.name)) for f in fields(f0)}
-    unknown = set(block) - set(by_label)
-    if unknown:
-        raise ParameterError(f"unknown override keys: {sorted(unknown)}")
+    _check_keys(block, set(by_label), "overrides")
     for label, ov in block.items():
         table = by_label[label]
         if label in ("m_total", "cm_total"):
@@ -440,8 +438,8 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
             for key, value in ov.items():
                 parts = key.split(":") if isinstance(key, str) else key
                 if not isinstance(parts, (list, tuple)) or len(parts) != 2:
-                    raise ParameterError(f"pair override key {key!r} is not "
-                                         f"of the form 'a:b'")
+                    raise ParameterError(f"overrides.{label} pair key "
+                                         f"{key!r} is not of the form 'a:b'")
                 pair = pair_key(*parts)
                 if pair in given:
                     raise ParameterError(f"overrides.{label} names pair "
@@ -450,15 +448,15 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
                 given[pair] = key
                 for name in pair:
                     if name not in f0.r_total:
-                        raise ParameterError(f"pair override names unknown "
-                                             f"line {name!r}")
+                        raise ParameterError(f"overrides.{label} pair {key!r} "
+                                             f"names unknown line {name!r}")
                 table[pair] = _override(label, f"[{pair[0]}:{pair[1]}]", value)
                 if table[pair] == 0.0:
                     del table[pair]
         elif isinstance(ov, dict):
             for line, value in ov.items():
                 if line not in table:
-                    raise ParameterError(f"override {label} names unknown "
+                    raise ParameterError(f"overrides.{label} names unknown "
                                          f"line {line!r}")
                 table[line] = _override(label, f"[{line}]", value)
         else:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ParameterError
 
+# typing.TYPE_CHECKING without importing typing, which no command needs
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

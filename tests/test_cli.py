@@ -1,5 +1,6 @@
 """Config documents, file formats, sweeps, and the command-line layer."""
 
+import gc
 import json
 import shlex
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtalksim.cli import main
+from xtalksim.cli import build_parser, main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
                              ToolkitConfig, _check_run_size, _load_yaml, _pin,
@@ -94,8 +95,9 @@ AFTER_DRIVE = ("sim.t_end=1e-07 ends before the drive's last change at "
 # Every refusal of the command line is a row of REFUSALS or of the four
 # tables after it: (command, arguments, config, exit code, message). The
 # arguments are a shell line, {cfg} the config file's path; the config is
-# YAML text, a mapping written as JSON, or None for no file; the message
-# is all that follows "error: ", with {cfg} for the path.
+# YAML text, bytes written as they are, a mapping written as JSON, or None
+# for no file; the message is all that follows "error: ", with {cfg} for
+# the path.
 REFUSALS = {
     # usage errors exit 1 like config errors
     "run-neither-flag": (
@@ -143,6 +145,12 @@ REFUSALS = {
     "run-missing-config": (
         "run", "--config {cfg}", None, 3,
         "[Errno 2] No such file or directory: '{cfg}'"),
+    # YAML is UTF-8: a Latin-1 byte is a parse error, not a traceback
+    **{f"{command}-config-not-utf-8": (
+        command, "--config {cfg}", b"# \xff\nscenario: {preset: shield}\n", 1,
+        "config parse error in {cfg}: 'utf-8' codec can't decode byte 0xff "
+        "in position 2: invalid start byte")
+       for command in ("extract", "run")},
     # YAML would keep the later dt, and the deck said .tran 1e-10
     "export-netlist-repeated-config-key": (
         "export-netlist", "--config {cfg}",
@@ -192,10 +200,16 @@ REFUSALS = {
     # overrides, read in the formula units
     "run-unknown-override-key": (
         "run", "--preset shield --set overrides.g_total=1", None, 1,
-        "unknown override keys: ['g_total']"),
+        "overrides block: unknown key(s) g_total; allowed: c_total, "
+        "cm_total, l_total, m_total, r_total"),
     "run-override-naming-unknown-line": (
         "run", "--preset shield --set 'overrides.l_total={ghost: 80}'", None,
-        1, "override l_total names unknown line 'ghost'"),
+        1, "overrides.l_total names unknown line 'ghost'"),
+    "run-pair-override-naming-unknown-line": (
+        "run", "--preset shield --set 'overrides.m_total={aggressor:ghost: "
+               "5.0}'", None, 1,
+        "overrides.m_total pair 'aggressor:ghost' names unknown line "
+        "'ghost'"),
     "run-override-in-henries": (
         "run", "--preset shield --set "
                "'overrides.m_total={aggressor:victim: 7.51e-6}'", None, 1,
@@ -398,7 +412,9 @@ def _refusal_test(rows: dict):
                              rows.values(), ids=rows)
     def test(self, tmp_path, capsys, command, argv, config, code, message):
         cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
-        if config is not None:
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        elif config is not None:
             cfg.write_text(config if isinstance(config, str)
                            else json.dumps(config))
         args = [arg.replace("{cfg}", str(cfg)) for arg in shlex.split(argv)]
@@ -768,10 +784,14 @@ class TestGeometryMapping:
         assert out.cm_total == {}
 
     @pytest.mark.parametrize("block, match", [
-        ({"g_total": 1.0}, "unknown override keys"),
-        ({"l_total": {"shield": 80.0}}, "l_total names unknown line 'shield'"),
-        ({"m_total": {"aggressor:shield": 7.0}}, "unknown line 'shield'"),
-        ({"m_total": {"aggressor": 7.0}}, "not of the form 'a:b'"),
+        ({"g_total": 1.0}, r"overrides block: unknown key\(s\) g_total"),
+        ({"l_total": {"shield": 80.0}},
+         "overrides.l_total names unknown line 'shield'"),
+        ({"m_total": {"aggressor:shield": 7.0}},
+         "overrides.m_total pair 'aggressor:shield' names unknown line "
+         "'shield'"),
+        ({"m_total": {"aggressor": 7.0}},
+         "overrides.m_total pair key 'aggressor' is not of the form 'a:b'"),
         ({"l_total": 8.3e-5}, r"overrides.l_total = 8.3e-05 is read in uH"),
         ({"cm_total": {"aggressor:victim": -1e-12}},
          r"cm_total\[aggressor-victim\] must be positive"),
@@ -1062,6 +1082,54 @@ class TestCliExitCodes:
             REFUSALS["run-coupling-naming-unknown-line"][2]))
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+class TestOneParser:
+    """Every main call in a process parses with one parser, built on the
+    first call, so a call leaves no dead parser for the cycle collector."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--preset", "shield"],
+        ["export-netlist", "--preset", "shield-3taps",
+         "--set", "sim.n_segments=48"],
+        *([REFUSALS[row][0], *shlex.split(REFUSALS[row][1])]
+          for row in ("run-neither-flag", "run-unknown-override-key")),
+    ], ids=["extract", "export-netlist-48", "run-neither-flag",
+            "run-unknown-override-key"])
+    def test_a_call_leaves_no_cyclic_garbage(self, tmp_path, capsys, argv):
+        # argparse 3.10 keeps a cycle of its own on a usage error, so
+        # the refusals here are raised after parsing
+        argv = [*argv, "--out", str(tmp_path)]
+        rc = main(argv)
+        assert rc == (1 if argv[0] == "run" else 0)
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == rc
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_refused_parse_leaves_the_parser_as_built(self):
+        parser = build_parser()
+        with pytest.raises(ParameterError, match="invalid choice: 'ghost'"):
+            parser.parse_args(["run", "--set", "sim.dt=1", "--preset",
+                               "ghost"])
+        fresh = build_parser.__wrapped__()
+        for argv in (["extract", "--preset", "shield"],
+                     ["sweep", "--preset", "shield", "--set", "sim.dt=1e-9",
+                      "--axis", "tap_count", "--values", "0,1"]):
+            assert parser.parse_args(argv) == fresh.parse_args(argv)
+
+    def test_help_exits_0_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            assert "usage: xtalksim" in capsys.readouterr().out
 
 
 def _sets():

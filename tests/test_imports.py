@@ -2,7 +2,7 @@
 the first transient and no earlier, and yaml on the first config file
 or --set / --values entry that is not a plain decimal number. Without
 numpy, run refuses a bad config as usual and names numpy for a good
-one.
+one. The package import loads no typing and builds no parser.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy (through tests/_reference.py).
@@ -127,3 +127,16 @@ def test_run_without_numpy_exits_1(tmp_path, sets, message):
     assert message in out["stderr"]
     assert "Traceback" not in out["stderr"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("code, printed", [
+    ("import sys, xtalksim.cli; print('typing' in sys.modules)", "False"),
+    ("from xtalksim import cli; print(cli.build_parser.cache_info().currsize)",
+     "0"),
+], ids=["no-typing", "no-parser"])
+def test_import_is_lean(tmp_path, code, printed):
+    # -S: no site, whose .pth files may import typing themselves
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == printed
