@@ -28,9 +28,9 @@ from pathlib import Path
 from .config import (SWEEP_AXES, ToolkitConfig, apply_set_overrides,
                      extraction_report, load_config, parse_scalar,
                      preset_config, resolve, resolve_output, run_scenario,
-                     run_sweep, summary_filename, sweep_filename,
-                     waveforms_filename, write_summary_json, write_sweep_csv,
-                     write_waveforms_csv)
+                     run_sweep, settle_warning, summary_filename,
+                     sweep_filename, waveforms_filename, write_summary_json,
+                     write_sweep_csv, write_waveforms_csv)
 from .errors import ParameterError, SolverError
 from .netlist import export_netlist
 from .network import PRESET_NAMES
@@ -100,6 +100,9 @@ def cmd_run(args) -> int:
         write_summary_json(path, result)
         written.append(path)
 
+    warning = settle_warning(waves, resolved)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"scenario: {result.scenario}")
     agg = result.measurements.get("aggressor")
     vic = result.measurements.get("victim")
@@ -138,6 +141,9 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(path, args.axis, rows)
 
     for row in rows:
+        if row["warning"]:
+            print(f"warning: {args.axis}={row['value']}: {row['warning']}",
+                  file=sys.stderr)
         if row["error"]:
             print(f"{args.axis}={row['value']}: error: {row['error']}")
         else:

@@ -45,7 +45,8 @@ from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
 from .inputs import BLOCK_STEPS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
 from .network import (PRESET_NAMES, STOCK_LINE_RESISTANCE_OHM,
                       CoupledNetwork, LadderSpec, LineSpec, TapSchedule,
-                      TerminationSpec, build_ladder, preset_tables)
+                      TerminationSpec, build_ladder, end_labels,
+                      measured_nodes, preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -783,31 +784,6 @@ def resolve_output(block: dict | None) -> dict:
     return b
 
 
-def end_labels(network: CoupledNetwork) -> tuple[str, ...]:
-    """Source plus far-end node labels of every line (the 'ends' set)."""
-    labels = []
-    for ln in network.lines:
-        src = f"{ln.name}_src"
-        if src in network.nodes:
-            labels.append(src)
-        labels.append(f"{ln.name}_{network.n_segments}")
-    return tuple(labels)
-
-
-def _measurement_roles(network: CoupledNetwork) -> dict[str, str]:
-    """Node labels measured per role; empty when the layout has no
-    single aggressor/victim pair."""
-    try:
-        agg = network.line_by_role("aggressor")
-        vic = network.line_by_role("victim")
-    except ParameterError:
-        return {}
-    n = network.n_segments
-    return {"source": f"{agg.name}_src",
-            "aggressor": f"{agg.name}_{n}",
-            "victim": f"{vic.name}_{n}"}
-
-
 def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
                     nodes, stimulus: dict) -> float:
     """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
@@ -903,7 +879,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     spec, sim, n_segments, output, stimulus = _run_blocks(config)
     spec = _map_tables(spec, config)
     network = build_ladder(spec, n_segments)
-    roles = _measurement_roles(network)
+    roles = measured_nodes(network)
 
     nodes = output["nodes"]
     if nodes == "ends":
@@ -936,6 +912,35 @@ def run_scenario(config: ToolkitConfig
                             measurements=measurements,
                             version=TOOLKIT_VERSION)
     return result, waves, resolved
+
+
+# A measured trace may end up to SETTLE_TOLERANCE x |amplitude_v| from
+# its DC value at the drive's last sample: the presets' stock 2.4 us
+# window ends 1.2e-5 to 3.7e-5 V from it, a 1.2 us window 3.4e-3 to
+# 1.2e-2 V.
+SETTLE_TOLERANCE = 1e-3
+# The measurements an unsettled trace leaves in doubt: the aggressor's
+# levels are fractions of its last sample, the victim's of a peak that
+# may come after the window.
+_READ_AT_END = {"aggressor": "aggressor delay and rise time",
+                "victim": "victim peak, delay and rise time"}
+
+
+def settle_warning(waves: WaveformSet, resolved: ResolvedScenario) -> str:
+    """A warning when a measured trace ends farther than SETTLE_TOLERANCE
+    x |amplitude_v| from its DC value at the drive's last sample, else
+    "". It names sim.t_end, the farthest such trace and its gap, and the
+    measurements read against an unsettled end."""
+    bound = SETTLE_TOLERANCE * abs(resolved.stimulus.amplitude_v)
+    late = {role: label for role, label in resolved.roles.items()
+            if role in _READ_AT_END and waves.settle_gap[label] > bound}
+    if not late:
+        return ""
+    worst = max(late.values(), key=waves.settle_gap.get)
+    return (f"sim.t_end={resolved.sim.t_end:g} ends before the response "
+            f"settles: {worst} ends {waves.settle_gap[worst]:.3g} V from its "
+            f"DC value, over the {bound:.3g} V bound; read before the end "
+            f"settles: {'; '.join(_READ_AT_END[role] for role in late)}")
 
 
 # ---------------------------------------------------------------------------
@@ -979,15 +984,14 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
             fh.write(rows)
 
 
-def write_summary_json(path, result: ScenarioResult,
-                       timestamp: str | None = None) -> None:
-    """Summary JSON; deterministic except for the timestamp field."""
+def write_summary_json(path, result: ScenarioResult) -> None:
+    """Summary JSON; deterministic except for the timestamp field, the
+    time of the write."""
     import json
     from datetime import datetime, timezone
 
     data = asdict(result)
-    data["timestamp"] = (timestamp if timestamp is not None
-                         else datetime.now(timezone.utc).isoformat())
+    data["timestamp"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -1010,7 +1014,8 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
 
     Each row is ``run_scenario`` on the config with the axis's key
     (``SWEEP_AXES``) set to the value. A value that cannot build or run
-    produces a row with an ``error`` entry instead of aborting the sweep.
+    produces a row with an ``error`` entry instead of aborting the sweep;
+    a row's ``warning`` is its run's ``settle_warning``.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; "
@@ -1023,10 +1028,13 @@ def run_sweep(config: ToolkitConfig, axis: str, values) -> list[dict]:
     rows = []
     for value in values:
         row = {"value": value, "victim_peak_v": None,
-               "aggressor_delay_s": None, "victim_delay_s": None, "error": ""}
+               "aggressor_delay_s": None, "victim_delay_s": None, "error": "",
+               "warning": ""}
         try:
             _set_key(data, SWEEP_AXES[axis].split("."), value)
-            result = run_scenario(config_from_mapping(data))[0]
+            result, waves, resolved = run_scenario(config_from_mapping(data))
+            row["warning"] = settle_warning(waves, resolved)
+            del waves, resolved           # not held through the next row's run
             if not result.measurements:
                 raise ParameterError("sweep needs one aggressor and one "
                                      "victim line to measure")

@@ -54,8 +54,9 @@ The run inputs ``Stimulus`` and ``SimConfig`` are defined in
 module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
-this one name: a run makes three ``solve`` calls, for the DC state, the
-first step, and P and q. perfbench swaps it for a proxy that counts
+this one name, in ``_solve``: a run makes four ``solve`` calls, for the
+DC states at the drive's first and last samples, the first step, and P
+and q. perfbench swaps it for a proxy that counts
 ``lu_factor`` and ``lu_solve``, which the engine never calls, so its
 ``engine.lu_*.calls`` read 0.
 """
@@ -87,6 +88,8 @@ class WaveformSet:
     node_traces: dict[str, np.ndarray]
     branch_currents: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict[str, str] = field(default_factory=dict)
+    # node label -> |last sample - the DC state at the last sample's drive|
+    settle_gap: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -177,13 +180,22 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
         source_driven=tuple(s.driven for s in sources), slot=tuple(slot))
 
 
-def _dc_solve(sys: MnaSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs."""
+_SINGULAR_G = ("singular DC system: the conductance matrix G is singular "
+               "to working precision")
+
+
+def _singular_step(theta: float, dt: float) -> str:
+    return (f"singular step matrix C/dt + theta G "
+            f"(theta={theta:g}, dt={dt:g} s)")
+
+
+def _solve(A: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+    """Solve A X = rhs; a singular A raises a SolverError saying
+    ``message``."""
     try:
-        return sla.solve(sys.G, rhs)
+        return sla.solve(A, rhs)
     except sla.LinAlgError:
-        raise SolverError("singular DC system: the conductance matrix G "
-                          "is singular to working precision") from None
+        raise SolverError(message) from None
 
 
 def dc_operating_point(network: CoupledNetwork,
@@ -202,7 +214,7 @@ def dc_operating_point(network: CoupledNetwork,
             if name not in sys.source_names:
                 raise ParameterError(f"unknown source {name!r}")
             u[sys.source_names.index(name)] = float(val)
-    x = _dc_solve(sys, sys.B @ u)
+    x = _solve(sys.G, sys.B @ u, _SINGULAR_G)
     z = np.concatenate((x, u, [0.0]))
     return {lbl: float(z[k]) for lbl, k in zip(network.nodes[1:], sys.slot[1:])}
 
@@ -212,16 +224,6 @@ def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
     blob = "|".join((repr(network), repr(stimulus),
                      repr((sim.dt, sim.t_end, sim.method))))
     return f"{zlib.crc32(blob.encode()):08x}"
-
-
-def _step_solve(A: np.ndarray, rhs: np.ndarray, theta: float,
-                dt: float) -> np.ndarray:
-    """Solve A X = rhs for the step matrix A = C/dt + theta G."""
-    try:
-        return sla.solve(A, rhs)
-    except sla.LinAlgError:
-        raise SolverError(f"singular step matrix C/dt + theta G "
-                          f"(theta={theta:g}, dt={dt:g} s)") from None
 
 
 def _step_operands(sys: MnaSystem, b: np.ndarray, dt: float,
@@ -243,7 +245,7 @@ def _step_matrices(A: np.ndarray, rhs: np.ndarray, theta: float,
     solve of the operands of _step_operands, so P is a view of the
     solution's first n columns and q its last column."""
     n = len(A)
-    Pq = _step_solve(A, rhs, theta, dt)
+    Pq = _solve(A, rhs, _singular_step(theta, dt))
     if not np.isfinite(Pq).all():
         raise SolverError(f"non-finite step matrices P, q "
                           f"(theta={theta:g}, dt={dt:g} s)")
@@ -257,7 +259,7 @@ def _first_step(sys: MnaSystem, b: np.ndarray, dt: float, x: np.ndarray,
     raises a SolverError naming t = dt."""
     A = sys.C / dt
     A += sys.G
-    x = _step_solve(A, sys.C @ (x / dt) + b * s1, 1.0, dt)
+    x = _solve(A, sys.C @ (x / dt) + b * s1, _singular_step(1.0, dt))
     if not np.isfinite(x).all():
         raise SolverError(f"divergence: non-finite sample at t={dt:.6g} s")
     return x
@@ -343,7 +345,9 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     The initial condition is the DC solution with every source at its
     t = 0 value (0 for an edge that starts from zero). The first
     step is always backward Euler; subsequent steps use the configured
-    method. Deterministic for fixed inputs. Only the unknowns behind the
+    method. ``settle_gap`` holds, for every node trace, how far its last
+    sample lies from the DC state with every source at its last value.
+    Deterministic for fixed inputs. Only the unknowns behind the
     requested traces are stored, and the branch currents only with
     ``output_nodes="all"``. Every array of the result is read-only: the
     traces are views of the stored unknowns, of the drive and, for every
@@ -365,11 +369,12 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 
-    # the initial state, the first step and the operands of P and q need
-    # G and C; the run drops them before the solve behind P and q
-    s0, s1 = stimulus.values(np.array([0.0, sim.dt]))
+    # the initial and final DC states, the first step and the operands of
+    # P and q need G and C; the run drops them before the solve behind P, q
+    s0, s1, s_end = stimulus.values(np.array([0.0, sim.dt, steps * sim.dt]))
     b = sys.B @ np.array(sys.source_driven, dtype=float)
-    x0 = _dc_solve(sys, b * s0)
+    x0 = _solve(sys.G, b * s0, _SINGULAR_G)
+    x_end = _solve(sys.G, b * s_end, _SINGULAR_G)
     unknown_labels, driven = sys.unknown_labels, sys.source_driven
     # an overflow is reported by the non-finite checks, which name it
     with np.errstate(all="ignore"):
@@ -402,7 +407,11 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     node_traces = {lbl: next(columns) if slot[lbl] < n
                    else known[slot[lbl] - n] for lbl in labels}
     branch_currents = dict(zip(unknown_labels[nv:], columns))
+    z_end = np.concatenate((x_end, [s_end if d else 0.0 for d in driven], [0.0]))
+    gap = {lbl: abs(float(tr[-1] - z_end[slot[lbl]]))
+           for lbl, tr in node_traces.items()}
     meta = {"scenario": network.scenario,
             "config_hash": _config_hash(network, stimulus, sim)}
     return WaveformSet(times=times, node_traces=node_traces,
-                       branch_currents=branch_currents, metadata=meta)
+                       branch_currents=branch_currents, metadata=meta,
+                       settle_gap=gap)

@@ -409,19 +409,6 @@ class CoupledNetwork:
             raise ParameterError(f"no DC path to ground from: "
                                  f"{', '.join(floating)}")
 
-    def node(self, label: str) -> int:
-        try:
-            return self.nodes.index(label)
-        except ValueError:
-            raise ParameterError(f"no node labeled {label!r} in this network") from None
-
-    def line_by_role(self, role: str) -> LineSpec:
-        matches = [ln for ln in self.lines if ln.role == role]
-        if len(matches) != 1:
-            raise ParameterError(
-                f"expected exactly one {role!r} line, found {len(matches)}")
-        return matches[0]
-
 
 def _check_inductance(inductors: tuple[Inductor, ...],
                       mutuals: tuple[Mutual, ...]) -> None:
@@ -516,6 +503,16 @@ def _tap_segment(fraction: float, n_segments: int) -> int:
     return seg
 
 
+def _source_label(line: str) -> str:
+    """The label of a non-shield line's source node."""
+    return f"{line}_src"
+
+
+def _segment_label(line: str, k: int) -> str:
+    """The label of a line's node k: its near end at 0, far end at n."""
+    return f"{line}_{k}"
+
+
 def build_ladder(spec: LadderSpec, n_segments: int = 12) -> CoupledNetwork:
     """The segmented network a LadderSpec describes, ``n_segments``
     segments per line, named after the spec."""
@@ -523,38 +520,34 @@ def build_ladder(spec: LadderSpec, n_segments: int = 12) -> CoupledNetwork:
         raise ParameterError(f"n_segments must be an integer >= 1, got {n_segments!r}")
 
     nodes: list[str] = ["0"]
-    node_ids: dict[str, int] = {"0": GROUND}
-
-    def add_node(label: str) -> int:
-        node_ids[label] = len(nodes)
-        nodes.append(label)
-        return node_ids[label]
-
     resistors: list[Resistor] = []
     capacitors: list[Capacitor] = []
     inductors: list[Inductor] = []
     mutuals: list[Mutual] = []
     sources: list[VoltageSource] = []
     ties: list[GroundTie] = []
-    branch_of: dict[tuple[str, int], int] = {}
+    # per line: its node ids from end 0 to end n, and its branch ids
+    line_nodes: dict[str, range] = {}
+    line_branches: dict[str, range] = {}
 
     for ln in spec.lines:
-        seg_nodes = []
         if ln.role != "shield":
-            src = add_node(f"{ln.name}_src")
+            src = len(nodes)
+            nodes.append(_source_label(ln.name))
             term = spec.terminations[ln.name]
             sources.append(VoltageSource(f"V{ln.name}", src,
                                          driven=term.source_ref == "stimulus"))
-        for k in range(n_segments + 1):
-            seg_nodes.append(add_node(f"{ln.name}_{k}"))
+        first = len(nodes)
+        nodes.extend(_segment_label(ln.name, k) for k in range(n_segments + 1))
+        seg_nodes = line_nodes[ln.name] = range(first, len(nodes))
         if ln.role != "shield":
             resistors.append(Resistor(f"Rdrv_{ln.name}", src, seg_nodes[0],
                                       term.driver_resistance_ohm))
             if term.load_capacitance_f > 0:
                 capacitors.append(Capacitor(f"Cload_{ln.name}", seg_nodes[-1], GROUND,
                                             term.load_capacitance_f))
+        line_branches[ln.name] = range(len(inductors), len(inductors) + n_segments)
         for k in range(1, n_segments + 1):
-            branch_of[(ln.name, k)] = len(inductors)
             inductors.append(Inductor(f"L{ln.name}_{k}",
                                       seg_nodes[k - 1], seg_nodes[k],
                                       ln.l_total / n_segments,
@@ -576,15 +569,13 @@ def build_ladder(spec: LadderSpec, n_segments: int = 12) -> CoupledNetwork:
             for k in range(1, n_segments + 1):
                 capacitors.append(Capacitor(
                     f"Cc{a}_{b}_{k}",
-                    node_ids[f"{a}_{k}"], node_ids[f"{b}_{k}"],
+                    line_nodes[a][k], line_nodes[b][k],
                     cm / n_segments))
         m = entry.get("m_total", 0.0)
         if m:
-            for k in range(1, n_segments + 1):
-                mutuals.append(Mutual(
-                    f"K{a}_{b}_{k}",
-                    branch_of[(a, k)], branch_of[(b, k)],
-                    m / n_segments))
+            for k, (i, j) in enumerate(zip(line_branches[a], line_branches[b]),
+                                       start=1):
+                mutuals.append(Mutual(f"K{a}_{b}_{k}", i, j, m / n_segments))
 
     return CoupledNetwork(
         nodes=tuple(nodes), resistors=tuple(resistors),
@@ -592,6 +583,32 @@ def build_ladder(spec: LadderSpec, n_segments: int = 12) -> CoupledNetwork:
         mutuals=tuple(mutuals), sources=tuple(sources), ties=tuple(ties),
         lines=spec.lines, n_segments=n_segments, scenario=spec.name,
     )
+
+
+def end_labels(network: CoupledNetwork) -> tuple[str, ...]:
+    """Source plus far-end node labels of every line (the 'ends' set);
+    a shield line has no source."""
+    labels = []
+    for ln in network.lines:
+        if ln.role != "shield":
+            labels.append(_source_label(ln.name))
+        labels.append(_segment_label(ln.name, network.n_segments))
+    return tuple(labels)
+
+
+def measured_nodes(network: CoupledNetwork) -> dict[str, str]:
+    """The node labels the measurements read, by role: the aggressor's
+    source ("source") and far end ("aggressor") and the victim's far end
+    ("victim"); empty when the layout has not exactly one aggressor and
+    one victim line."""
+    agg = [ln.name for ln in network.lines if ln.role == "aggressor"]
+    vic = [ln.name for ln in network.lines if ln.role == "victim"]
+    if len(agg) != 1 or len(vic) != 1:
+        return {}
+    n = network.n_segments
+    return {"source": _source_label(agg[0]),
+            "aggressor": _segment_label(agg[0], n),
+            "victim": _segment_label(vic[0], n)}
 
 
 def _signal_line(name: str, role: str) -> LineSpec:

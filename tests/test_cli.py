@@ -5,6 +5,7 @@ import json
 import shlex
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xtalksim import config as config_module
 from xtalksim.cli import build_parser, main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
-                             DEFAULT_SIM, DEFAULT_STIMULUS, SWEEP_AXES,
+                             DEFAULT_SIM, DEFAULT_STIMULUS, SETTLE_TOLERANCE,
+                             SWEEP_AXES,
                              ToolkitConfig, _check_run_size, _load_yaml, _pin,
                              apply_set_overrides,
                              config_from_mapping,
                              extraction_report, load_config, parse_scalar,
                              preset_config, resolve, resolve_stimulus,
-                             run_scenario, run_sweep, summary_filename,
+                             run_scenario, run_sweep, settle_warning,
+                             summary_filename,
                              sweep_filename, waveforms_filename,
                              write_summary_json, write_sweep_csv,
                              write_waveforms_csv)
@@ -38,7 +42,8 @@ approx = pytest.approx
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# enough window for complete measurements, cheap enough to run freely
+# enough window for every measurement to be found, cheap enough to run
+# freely; a run warns that it ends before the response settles
 SHORT = ["sim.dt=1e-9", "sim.t_end=4e-7"]
 
 EXPLICIT_PAIR = {
@@ -908,12 +913,14 @@ class TestFileFormats:
                        header=",".join(["time", *waves.node_traces]))
             assert got.read_bytes() == want.read_bytes(), i
 
-    def test_summary_json_deterministic_with_fixed_timestamp(self, tmp_path):
+    def test_summary_json_deterministic_but_for_timestamp(self, tmp_path):
         result, _, _ = run_scenario(short_preset("no-shield"))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_summary_json(p1, result, timestamp="2026-01-01T00:00:00+00:00")
-        write_summary_json(p2, result, timestamp="2026-01-01T00:00:00+00:00")
-        assert p1.read_bytes() == p2.read_bytes()
+        write_summary_json(p1, result)
+        write_summary_json(p2, result)
+        one, two = ([ln for ln in p.read_text().splitlines()
+                     if '"timestamp"' not in ln] for p in (p1, p2))
+        assert one == two
         data = json.loads(p1.read_text())
         assert data["scenario"] == "no-shield"
         assert data["version"] == "0.1.0"
@@ -927,6 +934,23 @@ class TestFileFormats:
 
 
 class TestRunSweep:
+    def test_a_row_drops_its_run_before_the_next(self, monkeypatch):
+        # a row reads its settle warning from the run's traces, which
+        # must not stay alive through the next row's run
+        refs, alive = [], []
+        run = config_module.run_scenario
+
+        def watched(cfg):
+            alive.append([ref() is not None for ref in refs])
+            result, waves, resolved = run(cfg)
+            refs.append(weakref.ref(waves))
+            return result, waves, resolved
+
+        monkeypatch.setattr(config_module, "run_scenario", watched)
+        rows = run_sweep(short_preset("no-shield"), "n_segments", [2, 4, 6])
+        assert all(row["warning"] for row in rows)
+        assert alive == [[], [False], [False, False]]
+
     def test_n_segments_axis(self):
         rows = run_sweep(short_preset("no-shield"), "n_segments", [6, 12])
         assert [r["value"] for r in rows] == [6, 12]
@@ -1020,6 +1044,51 @@ class TestRunSweep:
             f"victim peak grew with taps: "
             f"{rows[0]['victim_peak_v'] * 1e3:.4f} mV at 0 taps vs "
             f"{rows[1]['victim_peak_v'] * 1e3:.4f} mV at 3 taps")
+
+
+class TestSettleWarning:
+    """A run or sweep whose window ends before a measured trace settles
+    warns once on stderr, and exits and writes as it would without."""
+
+    def test_bound_lies_between_the_stock_window_and_half_of_it(
+            self, stock_runs):
+        _, waves, resolved = stock_runs["shield"]
+        bound = SETTLE_TOLERANCE * abs(resolved.stimulus.amplitude_v)
+        assert bound == 1e-3
+        # 3.0e-5 V at 2.4 us, 1.1e-2 V at 1.2 us, both on the aggressor
+        assert max(waves.settle_gap[lbl]
+                   for lbl in resolved.roles.values()) < bound
+        _, waves, resolved = run_scenario(apply_set_overrides(
+            preset_config("shield"), ["sim.t_end=1.2e-6"]))
+        assert waves.settle_gap["aggressor_12"] > bound
+        assert settle_warning(waves, resolved).startswith(
+            "sim.t_end=1.2e-06 ends before the response settles: "
+            "aggressor_12 ends 0.0113 V from its DC value, over the "
+            "0.001 V bound; read before the end settles: aggressor delay")
+
+    def test_stock_presets_do_not_warn(self, stock_runs):
+        for _, waves, resolved in stock_runs.values():
+            assert settle_warning(waves, resolved) == ""
+
+    @pytest.mark.parametrize("t_end", ["1.2e-6", "6e-7", "3e-7"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_short_window_run_warns(self, tmp_path, capsys, name, t_end):
+        rc = main(["run", "--preset", name, "--set", f"sim.t_end={t_end}",
+                   "--set", "output.formats=[json]", "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: sim.t_end={float(t_end):g} ends "
+                                 f"before the response settles: ")
+
+    def test_sweep_warns_per_unsettled_row(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "shield", *_sets(), "--axis",
+                   "tap_count", "--values", "0,1", "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(": ")[:2] for ln in err] == [
+            ["warning", "tap_count=0"], ["warning", "tap_count=1"]]
+        assert all("sim.t_end=4e-07 ends before" in ln for ln in err)
 
 
 class TestCliExitCodes:

@@ -19,8 +19,8 @@ from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
 from xtalksim import engine
-from xtalksim.config import (apply_set_overrides, end_labels, preset_config,
-                             resolve, resolve_stimulus, run_scenario)
+from xtalksim.config import (apply_set_overrides, preset_config, resolve,
+                             resolve_stimulus, run_scenario)
 from xtalksim.engine import (MnaSystem, WaveformSet, _step_matrices,
                              _step_operands, assemble, dc_operating_point,
                              run_transient)
@@ -28,7 +28,7 @@ from xtalksim.errors import ParameterError, SolverError
 from xtalksim.inputs import SimConfig, Stimulus, smooth_edge
 from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Resistor,
                               TerminationSpec, VoltageSource, build_ladder,
-                              preset_tables)
+                              end_labels, preset_tables)
 
 approx = pytest.approx
 
@@ -393,6 +393,17 @@ class TestBehaviour:
         for label, tr in waves.node_traces.items():
             assert tr[0] == approx(dc[label], abs=1e-12)
 
+    @pytest.mark.parametrize("t_end", [200e-9, 4e-6])
+    def test_settle_gap_is_the_distance_to_the_final_dc_state(self, t_end):
+        net = build_ladder(preset_tables("shield"), n_segments=2)
+        waves = run_transient(net, EDGE, SimConfig(dt=1e-9, t_end=t_end))
+        dc = dc_operating_point(net)        # driven at 1 V, the ramp's end
+        assert list(waves.settle_gap) == list(waves.node_traces)
+        for label, tr in waves.node_traces.items():
+            assert waves.settle_gap[label] == approx(abs(tr[-1] - dc[label]),
+                                                     abs=1e-15), label
+        assert (max(waves.settle_gap.values()) < 1e-3) == (t_end > 1e-6)
+
 
 class TestNodeSlots:
     """Every node reads its voltage from its slot of [x, u, 0]: the
@@ -572,8 +583,13 @@ KEPT = {"ends": end_labels, "all": lambda net: "all",
 
 def _plain(*args) -> WaveformSet:
     """run_transient one step at a time, as with fewer than 2 steps per
-    block."""
-    with mock.patch.object(engine, "BLOCK_STEPS", 1):
+    block. The lifted path fails the test, so the referee cannot turn
+    into the lifted run it referees."""
+    def lifted(*_):
+        pytest.fail("BLOCK_STEPS = 1 still reached the lifted path")
+
+    with mock.patch.object(engine, "BLOCK_STEPS", 1), \
+            mock.patch.object(engine, "_step_blocks", lifted):
         return run_transient(*args)
 
 

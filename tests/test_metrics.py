@@ -2,6 +2,7 @@
 then whole-scenario measurements on real runs."""
 
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -176,13 +177,17 @@ class TestMeasurementTypes:
                            measurements={"victim": m},
                            waveform_files=("w.csv",), version="1")
         path = tmp_path / "s_summary.json"
-        write_summary_json(path, r, timestamp="T")
-        assert json.loads(path.read_text()) == {
+        before = datetime.now(timezone.utc)
+        write_summary_json(path, r)
+        after = datetime.now(timezone.utc)
+        data = json.loads(path.read_text())
+        assert before <= datetime.fromisoformat(data.pop("timestamp")) <= after
+        assert data == {
             "scenario": "s", "params": {"n_segments": 12},
             "measurements": {"victim": {"kind": "noise", "peak_v": 0.1,
                                         "t_peak": 2.0, "delay": None,
                                         "rise_time": 3.0}},
-            "waveform_files": ["w.csv"], "version": "1", "timestamp": "T"}
+            "waveform_files": ["w.csv"], "version": "1"}
 
 
 def uncoupled_run():

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from _reference import capacitor_kind, make_network
 from xtalksim.engine import assemble
 from xtalksim.errors import ParameterError
-from xtalksim.network import (Capacitor, GroundTie, Inductor, LadderSpec,
-                              LineSpec, Mutual, Resistor, _check_inductance,
+from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Inductor,
+                              LadderSpec, LineSpec, Mutual, Resistor,
+                              _check_inductance,
                               STOCK_COUPLING_CAP_ADJACENT_F,
                               STOCK_COUPLING_CAP_SHIELDED_F,
                               STOCK_LINE_INDUCTANCE_H,
                               STOCK_MUTUAL_ADJACENT_H,
                               STOCK_MUTUAL_SHIELDED_H, TapSchedule,
                               TerminationSpec, VoltageSource, build_ladder,
-                              preset_tables)
+                              end_labels, measured_nodes, preset_tables)
 
 approx = pytest.approx
 
@@ -103,7 +104,7 @@ def test_single_line_minimal_ladder():
     assert len(net.resistors) == 1 and len(net.inductors) == 1
     assert len(net.capacitors) == 2          # shunt + load
     assert net.inductors[0].r_series_ohm == approx(500.0)
-    assert net.sources == (VoltageSource("Vsig", net.node("sig_src"),
+    assert net.sources == (VoltageSource("Vsig", net.nodes.index("sig_src"),
                                          driven=True),)
 
 
@@ -581,20 +582,64 @@ class TestValidateNetwork:
                 assert replace(net) == net      # construction check passes
 
 
+def _stock_line(name: str, role: str) -> LineSpec:
+    return LineSpec(name, role, 500.0, 83.24e-6, 134.41e-12)
+
+
+LABELED_LAYOUTS = {
+    **{f"{name}-{n}": (preset_tables(name),
+                       4 * n if name == "shield-3taps" and n % 4 else n)
+       for name in PRESET_NAMES for n in (1, 12, 48)},
+    **{f"{name}-{n}": (spec, n) for n in (1, 12) for name, spec in {
+        "no-victim": LadderSpec((_stock_line("a", "aggressor"),)),
+        "shield-only": LadderSpec((_stock_line("s", "shield"),)),
+        "two-quiet": LadderSpec(
+            (_stock_line("a", "aggressor"), _stock_line("q1", "victim"),
+             _stock_line("q2", "victim")),
+            {("a", "q1"): {"cm_total": 1e-11}, ("q1", "q2"): {"m_total": 5e-6}}),
+    }.items()},
+}
+
+
+def _wired_ends(net) -> dict[str, tuple[list[str], str]]:
+    """Per line, read from the elements alone: the labels of the sources
+    whose resistor drives its first inductor, and of the b node of its
+    last inductor. A line's n_segments branches are consecutive."""
+    n, out = net.n_segments, {}
+    for i, ln in enumerate(net.lines):
+        chain = net.inductors[i * n:(i + 1) * n]
+        assert all(x.b == y.a for x, y in zip(chain, chain[1:]))
+        near = chain[0].a
+        driving = {r.b if r.a == near else r.a for r in net.resistors
+                   if near in (r.a, r.b)}
+        out[ln.name] = ([net.nodes[s.node] for s in net.sources
+                         if s.node in driving], net.nodes[chain[-1].b])
+    return out
+
+
+@pytest.mark.parametrize("layout", sorted(LABELED_LAYOUTS))
+def test_label_readers_follow_the_wiring(layout):
+    spec, n = LABELED_LAYOUTS[layout]
+    net = build_ladder(spec, n_segments=n)
+    wired = _wired_ends(net)
+    want = []
+    for ln in net.lines:
+        sources, far = wired[ln.name]
+        assert len(sources) == (ln.role != "shield"), ln.name
+        want += [*sources, far]
+    assert end_labels(net) == tuple(want)
+    assert set(end_labels(net)) <= set(net.nodes)
+    agg = [ln.name for ln in net.lines if ln.role == "aggressor"]
+    vic = [ln.name for ln in net.lines if ln.role == "victim"]
+    if len(agg) == len(vic) == 1:
+        assert measured_nodes(net) == {"source": wired[agg[0]][0][0],
+                                       "aggressor": wired[agg[0]][1],
+                                       "victim": wired[vic[0]][1]}
+    else:
+        assert measured_nodes(net) == {}
+
+
 class TestAccessors:
-    def test_node_lookup_round_trip(self):
-        net = build_ladder(preset_tables("shield"), n_segments=4)
-        nid = net.node("victim_4")
-        assert net.nodes[nid] == "victim_4"
-        with pytest.raises(ParameterError, match="no node labeled"):
-            net.node("victim_99")
-
-    def test_line_by_role(self):
-        net = build_ladder(preset_tables("shield"))
-        assert net.line_by_role("shield").name == "shield"
-        with pytest.raises(ParameterError, match="exactly one"):
-            build_ladder(preset_tables("no-shield")).line_by_role("shield")
-
     def test_inductance_matrix_is_spd_and_symmetric(self):
         # the inductor block of the assembled C holds -L
         sys = assemble(build_ladder(preset_tables("shield"), n_segments=2))
