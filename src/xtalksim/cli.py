@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (SWEEP_AXES, ToolkitConfig, apply_set_overrides,
@@ -94,7 +93,7 @@ def cmd_run(args) -> int:
         path = out / waveforms_filename(result.scenario)
         write_waveforms_csv(path, waves)
         written.append(path)
-        result = replace(result, waveform_files=(path.name,))
+        result = result.replace(waveform_files=(path.name,))
     if "json" in formats:
         path = out / summary_filename(result.scenario)
         write_summary_json(path, result)

@@ -35,9 +35,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
+from ._record import Record, asdict
 from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
@@ -150,8 +150,7 @@ def _number(value, where: str, kind: type = float):
     return kind(number)
 
 
-@dataclass(frozen=True)
-class ToolkitConfig:
+class ToolkitConfig(Record):
     """Parsed config document; blocks stay as plain dicts until resolve."""
 
     scenario: dict | None = None
@@ -400,7 +399,7 @@ def _extract(roles: dict[str, str], pairs, resolved: tuple) -> LineElectricals:
     the shield-case spacing, every other pair at ``separation_um``.
     """
     geometry, coeffs, shield_sep, width_scale = resolved
-    shield = replace(geometry, width_um=geometry.width_um * width_scale)
+    shield = geometry.replace(width_um=geometry.width_um * width_scale)
     geometries = {name: shield if role == "shield" else geometry
                   for name, role in roles.items()}
     separations = {pair: shield_sep if "shield" in (roles[pair[0]], roles[pair[1]])
@@ -427,7 +426,7 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
     ``r_total``/``l_total``/``c_total`` one value for every line or a
     per-line mapping, ``m_total``/``cm_total`` a mapping of "a:b" (or
     tuple) pair keys, each pair once, where 0 removes the pair."""
-    by_label = {f.name: dict(getattr(f0, f.name)) for f in fields(f0)}
+    by_label = {name: dict(getattr(f0, name)) for name in f0._fields}
     _check_keys(block, set(by_label), "overrides")
     for label, ov in block.items():
         table = by_label[label]
@@ -504,14 +503,13 @@ def _map_tables(spec: LadderSpec, config: ToolkitConfig) -> LadderSpec:
                 raise ParameterError(f"overrides.{label} sets pair "
                                      f"{key[0]}:{key[1]}, which the scenario "
                                      f"does not couple that way")
-    lines = tuple(replace(ln, **{label: scaled(label, ln.name, getattr(ln, label))
-                                 for label in ("r_total", "l_total", "c_total")})
+    lines = tuple(ln.replace(**{label: scaled(label, ln.name, getattr(ln, label))
+                                for label in ("r_total", "l_total", "c_total")})
                   for ln in spec.lines)
-    return replace(spec, lines=lines, couplings=couplings)
+    return spec.replace(lines=lines, couplings=couplings)
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(Record):
     """Formula values for the comparison layout: aggressor, shield and
     victim, with the aggressor-victim pair at the adjacent spacing
     (without-shield column) and the aggressor-shield pair across the
@@ -583,10 +581,7 @@ def _record(cls, entry, where: str, numbers: tuple[str, ...]):
     default required; ``where`` names the entry in errors, those of
     ``cls`` too."""
     _require_mapping(entry, where)
-    record = [f for f in fields(cls) if f.init]
-    _check_keys(entry, {f.name for f in record}, where,
-                frozenset(f.name for f in record if f.default is MISSING
-                          and f.default_factory is MISSING))
+    _check_keys(entry, set(cls._fields), where, cls._required)
     values = {k: _number(v, f"{where}.{k}") if k in numbers else v
               for k, v in entry.items()}
     try:
@@ -840,8 +835,7 @@ def _check_window(sim: SimConfig, stimulus: Stimulus) -> None:
             f"the settled drive, so end the window at or after it")
 
 
-@dataclass(frozen=True)
-class ResolvedScenario:
+class ResolvedScenario(Record):
     """Everything a run needs, derived from one config."""
 
     network: CoupledNetwork
@@ -889,7 +883,7 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     else:
         # the measurements read these traces, so they are always kept
         out_nodes = tuple(dict.fromkeys([*map(str, nodes), *roles.values()]))
-    sim = replace(sim, output_nodes=out_nodes)
+    sim = sim.replace(output_nodes=out_nodes)
 
     params = _tables_params(spec, n_segments)
     params["stimulus"] = _copy_tree(config.stimulus)

@@ -64,10 +64,10 @@ and q. perfbench swaps it for a proxy that counts
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, field
 from .errors import ParameterError, SolverError
 from .inputs import BLOCK_STEPS, METHODS, SimConfig, Stimulus
 from .network import GROUND, CoupledNetwork
@@ -80,8 +80,7 @@ sla = np.linalg
 _CHUNK_BLOCKS = 32
 
 
-@dataclass(frozen=True)
-class WaveformSet:
+class WaveformSet(Record):
     """Uniformly sampled traces from one transient run."""
 
     times: np.ndarray
@@ -107,8 +106,7 @@ class WaveformSet:
             raise ParameterError(f"no node trace labeled {label!r}") from None
 
 
-@dataclass(frozen=True)
-class MnaSystem:
+class MnaSystem(Record):
     """Assembled descriptor: G x + C dx/dt = B u(t). Reusable across runs.
 
     ``slot[node_id]`` is the node's position in z = [x, u, 0]: an

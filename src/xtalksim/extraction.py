@@ -23,8 +23,8 @@ downstream. A strict-SI re-derivation is deliberately out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record, field
 from .errors import ParameterError
 
 # Vacuum permittivity as used throughout: the stock parameter set was
@@ -39,8 +39,7 @@ def _require_positive(**kwargs: float) -> None:
             raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class InterconnectGeometry:
+class InterconnectGeometry(Record):
     """Physical dimensions and material constants of one line.
 
     All lengths in micrometers. ``separation_um`` is the spacing to the
@@ -72,8 +71,7 @@ class InterconnectGeometry:
             raise ParameterError(f"eps_rel must be >= 1, got {self.eps_rel!r}")
 
 
-@dataclass(frozen=True)
-class CouplingCoefficients:
+class CouplingCoefficients(Record):
     """Coefficient set for the coupling-capacitance expression.
 
     Two built-in sets exist:
@@ -183,8 +181,7 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class LineElectricals:
+class LineElectricals(Record):
     """Per-line totals plus pairwise couplings (the simulation bundle).
 
     ``r_total`` is in ohms, ``l_total``/``m_total`` in formula units,

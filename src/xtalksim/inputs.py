@@ -12,8 +12,8 @@ its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ParameterError
 
 # typing.TYPE_CHECKING without importing typing, which no command needs
@@ -34,8 +34,7 @@ BLOCK_STEPS = 48
 STEP_EDGE_S = 1e-15
 
 
-@dataclass(frozen=True)
-class Stimulus:
+class Stimulus(Record):
     """Drive waveform for the driven sources of a network.
 
     Every drive is piecewise linear: the (time, value) ``points`` are
@@ -112,8 +111,7 @@ def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,
     return Stimulus(pts, amplitude_v, delay_s)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     dt: float
     t_end: float
     method: str = "trapezoidal"

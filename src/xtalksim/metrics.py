@@ -14,18 +14,16 @@ first-crossing semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record, field
 from .engine import WaveformSet
 from .errors import ParameterError
 
 KINDS = ("signal", "noise")
 
 
-@dataclass(frozen=True)
-class TraceMeasurement:
+class TraceMeasurement(Record):
     """Measured quantities of one trace; absent ones are None."""
 
     kind: str
@@ -39,8 +37,7 @@ class TraceMeasurement:
             raise ParameterError(f"unknown trace kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     """Summary bundle for one scenario run."""
 
     scenario: str

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from ._record import Record, field
 from .errors import ParameterError
 
 ROLES = ("aggressor", "victim", "shield")
@@ -49,8 +49,7 @@ PRESET_NAMES = ("no-shield", "shield", "shield-3taps")
 GROUND = 0
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(Record):
     """One physical line: a name, its role, and its lumped totals."""
 
     name: str
@@ -72,8 +71,7 @@ class LineSpec:
             raise ParameterError(f"line {self.name!r}: c_total must be > 0")
 
 
-@dataclass(frozen=True)
-class TerminationSpec:
+class TerminationSpec(Record):
     """Driver resistance, what drives it, and the far-end load."""
 
     driver_resistance_ohm: float = STOCK_DRIVER_RESISTANCE_OHM
@@ -92,8 +90,7 @@ class TerminationSpec:
                                  f"got {self.source_ref!r}")
 
 
-@dataclass(frozen=True)
-class TapSchedule:
+class TapSchedule(Record):
     """Interior grounding points along a shield line.
 
     Fractions are positions in (0, 1); the shield's two ends are always
@@ -119,8 +116,7 @@ class TapSchedule:
                                  f"got {self.tie_resistance_ohm!r}")
 
 
-@dataclass(frozen=True)
-class LadderSpec:
+class LadderSpec(Record):
     """What build_ladder builds: lines, couplings, terminations, a tap
     schedule for the shield lines, and the scenario name.
 
@@ -132,7 +128,7 @@ class LadderSpec:
     driven by the stimulus for an aggressor and quiet for any other line.
     Both are stored read-only (``types.MappingProxyType``, each coupling
     entry too), so what construction checked is what build_ladder reads;
-    ``dataclasses.replace`` makes a changed spec.
+    ``spec.replace(...)`` makes a changed spec.
 
     Construction refuses, with a ParameterError, no lines, a line name
     used twice, a pair that does not name two distinct known lines or
@@ -194,24 +190,21 @@ class LadderSpec:
             for ln in lines if ln.role != "shield"}))
 
 
-@dataclass(frozen=True)
-class Resistor:
+class Resistor(Record):
     name: str
     a: int
     b: int
     ohms: float
 
 
-@dataclass(frozen=True)
-class Capacitor:
+class Capacitor(Record):
     name: str
     a: int
     b: int
     farads: float
 
 
-@dataclass(frozen=True)
-class Inductor:
+class Inductor(Record):
     """One ladder segment: L plus its series resistance on one branch."""
 
     name: str
@@ -230,16 +223,14 @@ def split_names(ind: Inductor) -> tuple[str, str]:
     return f"R{label}", f"{line}_m{seg}"
 
 
-@dataclass(frozen=True)
-class Mutual:
+class Mutual(Record):
     name: str
     branch_i: int
     branch_j: int
     m_h: float
 
 
-@dataclass(frozen=True)
-class VoltageSource:
+class VoltageSource(Record):
     """Ideal source holding one node at a known voltage.
 
     ``driven`` sources follow the run's stimulus; quiet ones stay at
@@ -251,8 +242,7 @@ class VoltageSource:
     driven: bool
 
 
-@dataclass(frozen=True)
-class GroundTie:
+class GroundTie(Record):
     """Shield end or tap connection to ground.
 
     With 0 ohms the node is merged with ground during assembly; with a
@@ -264,8 +254,7 @@ class GroundTie:
     ohms: float
 
 
-@dataclass(frozen=True)
-class CoupledNetwork:
+class CoupledNetwork(Record):
     """Immutable element-level circuit produced by build_ladder. A node's
     id is its label's position in ``nodes`` (ground is "0" at 0); a
     branch's id is its inductor's position in ``inductors``.

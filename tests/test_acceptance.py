@@ -11,8 +11,6 @@ the victim floor is inductive, and taps do not act on it (see README,
 "Shield taps and the inductive floor").
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -256,8 +254,8 @@ def test_criterion_8_property_suite(stock_runs):
 
     # reciprocity of the symmetric shielded scenario under drive swap
     fwd = build_ladder(preset_tables("shield"), n_segments=4)
-    rev = build_ladder(replace(
-        preset_tables("shield"), name="shield-rev",
+    rev = build_ladder(preset_tables("shield").replace(
+        name="shield-rev",
         terminations={"aggressor": TerminationSpec(source_ref="quiet"),
                       "victim": TerminationSpec(source_ref="stimulus")}),
         n_segments=4)

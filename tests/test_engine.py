@@ -7,7 +7,6 @@ no code with the companion-model integrators.
 
 import tracemalloc
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -292,8 +291,8 @@ class TestBehaviour:
         fwd = build_ladder(preset_tables("shield"), n_segments=4)
         swapped = {"aggressor": TerminationSpec(source_ref="quiet"),
                    "victim": TerminationSpec(source_ref="stimulus")}
-        rev = build_ladder(replace(preset_tables("shield"), terminations=swapped,
-                                   name="shield-rev"), n_segments=4)
+        rev = build_ladder(preset_tables("shield").replace(
+            terminations=swapped, name="shield-rev"), n_segments=4)
         wf = run_transient(fwd, EDGE, SHORT)
         wr = run_transient(rev, EDGE, SHORT)
         assert np.allclose(wf.trace("victim_4"), wr.trace("aggressor_4"),

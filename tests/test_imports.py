@@ -2,7 +2,8 @@
 the first transient and no earlier, and yaml on the first config file
 or --set / --values entry that is not a plain decimal number. Without
 numpy, run refuses a bad config as usual and names numpy for a good
-one. The package import loads no typing and builds no parser.
+one. The package import, extract and export-netlist load no
+dataclasses or inspect; the import loads no typing and builds no parser.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy (through tests/_reference.py).
@@ -59,10 +60,11 @@ def _fresh(tmp_path, *argv: str, without: tuple[str, ...] = ()) -> dict:
 def test_commands_without_a_transient_skip_scipy_and_openssl(tmp_path, argv):
     out = _fresh(tmp_path, *argv)
     assert out["rc"] == (0 if argv else None)
-    # a bare --preset reads no YAML, and the writers of run and sweep
-    # import what they write with
+    # a bare --preset reads no YAML, the writers of run and sweep
+    # import what they write with, and the records generate no code
     assert not {"numpy", "scipy", "_hashlib", "yaml", "json", "csv",
-                "datetime", "fractions"} & set(out["modules"])
+                "datetime", "fractions", "dataclasses",
+                "inspect"} & set(out["modules"])
 
 
 SHORT = ("--set", "sim.dt=1e-9", "--set", "sim.t_end=4e-7")

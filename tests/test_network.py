@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,8 +214,8 @@ class TestTaps:
     def test_two_taps_on_one_node_are_refused(self):
         # both fractions round to segment 1 at n_segments=2; the two
         # ties share a name, which the network's check refuses
-        spec = replace(preset_tables("shield"),
-                       taps=TapSchedule((0.5, 0.5 + 1e-12)))
+        spec = preset_tables("shield").replace(
+            taps=TapSchedule((0.5, 0.5 + 1e-12)))
         with pytest.raises(ParameterError,
                            match=r"duplicate element name\(s\) "
                                  r"\['Rtie_shield_1'\]"):
@@ -282,7 +281,7 @@ class TestBuildErrors:
         spec = LadderSpec((self.line("b", "victim"), self.line()),
                           {("b", "a"): {"m_total": 6e-6}})
         assert spec.couplings == {("a", "b"): {"m_total": 6e-6}}
-        assert replace(spec) == spec
+        assert spec.replace() == spec
 
     def test_spec_is_read_only(self):
         # a coupling added after the construction check used to reach
@@ -294,8 +293,8 @@ class TestBuildErrors:
             spec.couplings[("aggressor", "victim")]["m_total"] = 1.0
         with pytest.raises(TypeError):
             spec.terminations["victim"] = TerminationSpec()
-        changed = replace(spec, couplings={("victim", "aggressor"):
-                                           {"m_total": 1e-6}})
+        changed = spec.replace(couplings={("victim", "aggressor"):
+                                          {"m_total": 1e-6}})
         assert changed.couplings == {("aggressor", "victim"):
                                      {"m_total": 1e-6}}
         assert len(build_ladder(changed, n_segments=4).mutuals) == 4
@@ -500,12 +499,12 @@ class TestValidateNetwork:
         # a 0-ohm shield between two 0-ohm ties: the DC branch currents
         # are not set by anything, though every node reaches ground
         net = build_ladder(preset_tables("shield"), n_segments=4)
-        shield = [replace(i, r_series_ohm=0.0) if i.name.startswith("Lshield")
+        shield = [i.replace(r_series_ohm=0.0) if i.name.startswith("Lshield")
                   else i for i in net.inductors]
         with pytest.raises(ParameterError,
                            match="^Lshield_4 closes a loop of zero-resistance "
                                  "inductors"):
-            replace(net, inductors=tuple(shield))
+            net.replace(inductors=tuple(shield))
         # through a source, and with no ground tie on the loop at all
         with pytest.raises(ParameterError, match="^L2 closes a loop"):
             make_network(["in", "a"], resistors=[Resistor("R1", 2, 0, 1.0)],
@@ -513,8 +512,8 @@ class TestValidateNetwork:
                                     Inductor("L2", 2, 1, 1.0)],
                          sources=[VoltageSource("V1", 1, True)])
         # a resistive tie breaks the loop
-        ties = tuple(replace(t, ohms=2.0) for t in net.ties)
-        replace(net, inductors=tuple(shield), ties=ties)
+        ties = tuple(t.replace(ohms=2.0) for t in net.ties)
+        net.replace(inductors=tuple(shield), ties=ties)
 
     def test_duplicate_node_labels_are_refused(self):
         # the deck would short R1 across one node; the engine would fold
@@ -573,13 +572,13 @@ class TestValidateNetwork:
                            resistors=[Resistor("R1", 1, 2, 1.0),
                                       Resistor("R2", 2, 0, 1.0)])
         with pytest.raises(ParameterError, match="node 0 must be ground"):
-            replace(net, nodes=("gnd", "in", "out"))
+            net.replace(nodes=("gnd", "in", "out"))
 
     def test_clean_presets_have_no_findings(self):
         for name in PRESET_SHAPE:
             for n in (4, 12, 48):
                 net = build_ladder(preset_tables(name), n_segments=n)
-                assert replace(net) == net      # construction check passes
+                assert net.replace() == net     # construction check passes
 
 
 def _stock_line(name: str, role: str) -> LineSpec:
@@ -688,8 +687,8 @@ class TestTerminations:
 
     def test_default_rule_covers_every_signal_line(self):
         custom = TerminationSpec(driver_resistance_ohm=50.0)
-        terms = replace(preset_tables("shield"),
-                        terminations={"victim": custom}).terminations
+        terms = preset_tables("shield").replace(
+            terminations={"victim": custom}).terminations
         assert terms == {"aggressor": TerminationSpec(source_ref="stimulus"),
                          "victim": custom}
         terms = preset_tables("shield").terminations
@@ -699,5 +698,5 @@ class TestTerminations:
     def test_shield_termination_is_refused(self):
         with pytest.raises(ParameterError,
                            match="'shield' is a shield; its ends are ground ties"):
-            replace(preset_tables("shield"), terminations={
+            preset_tables("shield").replace(terminations={
                 "shield": TerminationSpec(driver_resistance_ohm=1.0)})
