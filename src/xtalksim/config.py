@@ -27,7 +27,10 @@ missing geometry, overrides, stimulus or sim block is a copy of its
 is a key not set.
 
 This module imports no numpy: ``run_scenario`` and
-``write_waveforms_csv`` load it when they run.
+``write_waveforms_csv`` load it when they run. The run path's only calls
+into numpy-backed code are the module functions ``run_transient`` and
+``measure_scenario``, which import ``engine`` and ``metrics`` on call;
+they are module attributes so that a tracer can wrap them here.
 """
 
 from __future__ import annotations
@@ -49,32 +52,6 @@ from .network import (PRESET_NAMES, STOCK_LINE_RESISTANCE_OHM,
                       measured_nodes, preset_tables)
 
 TOOLKIT_VERSION = "0.1.0"
-
-# The numpy-backed names the run path calls by their name in this
-# module, where a tracer (perfbench --trace 1) may wrap them. They are
-# bound on first numeric use, by _bind_numeric or an attribute read
-# through __getattr__, so a command that only describes a circuit
-# imports no numpy.
-_NUMERIC = {"run_transient": "engine", "WaveformSet": "engine",
-            "measure_scenario": "metrics", "ScenarioResult": "metrics"}
-
-
-def _bind_numeric() -> None:
-    """Bind each name of _NUMERIC not bound yet; one already bound, by
-    this or by a caller's wrapper, is kept."""
-    from importlib import import_module
-
-    for name, module in _NUMERIC.items():
-        if name not in globals():
-            globals()[name] = getattr(
-                import_module(f".{module}", __package__), name)
-
-
-def __getattr__(name: str):
-    if name in _NUMERIC:
-        _bind_numeric()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 CONFIG_BLOCKS = ("geometry", "overrides", "scenario", "stimulus", "sim", "output")
 # sweep axis -> the config key each row sets
@@ -148,6 +125,14 @@ def _number(value, where: str, kind: type = float):
     if kind is int and not number.is_integer():
         raise ParameterError(f"{where} must be an integer, got {value!r}")
     return kind(number)
+
+
+def _string(value, where: str) -> str:
+    """``value`` if it is a string, else refused naming ``where``: YAML
+    reads an unquoted ``0`` or ``true`` as a number or a bool, not a name."""
+    if not isinstance(value, str):
+        raise ParameterError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 class ToolkitConfig(Record):
@@ -700,11 +685,11 @@ def _scenario_tables(scen: dict | None, n_segments: int) -> LadderSpec:
         if key in scen:
             raise ParameterError(f"scenario.{key} belongs to the preset form; "
                                  f"explicit scenarios use the taps block")
+    name = _string(scen.get("name", ""), "scenario.name")
     return LadderSpec(_parse_line_specs(scen["lines"]),
                       _parse_couplings(scen.get("couplings", [])),
                       _parse_terminations(scen.get("terminations", {})),
-                      _parse_taps(scen.get("taps")),
-                      str(scen.get("name") or "custom"))
+                      _parse_taps(scen.get("taps")), name or "custom")
 
 
 def resolve_stimulus(block: dict) -> Stimulus:
@@ -771,7 +756,7 @@ def resolve_output(block: dict | None) -> dict:
         raise ParameterError(f"output.formats: unknown format(s) "
                              f"{unknown}; allowed: {OUTPUT_FORMATS}")
     b["formats"] = tuple(formats)
-    b["directory"] = str(b["directory"])
+    _string(b["directory"], "output.directory")
     nodes = b["nodes"]
     if nodes not in ("ends", "all") and not isinstance(nodes, (list, tuple)):
         raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
@@ -893,11 +878,28 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
                             params=params, roles=roles, output=output)
 
 
+# run_scenario calls these by name, where perfbench --trace 1 wraps them
+# (its hooks ("config", "run_transient") and ("config",
+# "measure_scenario")); they become direct imports once perfbench stops
+# wrapping module attributes (ROADMAP item 1).
+def run_transient(network: CoupledNetwork, stimulus: Stimulus,
+                  sim: SimConfig) -> WaveformSet:
+    from .engine import run_transient
+    return run_transient(network, stimulus, sim)
+
+
+def measure_scenario(waves: WaveformSet, roles: dict[str, str]) -> dict:
+    from .metrics import measure_scenario
+    return measure_scenario(waves, roles)
+
+
 def run_scenario(config: ToolkitConfig
                  ) -> tuple[ScenarioResult, WaveformSet, ResolvedScenario]:
     """Resolve, simulate, measure. File writing is the caller's job."""
     resolved = resolve(config)
-    _bind_numeric()
+    # numpy loads here, so a config refused without it reads as refused
+    from .metrics import ScenarioResult
+
     waves = run_transient(resolved.network, resolved.stimulus, resolved.sim)
     measurements = (measure_scenario(waves, resolved.roles)
                     if resolved.roles else {})

@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from xtalksim.engine import assemble
+from xtalksim.config import resolve_stimulus
+from xtalksim.engine import assemble, run_transient
+from xtalksim.inputs import SimConfig
 from xtalksim.network import (Capacitor, CoupledNetwork, GroundTie, Inductor,
                               Mutual, Resistor, VoltageSource)
 
@@ -48,6 +50,16 @@ def rc_network(r_ohm: float, c_f: float) -> CoupledNetwork:
         capacitors=[Capacitor("C1", 2, 0, c_f)],
         sources=[VoltageSource("Vin", 1, driven=True)],
         scenario="rc")
+
+
+def rc_step_max_error(method: str, dt: float) -> float:
+    """Largest deviation of a unit RC's step response, run by the engine
+    for 5 RC, from 1 - e^{-t/RC}."""
+    waves = run_transient(rc_network(1.0, 1.0),
+                          resolve_stimulus({"kind": "step"}),
+                          SimConfig(dt=dt, t_end=5.0, method=method))
+    exact = np.where(waves.times > 0, 1.0 - np.exp(-waves.times), 0.0)
+    return float(np.max(np.abs(waves.trace("out") - exact)))
 
 
 def rl_network(r_ohm: float, l_h: float) -> CoupledNetwork:

@@ -14,7 +14,8 @@ the victim floor is inductive, and taps do not act on it (see README,
 import numpy as np
 import pytest
 
-from _reference import capacitor_kind, engine_vs_oracle_error, rc_network
+from _reference import (capacitor_kind, engine_vs_oracle_error,
+                        rc_step_max_error)
 from xtalksim.config import preset_config, resolve_stimulus, run_scenario
 from xtalksim.engine import dc_operating_point, run_transient
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
@@ -69,14 +70,6 @@ def test_criterion_1_parasitic_formula_regression():
     _check("criterion 1 (formula regression)", clauses)
 
 
-def _rc_max_error(method: str, dt: float) -> float:
-    waves = run_transient(rc_network(1.0, 1.0),
-                          resolve_stimulus({"kind": "step"}),
-                          SimConfig(dt=dt, t_end=5.0, method=method))
-    exact = np.where(waves.times > 0, 1.0 - np.exp(-waves.times), 0.0)
-    return float(np.max(np.abs(waves.trace("out") - exact)))
-
-
 def test_criterion_2_rc_step_analytic_error():
     """Unit RC step against 1 - e^{-t/RC} at dt = RC/100, each method
     held to the bound of its order.
@@ -98,7 +91,7 @@ def test_criterion_2_rc_step_analytic_error():
               "backward-euler": dt / (2.0 * np.e * rc)}
     clauses = []
     for method, bound in bounds.items():
-        err = _rc_max_error(method, dt)
+        err = rc_step_max_error(method, dt)
         clauses.append((f"{method} max error < {bound:.3e} of amplitude",
                         err < bound, f"got {err:.6e}"))
     _check("criterion 2 (analytic RC oracle)", clauses)
@@ -125,7 +118,7 @@ def test_criterion_4_integration_convergence_order():
     clauses = []
     for method, lo, hi in (("trapezoidal", 3.5, 4.5),
                            ("backward-euler", 1.8, 2.2)):
-        ratio = _rc_max_error(method, 0.01) / _rc_max_error(method, 0.005)
+        ratio = rc_step_max_error(method, 0.01) / rc_step_max_error(method, 0.005)
         clauses.append((f"{method} dt-halving error ratio in [{lo}, {hi}]",
                         lo < ratio < hi, f"got {ratio:.3f}"))
     _check("criterion 4 (convergence order)", clauses)

@@ -147,6 +147,24 @@ REFUSALS = {
         "sweep", f"--set output.nodes=5 {TAPS} 0,1", None, 1,
         "output.nodes must be 'all', 'ends', or a list of node labels, "
         "got 5"),
+    # a name that YAML reads as no string is refused, not written as a
+    # Python repr ("{'a': 1}/shield.cir", "True/", "['a', 'b'].cir") or
+    # taken for no name ("custom")
+    "export-netlist-mapping-output-directory": (
+        "export-netlist", "--preset shield --set 'output.directory={a: 1}'",
+        None, 1, "output.directory must be a string, got {'a': 1}"),
+    "run-bool-output-directory": (
+        "run", "--preset shield --set output.directory=true", None, 1,
+        "output.directory must be a string, got True"),
+    "sweep-number-output-directory": (
+        "sweep", f"--set output.directory=5 {TAPS} 0,1", None, 1,
+        "output.directory must be a string, got 5"),
+    "export-netlist-list-scenario-name": (
+        "export-netlist", "--config {cfg}", _pair(name=["a", "b"]), 1,
+        "scenario.name must be a string, got ['a', 'b']"),
+    "run-number-scenario-name": (
+        "run", "--config {cfg}", _pair(name=0), 1,
+        "scenario.name must be a string, got 0"),
     "run-missing-config": (
         "run", "--config {cfg}", None, 3,
         "[Errno 2] No such file or directory: '{cfg}'"),
@@ -1304,6 +1322,14 @@ class TestCliOutputs:
                      "--set", "output.directory=null"]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert (tmp_path / "out" / "shield.cir").exists()
+
+    def test_quoted_numeric_output_directory(self, tmp_path, monkeypatch):
+        # unquoted, 2024 is a number and refused (REFUSALS)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(
+            "scenario: {preset: shield}\noutput: {directory: '2024'}\n")
+        assert main(["export-netlist", "--config", "cfg.yaml"]) == 0
+        assert (tmp_path / "2024" / "shield.cir").exists()
 
     def test_run_keeps_measured_nodes(self, tmp_path):
         rc = main(["run", "--preset", "shield", *_sets(),
