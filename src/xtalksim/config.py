@@ -256,7 +256,8 @@ def apply_set_overrides(config: ToolkitConfig,
     """Apply ``--set block.key[.subkey]=value`` pairs onto a config.
 
     Values parse as by ``parse_scalar``, so ``--set sim.dt=1e-10`` and
-    ``--set output.formats=[csv]`` both work.
+    ``--set output.formats=[csv]`` both work, and a quoted value such as
+    ``--set "output.directory='2024'"`` stays a string.
     """
     data = config.to_mapping()
     for item in assignments:
@@ -283,8 +284,9 @@ _PLAIN_NUMBER = r" *[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)? *"
 
 def parse_scalar(raw: str, where: str):
     """A command-line value read as YAML. YAML 1.1 leaves dotless
-    scientific notation ("1e-10") a string, so a string that reads as
-    an int or float becomes that number.
+    scientific notation ("1e-10") a string, so a string read from a
+    plain scalar that reads as an int or float becomes that number; a
+    quoted one (``'2024'``) stays a string.
 
     A plain decimal number (``24``, ``-0.5``, ``1e-7``) is read by
     ``int()`` or ``float()`` without importing yaml, to the value and
@@ -299,12 +301,17 @@ def parse_scalar(raw: str, where: str):
     import yaml
 
     try:
-        value = _load_yaml(raw)
+        loader = _unique_key_loader()(raw)
+        try:
+            node = loader.get_single_node()
+            value = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
     except ValueError as exc:
         raise ParameterError(f"{where}: {exc}") from None
-    if isinstance(value, str):
+    if isinstance(value, str) and node.style is None:     # plain, unquoted
         for kind in (int, float):
             try:
                 return kind(value)
@@ -773,10 +780,11 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     the engine holds at the solve behind P and q: C/dt + theta G, the
     right-hand side, the solution, and the copies numpy.linalg.solve
     makes of C/dt + theta G and of the right-hand side (G and C are
-    dropped before it, and P^m with its power temporaries comes later
-    and holds fewer);
-    the stored traces with the time axis and drive; the engine's lifted
-    operator, (n + m) m doubles per trace for blocks of
+    dropped before it; the build of P^m, Q_m and L that follows holds
+    fewer, and comes before any array of the run's length is made);
+    the stored traces with the time axis and drive, which the stepping
+    holds beside P, P^m and the engine's lifted operator L,
+    (n + m) m doubles per trace for blocks of
     m = min(BLOCK_STEPS, steps // n), which m <= steps // n keeps near
     the traces' own size; and 256 bytes per stimulus breakpoint (a pair
     of Python floats, held twice while the Stimulus is built, and its

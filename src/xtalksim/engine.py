@@ -33,9 +33,9 @@ numpy.linalg.solve hands LAPACK.
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
 grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
-w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks;
-the drive rows are formed chunk by chunk, so no array of the run's
-length is held but the time axis, the drive and the stored traces.
+w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks,
+each forming its drive rows; the time axis, the drive and the traces,
+the run's only arrays of its length, are made once P^m, Q_m and L are.
 Phase 1 steps the block starts, s_{j+1} = P^m s_j + Q_m w_j with
 Q_m = [P^(m-1) q, ..., P q, q]. Phase 2 fills the kept traces of a
 whole chunk with one product [X_s, W] L written straight into the trace
@@ -308,16 +308,15 @@ def _lifted_operators(P: np.ndarray, q: np.ndarray, m: int, keep: np.ndarray
     return np.linalg.matrix_power(P, m), Q, L.reshape(n + m, m * kept)
 
 
-def _step_blocks(P: np.ndarray, q: np.ndarray, m: int, x: np.ndarray,
+def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
                  drive: np.ndarray, theta: float, out: np.ndarray,
                  keep: np.ndarray, times: np.ndarray) -> tuple[int, np.ndarray]:
-    """Steps 1 up to the last whole block of m, lifted (see the module
-    docstring); out[k + 1] receives the kept unknowns of step k, the
-    step from drive[k] to drive[k + 1]. Returns the next step and its
-    start state."""
-    n = len(x)
+    """Steps 1 to the last whole block of m, lifted by ``lifted`` = (P^m,
+    Q_m, L); out[k + 1] receives the kept unknowns of step k, from
+    drive[k] to drive[k + 1]. Returns the next step and its start state."""
+    Pm, Q, L = lifted
+    n, m = Q.shape
     nb = (len(drive) - 2) // m
-    Pm, Q, L = _lifted_operators(P, q, m, keep)
     Z = np.empty((_CHUNK_BLOCKS, n + m))    # [X_s, W] of one chunk
     for j0 in range(0, nb, _CHUNK_BLOCKS):
         cb = min(_CHUNK_BLOCKS, nb - j0)
@@ -351,6 +350,8 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     traces are views of the stored unknowns, of the drive and, for every
     quiet source and ground-tied node, one zero-stride view of a single 0.
     """
+    # first, so the network's repr is not built beside the run's arrays
+    config_hash = _config_hash(network, stimulus, sim)
     sys = assemble(network)
     steps = int(round(sim.t_end / sim.dt))
     theta = METHODS[sim.method]
@@ -367,8 +368,6 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 
-    # the initial and final DC states, the first step and the operands of
-    # P and q need G and C; the run drops them before the solve behind P, q
     s0, s1, s_end = stimulus.values(np.array([0.0, sim.dt, steps * sim.dt]))
     b = sys.B @ np.array(sys.source_driven, dtype=float)
     x0 = _solve(sys.G, b * s0, _SINGULAR_G)
@@ -380,18 +379,19 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
         A, rhs = _step_operands(sys, b, sim.dt, theta)
         del sys
         P, q = _step_matrices(A, rhs, theta, sim.dt)
-    del A, rhs
+        del A, rhs
+        m = min(BLOCK_STEPS, steps // max(n, 1))
+        lifted = _lifted_operators(P, q, m, keep) if m >= 2 else None
 
     times = np.arange(steps + 1, dtype=float)
     times *= sim.dt
     drive = stimulus.values(times)
     out = np.empty((steps + 1, len(keep)))
     out[0], out[1] = x0[keep], x[keep]
-    m = min(BLOCK_STEPS, steps // max(n, 1))
     with np.errstate(all="ignore"):
         k = 1
-        if m >= 2:
-            k, x = _step_blocks(P, q, m, x, drive, theta, out, keep, times)
+        if lifted:
+            k, x = _step_blocks(P, q, lifted, x, drive, theta, out, keep, times)
         _step(P, q, x, drive[k:], theta, out[k + 1:], keep, times[k + 1:])
 
     # out's columns: the kept node unknowns in label order, then branches;
@@ -409,7 +409,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     gap = {lbl: abs(float(tr[-1] - z_end[slot[lbl]]))
            for lbl, tr in node_traces.items()}
     meta = {"scenario": network.scenario,
-            "config_hash": _config_hash(network, stimulus, sim)}
+            "config_hash": config_hash}
     return WaveformSet(times=times, node_traces=node_traces,
                        branch_currents=branch_currents, metadata=meta,
                        settle_gap=gap)

@@ -126,6 +126,13 @@ REFUSALS = {
     "sweep-bool-value": (
         "sweep", f"{TAPS} 0,true", None, 1,
         "--values entries must be numbers, got 'true'"),
+    # quoted digits are a string, as they are for --set
+    "sweep-single-quoted-value": (
+        "sweep", f"""{TAPS} "0,'1'" """, None, 1,
+        "--values entries must be numbers, got \"'1'\""),
+    "sweep-double-quoted-value": (
+        "sweep", f"""{TAPS} '0,"1e0"'""", None, 1,
+        "--values entries must be numbers, got '\"1e0\"'"),
     # an integer over Python's digit limit, as a value on the command
     # line or in a file
     "export-netlist-set-over-the-digit-limit": (
@@ -590,21 +597,24 @@ class TestConfigDocuments:
 # The command-line values where parse_scalar's int()/float() shortcut
 # and the YAML 1.1 resolvers could part: octal, hex, "_", sexagesimal,
 # a point with no digit before it, signed zeros, an overflow to inf, and
-# whitespace that is not an ASCII space; and values Python cannot build,
-# an integer over its digit limit and a date past the month's end
+# whitespace that is not an ASCII space; values Python cannot build, an
+# integer over its digit limit and a date past the month's end; and
+# digits in quotes or a block scalar, which stay a string
 EDGE_SCALARS = ("010", "0x1A", "1_000", "1:30", ".5", "+.5", "1.", "-0",
-                "-0.0", "1e400", "\t12", "12\n", HUGE_INT, "2001-02-30")
+                "-0.0", "1e400", "\t12", "12\n", HUGE_INT, "2001-02-30",
+                "'2024'", '"1e-10"', "|\n  12")
 
 
 def _yaml_reading(raw: str):
     """What parse_scalar gives for ``raw`` read by YAML alone, then a
-    string taken as an int or float; ParameterError for a refusal."""
+    string that YAML read from a plain (unquoted) scalar taken as an int
+    or float; ParameterError for a refusal."""
     import yaml
     try:
         value = _load_yaml(raw)
     except (yaml.YAMLError, ValueError):
         return ParameterError
-    if isinstance(value, str):
+    if isinstance(value, str) and yaml.compose(raw).style is None:
         for kind in (int, float):
             try:
                 return kind(value)
@@ -1140,11 +1150,16 @@ class TestCliExitCodes:
                               "shield-3taps": 0.145}, abs=5e-4)
 
     @pytest.mark.parametrize("nodes", ["ends", "all"])
-    def test_run_size_estimate_covers_the_traced_peak(self, nodes):
-        # tracemalloc sees numpy's arrays, not the copies numpy.linalg
-        # hands LAPACK, which the estimate counts too
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_run_size_estimate_covers_the_traced_peak(self, name, nodes):
+        """The estimate bounds the run's traced peak on every preset. The
+        peak sits at the solve behind P and q or in the stepping, which
+        holds P, P^m and L beside the traces; the build of P^m, Q_m and L
+        with its power temporaries comes between the two, before the
+        traces. tracemalloc sees numpy's arrays, not the copies
+        numpy.linalg hands LAPACK, which the estimate counts too."""
         resolved = resolve(apply_set_overrides(
-            preset_config("shield"),
+            preset_config(name),
             ["sim.n_segments=48", f"output.nodes={nodes}"]))
         estimate = _check_run_size(len(resolved.network.lines), 48,
                                    resolved.sim, nodes, DEFAULT_STIMULUS)
@@ -1324,12 +1339,16 @@ class TestCliOutputs:
         assert (tmp_path / "out" / "shield.cir").exists()
 
     def test_quoted_numeric_output_directory(self, tmp_path, monkeypatch):
-        # unquoted, 2024 is a number and refused (REFUSALS)
+        # unquoted, 2024 is a number and refused (REFUSALS); quoted, in a
+        # config file or inside a --set value, it names a directory
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.yaml").write_text(
             "scenario: {preset: shield}\noutput: {directory: '2024'}\n")
         assert main(["export-netlist", "--config", "cfg.yaml"]) == 0
-        assert (tmp_path / "2024" / "shield.cir").exists()
+        assert main(["export-netlist", "--preset", "shield-3taps", "--set",
+                     "output.directory='2024'"]) == 0
+        assert sorted(p.name for p in (tmp_path / "2024").iterdir()) == [
+            "shield-3taps.cir", "shield.cir"]
 
     def test_run_keeps_measured_nodes(self, tmp_path):
         rc = main(["run", "--preset", "shield", *_sets(),

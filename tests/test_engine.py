@@ -544,18 +544,21 @@ class TestLeanStepBuild:
                                           for a in arrays)}
         return peak - sum(held.values()), len(ws.times)
 
-    def test_run_holds_under_five_n_squared_doubles(self):
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_run_holds_under_3_6_n_squared_doubles(self, name, method):
         """The tracemalloc peak of a run, less what its WaveformSet holds,
-        stays under 5 n^2 doubles on shield-3taps at 48 segments (4.6
-        measured, set by the lifted operators' build). The copies
+        stays under 3.6 n^2 doubles at 48 segments with output.nodes=ends
+        (2.94-3.46 measured, set by the stepping, which holds P, P^m and
+        L beside the traces). A build of P^m, Q_m and L made after the
+        time axis, the drive and the traces read 4.59-4.93. The copies
         numpy.linalg hands LAPACK are not traced."""
-        resolved = resolve(apply_set_overrides(
-            preset_config("shield-3taps"),
-            ["sim.n_segments=48", "output.nodes=ends"]))
+        resolved = resolve(apply_set_overrides(preset_config(name), [
+            "sim.n_segments=48", "output.nodes=ends", f"sim.method={method}"]))
         n = len(assemble(resolved.network).unknown_labels)
         above, _ = self._traced_above_result(
             resolved.network, resolved.stimulus, resolved.sim)
-        assert above < 5 * 8 * n * n
+        assert above <= 3.6 * 8 * n * n
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
     def test_run_holds_no_temporary_of_its_length(self, method):
