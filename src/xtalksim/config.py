@@ -208,6 +208,14 @@ def _unique_key_loader():
                 seen.add(key)
             return super().construct_mapping(node, deep)
 
+        def compose_scalar_node(self, anchor):
+            # whether YAML's resolvers chose the tag ("!!str 2024" names
+            # its own), which parse_scalar reads
+            implicit = self.peek_event().tag is None
+            node = super().compose_scalar_node(anchor)
+            node.implicit_tag = implicit
+            return node
+
     return UniqueKeyLoader
 
 
@@ -285,8 +293,9 @@ _PLAIN_NUMBER = r" *[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)? *"
 def parse_scalar(raw: str, where: str):
     """A command-line value read as YAML. YAML 1.1 leaves dotless
     scientific notation ("1e-10") a string, so a string read from a
-    plain scalar that reads as an int or float becomes that number; a
-    quoted one (``'2024'``) stays a string.
+    plain scalar with no tag that reads as an int or float becomes that
+    number; a quoted one (``'2024'``) or a tagged one (``!!str 2024``)
+    stays a string.
 
     A plain decimal number (``24``, ``-0.5``, ``1e-7``) is read by
     ``int()`` or ``float()`` without importing yaml, to the value and
@@ -311,7 +320,8 @@ def parse_scalar(raw: str, where: str):
         raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
     except ValueError as exc:
         raise ParameterError(f"{where}: {exc}") from None
-    if isinstance(value, str) and node.style is None:     # plain, unquoted
+    # plain, unquoted, and with no tag of its own
+    if isinstance(value, str) and node.style is None and node.implicit_tag:
         for kind in (int, float):
             try:
                 return kind(value)
@@ -776,15 +786,16 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
     the network or the stimulus is built, naming the field that weighs
     most; return the estimate in bytes. It counts, over at most
-    2 n_segments + 2 unknowns per line, five dense n x n arrays, what
-    the engine holds at the solve behind P and q: C/dt + theta G, the
-    right-hand side, the solution, and the copies numpy.linalg.solve
-    makes of C/dt + theta G and of the right-hand side (G and C are
-    dropped before it; the build of P^m, Q_m and L that follows holds
-    fewer, and comes before any array of the run's length is made);
-    the stored traces with the time axis and drive, which the stepping
-    holds beside P, P^m and the engine's lifted operator L,
-    (n + m) m doubles per trace for blocks of
+    2 n_segments + 2 unknowns per line, five dense n x n arrays, one
+    more than the engine holds at a time. At the solve behind P and q it
+    holds four: C/dt + theta G, the right-hand side, and the copies
+    numpy.linalg.solve makes of C/dt + theta G and of one column panel,
+    with that panel's solution (G and C are dropped before it). The
+    fifth stays so that every run refused before is refused still, with
+    the same message. It adds the stored traces with the time axis and
+    drive (the stepping holds the traces beside P, P^m and the engine's
+    lifted operator L, and the time axis and drive are made after it);
+    L, (n + m) m doubles per trace for blocks of
     m = min(BLOCK_STEPS, steps // n), which m <= steps // n keeps near
     the traces' own size; and 256 bytes per stimulus breakpoint (a pair
     of Python floats, held twice while the Stimulus is built, and its

@@ -21,21 +21,22 @@ Driven sources all follow the one stimulus s(t) and quiet ones hold
 0 V, so B u(t) = b s(t) and each later step is the recurrence
 x_{k+1} = P x_k + q ((1 - theta) s_k + theta s_{k+1}), where
 P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
-q = (C/dt + theta G)^-1 b are built once per run by one solve, for the
-configured theta only. The first step is one vector solve,
+q = (C/dt + theta G)^-1 b are built once per run, for the configured
+theta only. The first step is one vector solve,
 (C/dt + G) x_1 = (C/dt) x_0 + b s(dt), taken before P and q are built.
-A run then forms A = C/dt + theta G and the right-hand side
-[C/dt - (1 - theta) G, b] and drops the MnaSystem, and with it G and C,
-before that solve: at the solve it holds five n x n arrays, A, the
-right-hand side, the solution and the copies of the first two that
-numpy.linalg.solve hands LAPACK.
+A run holds at most four n x n arrays at a time, counting the copies
+numpy.linalg.solve hands LAPACK: G and C are views of assemble's
+stamping arrays, A = C/dt + theta G and the right-hand side
+[C/dt - (1 - theta) G, b] are formed a block of rows at a time, and the
+MnaSystem, with G and C, is dropped before P and q are solved for in two
+column panels, each written back into the right-hand side.
 
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
 grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
 w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks,
-each forming its drive rows; the time axis, the drive and the traces,
-the run's only arrays of its length, are made once P^m, Q_m and L are.
+each sampling its own times and drive. The traces are made once P^m,
+Q_m and L are, and the time axis and the drive after the last step.
 Phase 1 steps the block starts, s_{j+1} = P^m s_j + Q_m w_j with
 Q_m = [P^(m-1) q, ..., P q, q]. Phase 2 fills the kept traces of a
 whole chunk with one product [X_s, W] L written straight into the trace
@@ -54,11 +55,10 @@ The run inputs ``Stimulus`` and ``SimConfig`` are defined in
 module, and numpy with it, only on first numeric use.
 
 ``sla`` is ``numpy.linalg``. Every LAPACK call of the engine goes through
-this one name, in ``_solve``: a run makes four ``solve`` calls, for the
-DC states at the drive's first and last samples, the first step, and P
-and q. perfbench swaps it for a proxy that counts
-``lu_factor`` and ``lu_solve``, which the engine never calls, so its
-``engine.lu_*.calls`` read 0.
+this one name, in ``_solve``: a run makes five ``solve`` calls, for the
+DC states at the drive's first and last samples, the first step, and the
+two panels of P and q. perfbench swaps it for a proxy that counts
+``lu_factor`` and ``lu_solve``, which the engine never calls.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ sla = np.linalg
 # Lifted blocks per phase-2 product: the block starts of one chunk are
 # all the run holds of X_s.
 _CHUNK_BLOCKS = 32
+_ROWS = 32          # rows per block of _step_operands' elementwise forms
 
 
 class WaveformSet(Record):
@@ -168,7 +169,7 @@ def assemble(network: CoupledNetwork) -> MnaSystem:
         C[nv + m.branch_i, nv + m.branch_j] -= m.m_h
         C[nv + m.branch_j, nv + m.branch_i] -= m.m_h
     B = 0.0 - G[:n, n:n + ns]             # 0.0 - keeps -0.0 out of B
-    G, C = G[:n, :n].copy(), C[:n, :n].copy()
+    G, C = G[:n, :n], C[:n, :n]           # views: no second n x n copy
 
     labels = tuple([network.nodes[nid] for nid in unknown_nodes]
                    + [ind.name for ind in network.inductors])
@@ -227,27 +228,32 @@ def _config_hash(network: CoupledNetwork, stimulus: Stimulus,
 def _step_operands(sys: MnaSystem, b: np.ndarray, dt: float,
                    theta: float) -> tuple[np.ndarray, np.ndarray]:
     """A = C/dt + theta G and the right-hand side [C/dt - (1 - theta) G, b]
-    of the solve behind P and q, filled in place."""
+    of the solve behind P and q, formed _ROWS rows at a time, so no n x n
+    temporary is made and ``sys`` is left as it was."""
     n = len(b)
-    A = sys.C / dt
-    rhs = np.empty((n, n + 1))
-    np.subtract(A, (1.0 - theta) * sys.G, out=rhs[:, :n])
+    A, rhs = np.empty((n, n)), np.empty((n, n + 1))
+    for r in range(0, n, _ROWS):
+        a, g = A[r:r + _ROWS], sys.G[r:r + _ROWS]
+        np.divide(sys.C[r:r + _ROWS], dt, out=a)
+        np.subtract(a, (1.0 - theta) * g, out=rhs[r:r + _ROWS, :n])
+        a += theta * g
     rhs[:, n] = b
-    A += theta * sys.G
     return A, rhs
 
 
 def _step_matrices(A: np.ndarray, rhs: np.ndarray, theta: float,
                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """P and q of the theta-method step (see the module docstring): one
-    solve of the operands of _step_operands, so P is a view of the
-    solution's first n columns and q its last column."""
+    """P and q of the theta-method step (see the module docstring), solved
+    from the operands of _step_operands in two column panels, each
+    written back into ``rhs``: P is a view of its first n columns and q
+    its last column."""
     n = len(A)
-    Pq = _solve(A, rhs, _singular_step(theta, dt))
-    if not np.isfinite(Pq).all():
+    for cols in (slice(0, (n + 1) // 2), slice((n + 1) // 2, n + 1)):
+        rhs[:, cols] = _solve(A, rhs[:, cols], _singular_step(theta, dt))
+    if not np.isfinite(rhs).all():
         raise SolverError(f"non-finite step matrices P, q "
                           f"(theta={theta:g}, dt={dt:g} s)")
-    return Pq[:, :n], Pq[:, n]
+    return rhs[:, :n], rhs[:, n]
 
 
 def _first_step(sys: MnaSystem, b: np.ndarray, dt: float, x: np.ndarray,
@@ -261,6 +267,14 @@ def _first_step(sys: MnaSystem, b: np.ndarray, dt: float, x: np.ndarray,
     if not np.isfinite(x).all():
         raise SolverError(f"divergence: non-finite sample at t={dt:.6g} s")
     return x
+
+
+def _samples(stimulus: Stimulus, dt: float, k0: int, k1: int) -> tuple:
+    """The times k0 dt, ..., k1 dt and the drive there, each sample equal
+    to the one of the run's whole time axis."""
+    t = np.arange(k0, k1 + 1, dtype=float)
+    t *= dt
+    return t, stimulus.values(t)
 
 
 def _drive_rows(drive: np.ndarray, theta: float) -> np.ndarray:
@@ -309,20 +323,22 @@ def _lifted_operators(P: np.ndarray, q: np.ndarray, m: int, keep: np.ndarray
 
 
 def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
-                 drive: np.ndarray, theta: float, out: np.ndarray,
-                 keep: np.ndarray, times: np.ndarray) -> tuple[int, np.ndarray]:
+                 stimulus: Stimulus, dt: float, theta: float, out: np.ndarray,
+                 keep: np.ndarray) -> tuple[int, np.ndarray]:
     """Steps 1 to the last whole block of m, lifted by ``lifted`` = (P^m,
     Q_m, L); out[k + 1] receives the kept unknowns of step k, from
-    drive[k] to drive[k + 1]. Returns the next step and its start state."""
+    sample k to k + 1, and each chunk samples its own times and drive.
+    Returns the next step and its start state."""
     Pm, Q, L = lifted
     n, m = Q.shape
-    nb = (len(drive) - 2) // m
+    nb = (len(out) - 2) // m
     Z = np.empty((_CHUNK_BLOCKS, n + m))    # [X_s, W] of one chunk
     for j0 in range(0, nb, _CHUNK_BLOCKS):
         cb = min(_CHUNK_BLOCKS, nb - j0)
         k0, k1 = 1 + j0 * m, 1 + (j0 + cb) * m
+        times, drive = _samples(stimulus, dt, k0, k1)
         z, start = Z[:cb], x
-        z[:, n:] = _drive_rows(drive[k0:k1 + 1], theta).reshape(cb, m)
+        z[:, n:] = _drive_rows(drive, theta).reshape(cb, m)
         qw = z[:, n:] @ Q.T
         for j in range(cb):
             z[j, :n] = x
@@ -330,8 +346,7 @@ def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
         rows = out[k0 + 1:k1 + 1]
         np.matmul(z, L, out=rows.reshape(cb, -1))
         if not (np.isfinite(x).all() and np.isfinite(rows).all()):
-            x = _step(P, q, start, drive[k0:k1 + 1], theta, rows, keep,
-                      times[k0 + 1:k1 + 1])
+            x = _step(P, q, start, drive, theta, rows, keep, times[1:])
     return 1 + nb * m, x
 
 
@@ -383,16 +398,17 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
         m = min(BLOCK_STEPS, steps // max(n, 1))
         lifted = _lifted_operators(P, q, m, keep) if m >= 2 else None
 
-    times = np.arange(steps + 1, dtype=float)
-    times *= sim.dt
-    drive = stimulus.values(times)
     out = np.empty((steps + 1, len(keep)))
     out[0], out[1] = x0[keep], x[keep]
     with np.errstate(all="ignore"):
         k = 1
         if lifted:
-            k, x = _step_blocks(P, q, lifted, x, drive, theta, out, keep, times)
-        _step(P, q, x, drive[k:], theta, out[k + 1:], keep, times[k + 1:])
+            k, x = _step_blocks(P, q, lifted, x, stimulus, sim.dt, theta,
+                                out, keep)
+        times, drive = _samples(stimulus, sim.dt, k, steps)
+        _step(P, q, x, drive, theta, out[k + 1:], keep, times[1:])
+    del P, q, lifted, times, drive
+    times, drive = _samples(stimulus, sim.dt, 0, steps)
 
     # out's columns: the kept node unknowns in label order, then branches;
     # a node whose slot is past the unknowns reads its source or ground.
@@ -408,8 +424,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     z_end = np.concatenate((x_end, [s_end if d else 0.0 for d in driven], [0.0]))
     gap = {lbl: abs(float(tr[-1] - z_end[slot[lbl]]))
            for lbl, tr in node_traces.items()}
-    meta = {"scenario": network.scenario,
-            "config_hash": config_hash}
+    meta = {"scenario": network.scenario, "config_hash": config_hash}
     return WaveformSet(times=times, node_traces=node_traces,
                        branch_currents=branch_currents, metadata=meta,
                        settle_gap=gap)

@@ -133,6 +133,10 @@ REFUSALS = {
     "sweep-double-quoted-value": (
         "sweep", f"""{TAPS} '0,"1e0"'""", None, 1,
         "--values entries must be numbers, got '\"1e0\"'"),
+    # and so are digits with an explicit string tag
+    "sweep-str-tagged-value": (
+        "sweep", f"{TAPS} '!!str 12,24'", None, 1,
+        "--values entries must be numbers, got '!!str 12'"),
     # an integer over Python's digit limit, as a value on the command
     # line or in a file
     "export-netlist-set-over-the-digit-limit": (
@@ -599,22 +603,26 @@ class TestConfigDocuments:
 # a point with no digit before it, signed zeros, an overflow to inf, and
 # whitespace that is not an ASCII space; values Python cannot build, an
 # integer over its digit limit and a date past the month's end; and
-# digits in quotes or a block scalar, which stay a string
+# digits in quotes, in a block scalar or with a string tag, which stay
+# a string
 EDGE_SCALARS = ("010", "0x1A", "1_000", "1:30", ".5", "+.5", "1.", "-0",
                 "-0.0", "1e400", "\t12", "12\n", HUGE_INT, "2001-02-30",
-                "'2024'", '"1e-10"', "|\n  12")
+                "'2024'", '"1e-10"', "|\n  12", "!!str 2024", "!!str 1e-10")
 
 
 def _yaml_reading(raw: str):
     """What parse_scalar gives for ``raw`` read by YAML alone, then a
-    string that YAML read from a plain (unquoted) scalar taken as an int
-    or float; ParameterError for a refusal."""
+    string that YAML read from a plain (unquoted) scalar with no tag
+    taken as an int or float; ParameterError for a refusal."""
     import yaml
     try:
         value = _load_yaml(raw)
     except (yaml.YAMLError, ValueError):
         return ParameterError
-    if isinstance(value, str) and yaml.compose(raw).style is None:
+    scalar = next((e for e in yaml.parse(raw)
+                   if isinstance(e, yaml.ScalarEvent)), None)
+    if (isinstance(value, str) and scalar.style is None
+            and scalar.tag is None):
         for kind in (int, float):
             try:
                 return kind(value)
@@ -1153,11 +1161,12 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_run_size_estimate_covers_the_traced_peak(self, name, nodes):
         """The estimate bounds the run's traced peak on every preset. The
-        peak sits at the solve behind P and q or in the stepping, which
-        holds P, P^m and L beside the traces; the build of P^m, Q_m and L
-        with its power temporaries comes between the two, before the
-        traces. tracemalloc sees numpy's arrays, not the copies
-        numpy.linalg hands LAPACK, which the estimate counts too."""
+        peak sits at the solve behind P and q, in the stepping, which
+        holds P, P^m and L beside the traces, or after it, when the time
+        axis and the drive join the traces; the build of P^m, Q_m and L
+        with its power temporaries comes before the traces. tracemalloc
+        sees numpy's arrays, not the copies numpy.linalg hands LAPACK,
+        which the estimate counts too."""
         resolved = resolve(apply_set_overrides(
             preset_config(name),
             ["sim.n_segments=48", f"output.nodes={nodes}"]))
@@ -1340,15 +1349,18 @@ class TestCliOutputs:
 
     def test_quoted_numeric_output_directory(self, tmp_path, monkeypatch):
         # unquoted, 2024 is a number and refused (REFUSALS); quoted, in a
-        # config file or inside a --set value, it names a directory
+        # config file or inside a --set value, or tagged !!str, it names
+        # a directory
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.yaml").write_text(
             "scenario: {preset: shield}\noutput: {directory: '2024'}\n")
         assert main(["export-netlist", "--config", "cfg.yaml"]) == 0
         assert main(["export-netlist", "--preset", "shield-3taps", "--set",
                      "output.directory='2024'"]) == 0
+        assert main(["export-netlist", "--preset", "no-shield", "--set",
+                     "output.directory=!!str 2024"]) == 0
         assert sorted(p.name for p in (tmp_path / "2024").iterdir()) == [
-            "shield-3taps.cir", "shield.cir"]
+            "no-shield.cir", "shield-3taps.cir", "shield.cir"]
 
     def test_run_keeps_measured_nodes(self, tmp_path):
         rc = main(["run", "--preset", "shield", *_sets(),

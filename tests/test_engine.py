@@ -468,8 +468,8 @@ class TestStepMatrices:
 
 
 class TestLeanStepBuild:
-    """The first step is one vector solve, and a run drops G and C before
-    the solve behind P and q."""
+    """The first step is one vector solve, a run drops G and C before
+    the solve behind P and q, and holds at most four n x n arrays."""
 
     # the DC state sits at 0.5 V, so (C/dt) x_0 weighs in the first step
     RISE = resolve_stimulus({"kind": "pwl", "points": [[0.0, 0.5],
@@ -526,7 +526,58 @@ class TestLeanStepBuild:
         with mock.patch.object(engine, "assemble", assemble_watched), \
                 mock.patch.object(engine, "sla", Linalg()):
             run_transient(net, EDGE, SHORT)
-        assert alive == [[False, False]]
+        assert alive == [[False, False]] * 2     # one solve per column panel
+
+    def test_step_operands_make_no_n_squared_temporary(self):
+        """A and the right-hand side are formed a block of rows at a time:
+        the traced peak of the build is theirs plus under half an n x n
+        array, and the system, which a caller may reuse, is unchanged."""
+        sys = assemble(build_ladder(preset_tables("shield-3taps"),
+                                    n_segments=48))
+        n, G, C = len(sys.G), sys.G.copy(), sys.C.copy()
+        tracemalloc.start()
+        try:
+            A, rhs = _step_operands(sys, np.ones(n), 5e-11, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes + rhs.nbytes + 0.5 * 8 * n * n
+        assert np.array_equal(sys.G, G) and np.array_equal(sys.C, C)
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_solve_sees_at_most_four_n_squared_doubles(self, name,
+                                                             method):
+        """At each numpy.linalg.solve of a run at 48 segments with
+        output.nodes=ends, the traced bytes plus the copies of A and of
+        the right-hand side that numpy hands LAPACK and the solution stay
+        under 4.3 n^2 doubles (4.03-4.14 measured). A run that solved
+        for [P, q] whole, beside a full right-hand side, read 5.04-5.07."""
+        resolved = resolve(apply_set_overrides(preset_config(name), [
+            "sim.n_segments=48", "output.nodes=ends", f"sim.method={method}"]))
+        n = len(assemble(resolved.network).unknown_labels)
+        seen = []
+
+        class Linalg:
+            """numpy.linalg, noting the bytes in use at each solve."""
+
+            def __getattr__(self, name):
+                return getattr(np.linalg, name)
+
+            def solve(self, A, rhs):
+                seen.append(tracemalloc.get_traced_memory()[0]
+                            + A.nbytes + 2 * rhs.nbytes)
+                return np.linalg.solve(A, rhs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(engine, "sla", Linalg()):
+                run_transient(resolved.network, resolved.stimulus,
+                              resolved.sim)
+        finally:
+            tracemalloc.stop()
+        assert max(seen) <= 4.3 * 8 * n * n
+        assert len(seen) == 5
 
     @staticmethod
     def _traced_above_result(network, stimulus, sim):
@@ -548,31 +599,36 @@ class TestLeanStepBuild:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_run_holds_under_3_6_n_squared_doubles(self, name, method):
         """The tracemalloc peak of a run, less what its WaveformSet holds,
-        stays under 3.6 n^2 doubles at 48 segments with output.nodes=ends
-        (2.94-3.46 measured, set by the stepping, which holds P, P^m and
-        L beside the traces). A build of P^m, Q_m and L made after the
-        time axis, the drive and the traces read 4.59-4.93. The copies
-        numpy.linalg hands LAPACK are not traced."""
+        stays under 2.6 n^2 doubles at 48 segments with output.nodes=ends
+        (0.99-2.30 measured, set by the stepping, which holds P, P^m and
+        L beside the traces but not the time axis or the drive). A run
+        that made G and C as copies, formed the step operands through an
+        n x n temporary and built the time axis and the drive before the
+        stepping read 2.94-3.48. The copies numpy.linalg hands LAPACK are
+        not traced. The name keeps the earlier bound, 3.6, so that the
+        six case ids stay as they were."""
         resolved = resolve(apply_set_overrides(preset_config(name), [
             "sim.n_segments=48", "output.nodes=ends", f"sim.method={method}"]))
         n = len(assemble(resolved.network).unknown_labels)
         above, _ = self._traced_above_result(
             resolved.network, resolved.stimulus, resolved.sim)
-        assert above <= 3.6 * 8 * n * n
+        assert above <= 2.6 * 8 * n * n
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
     def test_run_holds_no_temporary_of_its_length(self, method):
         """On a small ladder with a long window the traced peak above the
-        WaveformSet stays under half a trace: the drive rows are formed
-        chunk by chunk and no shifted or integer copy of the time axis is
-        made (0.24 traces measured; a build that formed the drive rows
-        whole read 2.15)."""
+        WaveformSet stays under a fifth of a trace: each chunk samples its
+        own times and drive, the time axis and the drive are made after
+        the last step, and no shifted or integer copy of the time axis is
+        made (0.14 traces measured; a run that made the time axis and the
+        drive before the stepping read 0.24, and one that formed the drive
+        rows whole 2.15)."""
         net = build_ladder(preset_tables("shield"), n_segments=2)
         driven = [net.nodes[s.node] for s in net.sources if s.driven]
         sim = SimConfig(dt=1e-9, t_end=48e-6, method=method,
                         output_nodes=(*driven, "victim_2"))
         above, samples = self._traced_above_result(net, EDGE, sim)
-        assert above < 0.5 * 8 * samples
+        assert above < 0.2 * 8 * samples
 
 
 # ---------------------------------------------------------------- lifting
