@@ -45,7 +45,8 @@ from .errors import ParameterError, ToolkitError
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
-from .inputs import BLOCK_STEPS, STEP_EDGE_S, SimConfig, Stimulus, smooth_edge
+from .inputs import (STEP_EDGE_S, SimConfig, Stimulus, run_footprint,
+                     smooth_edge)
 from .network import (PRESET_NAMES, STOCK_LINE_RESISTANCE_OHM,
                       CoupledNetwork, LadderSpec, LineSpec, TapSchedule,
                       TerminationSpec, build_ladder, end_labels,
@@ -82,9 +83,8 @@ DEFAULT_SIM = {
     "dt": 5.0e-11, "t_end": 2.4e-6, "method": "trapezoidal", "n_segments": 12,
 }
 DEFAULT_OUTPUT = {"directory": "out", "formats": ["csv", "json"], "nodes": "ends"}
-# Largest run resolve accepts, in the bytes _check_run_size estimates;
-# at n_segments = 48 with output.nodes=all, shield and shield-3taps
-# estimate 0.145 GiB and no-shield 0.089 GiB.
+# Largest run resolve accepts, in bytes of run_footprint's bound; see
+# test_run_size_estimate_of_the_presets_at_48_segments for the presets'
 _MAX_RUN_BYTES = 4 * 2**30
 _DEFAULT_BLOCKS = {"geometry": DEFAULT_GEOMETRY, "overrides": DEFAULT_OVERRIDES,
                    "stimulus": DEFAULT_STIMULUS, "sim": DEFAULT_SIM}
@@ -783,41 +783,15 @@ def resolve_output(block: dict | None) -> dict:
 
 def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
                     nodes, stimulus: dict) -> float:
-    """Refuse a run whose estimated memory passes _MAX_RUN_BYTES, before
-    the network or the stimulus is built, naming the field that weighs
-    most; return the estimate in bytes. It counts, over at most
-    2 n_segments + 2 unknowns per line, five dense n x n arrays, one
-    more than the engine holds at a time. At the solve behind P and q it
-    holds four: C/dt + theta G, the right-hand side, and the copies
-    numpy.linalg.solve makes of C/dt + theta G and of one column panel,
-    with that panel's solution (G and C are dropped before it). The
-    fifth stays so that every run refused before is refused still, with
-    the same message. It adds the stored traces with the time axis and
-    drive (the stepping holds the traces beside P, P^m and the engine's
-    lifted operator L, and the time axis and drive are made after it);
-    L, (n + m) m doubles per trace for blocks of
-    m = min(BLOCK_STEPS, steps // n), which m <= steps // n keeps near
-    the traces' own size; and 256 bytes per stimulus breakpoint (a pair
-    of Python floats, held twice while the Stimulus is built, and its
-    array copies)."""
-    # in floats: from n_segments ~ 1e154 the n^2 term is inf, and refused,
-    # where an int square would fail to convert
-    unknowns = n_lines * (2.0 * max(n_segments, 1) + 2)
-    if nodes == "ends":
-        traces = 2 * n_lines
-    elif isinstance(nodes, (list, tuple)):
-        traces = len(nodes) + 3
-    else:
-        traces = unknowns
+    """Refuse a run whose bound in bytes (inputs.run_footprint) is not
+    within _MAX_RUN_BYTES, naming its weightiest field; return the bound."""
+    kept = (len(nodes) + 3 if isinstance(nodes, (list, tuple))
+            else 2 * n_lines if nodes == "ends" else None)
     samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
-    steps = sim.t_end / sim.dt
-    m = min(BLOCK_STEPS, steps // unknowns)
-    need = {"sim.n_segments": 40.0 * unknowns * unknowns,
-            "sim.dt": 8.0 * ((steps + 1) * (traces + 2)
-                             + (unknowns + m) * m * traces),
-            "stimulus.samples": 256.0 * (samples + 1)}
+    _, need = run_footprint(n_lines, n_segments, sim.t_end / sim.dt, kept,
+                            samples)
     total = sum(need.values())
-    if total > _MAX_RUN_BYTES:
+    if not total <= _MAX_RUN_BYTES:      # a NaN is refused like an inf
         field = max(need, key=need.get)
         raise ParameterError(f"{field}: the run would hold about "
                              f"{total / 2**30:.3g} GiB, over the "

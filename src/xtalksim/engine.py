@@ -24,29 +24,22 @@ P = (C/dt + theta G)^-1 (C/dt - (1 - theta) G) and
 q = (C/dt + theta G)^-1 b are built once per run, for the configured
 theta only. The first step is one vector solve,
 (C/dt + G) x_1 = (C/dt) x_0 + b s(dt), taken before P and q are built.
-A run holds at most four n x n arrays at a time, counting the copies
-numpy.linalg.solve hands LAPACK: G and C are views of assemble's
-stamping arrays, A = C/dt + theta G and the right-hand side
-[C/dt - (1 - theta) G, b] are formed a block of rows at a time, and the
-MnaSystem, with G and C, is dropped before P and q are solved for in two
-column panels, each written back into the right-hand side.
+A run's memory: modelled in ``inputs.run_footprint``, measured in BENCH_*.json.
 
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
 grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
 w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks,
-each sampling its own times and drive. The traces are made once P^m,
-Q_m and L are, and the time axis and the drive after the last step.
-Phase 1 steps the block starts, s_{j+1} = P^m s_j + Q_m w_j with
-Q_m = [P^(m-1) q, ..., P q, q]. Phase 2 fills the kept traces of a
-whole chunk with one product [X_s, W] L written straight into the trace
-array: X_s stacks the chunk's block starts, and the lifted operator L
-stacks O_m, the kept rows of P, ..., P^m, over T_m, the block Toeplitz
-matrix of the Markov parameters (P^i q)[keep]. That is the same
-recurrence with its products regrouped. A tail shorter than m, a run
-with m < 2 and a chunk whose samples or end state are not finite take
-the plain recurrence, one step at a time, which names the first
-non-finite sample.
+each sampling its own times and drive. Phase 1 steps the block starts,
+s_{j+1} = P^m s_j + Q_m w_j with Q_m = [P^(m-1) q, ..., P q, q]. Phase
+2 fills the kept traces of a whole chunk with one product [X_s, W] L
+written straight into the trace array: X_s stacks the chunk's block
+starts, and the lifted operator L stacks O_m, the kept rows of P, ...,
+P^m, over T_m, the block Toeplitz matrix of the Markov parameters
+(P^i q)[keep]. That is the same recurrence with its products regrouped.
+A tail shorter than m, a run with m < 2 and a chunk whose samples or
+end state are not finite take the plain recurrence, one step at a time,
+which names the first non-finite sample.
 
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.

@@ -4,7 +4,7 @@
 ``STEP_EDGE_S`` live here, apart from the engine, so that a command
 which only describes a circuit (``extract``, ``export-netlist``) reads
 them without importing numpy.
-``BLOCK_STEPS`` sits here too, since ``config`` sizes a run with it.
+``run_footprint`` sits here too, since ``config`` sizes a run with it.
 ``Stimulus.values`` is the one numeric reader, and it imports numpy on
 its first call.
 """
@@ -29,6 +29,38 @@ METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 BLOCK_STEPS = 48
 
 
+def run_footprint(n_lines: int, n_segments: float, steps: float,
+                  kept: float | None, samples: float) -> tuple[dict, dict]:
+    """What a run holds, in bytes, as (phases, bound), for at most
+    n = n_lines (2 n_segments + 2) unknowns, ``kept`` of them stored (None:
+    all), in floats, so a huge input gives inf, never NaN. ``phases`` holds
+    each phase's peak in run order: the stimulus build, 256 bytes a
+    breakpoint; the preparation, G and C stamped n_lines + 1 wider,
+    C/dt + theta G, the right-hand side, 32-row temporaries and labels (its
+    solves hold no more, LAPACK's copies counted); the lifted operators:
+    P, three products of P^m's build, L of (n + m) m kept doubles for
+    m = min(BLOCK_STEPS, steps // n), Q_m, rows of P^i and a chunk of 32
+    blocks; the stepping: P, P^m, L, Q_m, a chunk and the traces; the
+    result: the traces, time axis and drive. ``bound`` is what resolve
+    refuses on, by the config field each term grows with: five n x n
+    arrays, the arrays of the run's length and L, and the stimulus."""
+    n = n_lines * (2.0 * max(n_segments, 1) + 2)
+    kept = n if kept is None else float(kept)
+    m = min(BLOCK_STEPS, steps // n)
+    L = (n + m) * m * kept if m else 0.0         # never inf * 0
+    work = n * m + 32 * (2 * n + 6 * m + m * kept / 8) if m else 0.0
+    w = n + n_lines + 1                 # stamping width; no ** overflows
+    doubles = {"preparation": 2 * w * w + 2 * n * n + 80 * n,
+               "lifted": 4 * n * n + n + L + work + 2 * kept * n,
+               "stepping": 2 * n * n + n + L + work + (steps + 1) * kept,
+               "result": (steps + 1) * (kept + 2)}
+    stimulus = 256.0 * (samples + 1)
+    return ({"stimulus": stimulus, **{k: 8 * v for k, v in doubles.items()}},
+            {"sim.n_segments": 40.0 * n * n,
+             "sim.dt": 8.0 * ((steps + 1) * (kept + 2) + L),
+             "stimulus.samples": stimulus})
+
+
 # Width of a step's edge. A PWL card needs an edge of nonzero width,
 # and 1 fs is far below any sample interval in use.
 STEP_EDGE_S = 1e-15
@@ -51,7 +83,8 @@ class Stimulus(Record):
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.amplitude_v):
-            raise ParameterError("stimulus amplitude must be finite")
+            raise ParameterError(f"stimulus amplitude_v must be finite, "
+                                 f"got {self.amplitude_v!r}")
         if not math.isfinite(self.delay_s):
             raise ParameterError(f"stimulus delay_s must be finite, "
                                  f"got {self.delay_s!r}")

@@ -2,7 +2,9 @@
 
 import gc
 import json
+import math
 import shlex
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -10,14 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xtalksim import config as config_module
 from xtalksim.cli import build_parser, main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
                              DEFAULT_SIM, DEFAULT_STIMULUS, SETTLE_TOLERANCE,
-                             SWEEP_AXES,
+                             SWEEP_AXES, _MAX_RUN_BYTES,
                              ToolkitConfig, _check_run_size, _load_yaml, _pin,
                              apply_set_overrides,
                              config_from_mapping,
@@ -33,7 +35,7 @@ from xtalksim.errors import ParameterError
 from xtalksim.extraction import (PAPER_LITERAL, TABLE_COMPAT,
                                  InterconnectGeometry, coupling_capacitance,
                                  extract_all)
-from xtalksim.inputs import SimConfig
+from xtalksim.inputs import SimConfig, run_footprint
 from xtalksim.network import (PRESET_NAMES,
                               STOCK_COUPLING_CAP_ADJACENT_F, build_ladder,
                               preset_tables)
@@ -77,6 +79,8 @@ def _repeated_key(key: str, text: str, column: int) -> str:
     return (f"found repeated key '{key}'\n  in \"<unicode string>\", line 1, "
             f"column {column}:\n    {text}\n{' ' * (column + 3)}^")
 
+
+FLOAT_MAX = sys.float_info.max
 
 # an integer of 5000 digits, over Python's limit for reading one
 HUGE_INT = "1" + "0" * 4999
@@ -264,6 +268,8 @@ REFUSALS = {
            "stimulus.delay_s": "stimulus delay_s must be finite, got nan",
            "stimulus.rise_time_s": "stimulus rise_time_s must be finite and "
                                    ">= 0, got nan",
+           "stimulus.amplitude_v": "stimulus amplitude_v must be finite, "
+                                   "got nan",
        }.items()},
     # the kind is read before the preset's smooth-edge keys are checked
     "export-netlist-unknown-stimulus-kind": (
@@ -327,11 +333,59 @@ REFUSALS = {
     "run-too-large-dt": (
         "run", "--preset shield --set sim.dt=1e-20", None, 1,
         "sim.dt: " + TOO_LARGE.format("1.43e+07")),
-    # n_segments squared passes the largest float
-    **{f"{command}-n_segments-1e200": (
-        command, "--preset shield --set sim.n_segments=1e200", None, 1,
+    # n_segments squared passes the largest float; from about 3e307 the
+    # unknowns themselves are inf, and the estimate must not read inf * 0
+    **{f"{command}-n_segments-{value}": (
+        command, f"--preset shield --set sim.n_segments={value}", None, 1,
         "sim.n_segments: " + TOO_LARGE.format("inf"))
+       for value in ("1e200", "1e308")
        for command in ("run", "export-netlist", "extract")},
+    # each block read by its reader: a value, a block or an entry of the
+    # wrong kind
+    "run-fractional-n_segments": (
+        "run", "--preset shield --set sim.n_segments=12.5", None, 1,
+        "sim.n_segments must be an integer, got 12.5"),
+    **{f"run-{key}-{value}": (
+        "run", f"--preset shield --set geometry.{key}={value}", None, 1,
+        f"geometry block: {key} must be > 0")
+       for key, value in (("shield_width_scale", 0),
+                          ("shield_separation_um", -1))},
+    "run-sim-block-not-a-mapping": (
+        "run", "--config {cfg}", "scenario: {preset: shield}\nsim: 5\n", 1,
+        "config block 'sim' must be a mapping, got int"),
+    "run-no-scenario-block": (
+        "run", "--config {cfg}", "sim: {dt: 1e-9, t_end: 4e-7}\n", 1,
+        "config has no scenario block"),
+    "run-config-unknown-preset": (
+        "run", "--config {cfg}", "scenario: {preset: bogus}\n", 1,
+        "unknown scenario preset 'bogus'; choose one of no-shield, shield, "
+        "shield-3taps"),
+    "run-no-lines": (
+        "run", "--config {cfg}", _pair(lines=[]), 1,
+        "scenario.lines must be a non-empty list"),
+    "run-couplings-not-a-list": (
+        "run", "--config {cfg}", _pair(couplings=5), 1,
+        "scenario.couplings must be a list"),
+    "run-coupling-pair-of-one-name": (
+        "run", "--config {cfg}",
+        _pair(couplings=[{"pair": ["a"], "m_total": 6e-6}]), 1,
+        "scenario.couplings[0] needs pair: [line_a, line_b]"),
+    "run-zero-c_total": (
+        "run", "--config {cfg}", _pair(lines=[dict(A, c_total=0), V]), 1,
+        "scenario.lines[0]: line 'a': c_total must be > 0"),
+    "run-negative-pair-override": (
+        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
+               "-1}'", None, 1,
+        "m_total[aggressor-victim] must be positive and finite, got -1.0 "
+        "(drop the pair instead of setting 0)"),
+    "run-pwl-points-not-pairs": (
+        "run", "--config {cfg}",
+        "scenario: {preset: shield}\nstimulus: {kind: pwl, points: [1, 2]}\n",
+        1, "stimulus.points must be a list of [time, value] pairs"),
+    "run-nan-pwl-point": (
+        "run", "--config {cfg}", "scenario: {preset: shield}\nstimulus: "
+        "{kind: pwl, points: [[0, 0], [.nan, 1]]}\n", 1,
+        "pwl points must be finite"),
     # a network the construction check refuses, or a name the deck or
     # the output files cannot carry: run writes nothing, export-netlist
     # no deck
@@ -1003,11 +1057,14 @@ class TestRunSweep:
         assert rows[1]["victim_peak_v"] is None
 
     def test_huge_n_segments_row_carries_the_size_error(self):
-        # n_segments squared passes the largest float; the sweep goes on
-        rows = run_sweep(short_preset("no-shield"), "n_segments", [6, 1e200])
+        # n_segments squared passes the largest float, and from about 3e307
+        # the unknown count itself; the sweep goes on
+        rows = run_sweep(short_preset("no-shield"), "n_segments",
+                         [6, 1e200, 1e308])
         assert rows[0]["error"] == ""
-        assert rows[1]["error"] == ("sim.n_segments: the run would hold "
-                                    "about inf GiB, over the 4 GiB limit")
+        assert [row["error"] for row in rows[1:]] == 2 * [
+            "sim.n_segments: the run would hold about inf GiB, over the 4 GiB "
+            "limit"]
 
     def test_baseline_separation_value_reproduces_preset(self):
         cfg = short_preset("no-shield")
@@ -1179,6 +1236,43 @@ class TestCliExitCodes:
         finally:
             tracemalloc.stop()
         assert estimate >= peak
+
+    @settings(max_examples=300, deadline=None)
+    @example(n_segments=3e307, dt=5e-11, steps=48000.0, samples=64,
+             n_lines=3, nodes="ends", kept=None)
+    @example(n_segments=1e308, dt=5e-11, steps=48000.0, samples=64,
+             n_lines=3, nodes="all", kept=None)
+    @example(n_segments=FLOAT_MAX, dt=5e-11, steps=48000.0,
+             samples=FLOAT_MAX, n_lines=3, nodes=["victim_far"], kept=2.0)
+    @given(n_segments=st.one_of(st.sampled_from([3e307, 1e308, FLOAT_MAX]),
+                                st.floats(1, FLOAT_MAX)),
+           dt=st.floats(1e-300, 1.0), steps=st.floats(1, 1e300),
+           samples=st.one_of(st.just(FLOAT_MAX), st.floats(2, FLOAT_MAX)),
+           n_lines=st.integers(1, 8),
+           nodes=st.sampled_from(["ends", "all", ["victim_far"]]),
+           kept=st.one_of(st.none(), st.floats(1, FLOAT_MAX)))
+    def test_run_size_is_a_number_and_refused_past_the_limit(
+            self, n_segments, dt, steps, samples, n_lines, nodes, kept):
+        """Up to the largest float of n_segments, dt, t_end and samples,
+        every figure of run_footprint is a number, not NaN, and
+        _check_run_size refuses the run or returns a finite bound within
+        _MAX_RUN_BYTES."""
+        try:
+            sim = SimConfig(dt=dt, t_end=dt * round(steps))
+        except ParameterError:
+            assume(False)
+        n_segments, samples = int(n_segments), int(samples)
+        phases, bound = run_footprint(n_lines, n_segments, sim.t_end / sim.dt,
+                                      kept, samples)
+        assert not any(math.isnan(v)
+                       for v in [*phases.values(), *bound.values()])
+        try:
+            total = _check_run_size(n_lines, n_segments, sim, nodes,
+                                    {"samples": samples})
+        except ParameterError as exc:
+            assert str(exc).endswith(", over the 4 GiB limit")
+        else:
+            assert math.isfinite(total) and total <= _MAX_RUN_BYTES
 
     def test_coupling_naming_unknown_line_exits_1(self, tmp_path,
                                                   monkeypatch):

@@ -18,13 +18,14 @@ from _reference import (divider_network, engine_vs_oracle_error,
                         exact_lti_response, make_network, rc_network,
                         rl_network)
 from xtalksim import engine
-from xtalksim.config import (apply_set_overrides, preset_config, resolve,
-                             resolve_stimulus, run_scenario)
+from xtalksim.config import (DEFAULT_STIMULUS, apply_set_overrides,
+                             preset_config, resolve, resolve_stimulus,
+                             run_scenario)
 from xtalksim.engine import (MnaSystem, WaveformSet, _step_matrices,
                              _step_operands, assemble, dc_operating_point,
                              run_transient)
 from xtalksim.errors import ParameterError, SolverError
-from xtalksim.inputs import SimConfig, Stimulus, smooth_edge
+from xtalksim.inputs import SimConfig, Stimulus, run_footprint, smooth_edge
 from xtalksim.network import (PRESET_NAMES, Capacitor, GroundTie, Resistor,
                               TerminationSpec, VoltageSource, build_ladder,
                               end_labels, preset_tables)
@@ -629,6 +630,59 @@ class TestLeanStepBuild:
                         output_nodes=(*driven, "victim_2"))
         above, samples = self._traced_above_result(net, EDGE, sim)
         assert above < 0.2 * 8 * samples
+
+    @pytest.mark.parametrize("nodes", ["ends", "all"])
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_each_phase_holds_within_run_footprint(self, name, method,
+                                                   nodes):
+        """The tracemalloc peak of each phase of a run at 48 segments stays
+        within run_footprint's figure for it. The preparation ends when P
+        and q are solved for, the lifted operators' build when they are
+        returned, the stepping when the whole time axis is sampled, and the
+        result with the returned WaveformSet; the stimulus is built apart,
+        as resolve builds it."""
+        resolved = resolve(apply_set_overrides(preset_config(name), [
+            "sim.n_segments=48", f"output.nodes={nodes}",
+            f"sim.method={method}"]))
+        n_lines, sim = len(resolved.network.lines), resolved.sim
+        model, _ = run_footprint(n_lines, 48, sim.t_end / sim.dt,
+                                 {"ends": 2 * n_lines, "all": None}[nodes],
+                                 DEFAULT_STIMULUS["samples"])
+        peaks = {}
+
+        def close(phase):
+            peaks[phase] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+
+        def ending(phase, func):
+            def wrapped(*args):
+                out = func(*args)
+                close(phase)
+                return out
+            return mock.patch.object(engine, func.__name__, wrapped)
+
+        def samples(stimulus, dt, k0, k1):
+            if k0 == 0:                     # the whole time axis
+                close("stepping")
+            return engine_samples(stimulus, dt, k0, k1)
+
+        engine_samples = engine._samples
+        tracemalloc.start()
+        try:
+            resolve_stimulus(DEFAULT_STIMULUS)
+            close("stimulus")
+            with ending("preparation", engine._step_matrices), \
+                    ending("lifted", engine._lifted_operators), \
+                    mock.patch.object(engine, "_samples", samples):
+                tracemalloc.clear_traces()
+                run_transient(resolved.network, resolved.stimulus, sim)
+                close("result")
+        finally:
+            tracemalloc.stop()
+        assert list(peaks) == list(model)
+        assert all(peaks[phase] <= model[phase] for phase in model), (
+            {phase: peaks[phase] / model[phase] for phase in model})
 
 
 # ---------------------------------------------------------------- lifting

@@ -184,8 +184,15 @@ class TestExtractAll:
         assert out.cm_total[key] == approx(6.910438628991751e-11, rel=1e-12)
 
     def test_unknown_line_in_pair(self):
-        with pytest.raises(ParameterError, match="unknown line"):
+        # only an API caller reaches it: a config's pairs name its lines
+        with pytest.raises(ParameterError, match=r"^pair separation names "
+                                                 r"unknown line 'shield'$"):
             extract_all(self.geoms(), {("aggressor", "shield"): 1.0})
+
+    def test_no_line_geometry(self):
+        with pytest.raises(ParameterError, match=r"^extract_all needs at "
+                                                 r"least one line geometry$"):
+            extract_all({})
 
     def test_coefficient_set_selection(self):
         lit = extract_all(self.geoms(), {("aggressor", "victim"): 1.0},
