@@ -709,17 +709,13 @@ def _scenario_tables(scen: dict | None, n_segments: int) -> LadderSpec:
                       _parse_taps(scen.get("taps")), name or "custom")
 
 
-def resolve_stimulus(block: dict) -> Stimulus:
-    """Stimulus block -> engine Stimulus, the one reader of a kind.
-
-    ``step`` is the edge ``((0, 0), (STEP_EDGE_S, 1))``; ``ramp`` the
-    edge ``((0, 0), (rise_time_s, 1))``, a zero rise being a step;
-    ``pwl`` the points as given; ``smooth-edge`` ``inputs.smooth_edge``.
-    """
+def _read_stimulus(block: dict) -> dict:
+    """A stimulus block, its keys checked and its numbers read by
+    ``_number``: what ``resolve_stimulus`` builds from and a summary echoes."""
     b = dict(block)
     _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",
                     "points", "samples"}, "stimulus")
-    kind = b.pop("kind", "ramp")
+    kind = b.get("kind", "ramp")
     if kind not in ("step", "ramp", "pwl", "smooth-edge"):
         raise ParameterError(f"unknown stimulus kind {kind!r}")
     if "samples" in b and kind != "smooth-edge":
@@ -730,30 +726,40 @@ def resolve_stimulus(block: dict) -> Stimulus:
         raise ParameterError(f"stimulus: rise_time_s is not used by "
                              f"kind={kind}; only ramp and smooth-edge have "
                              f"a rise time")
-    amplitude_v = _number(b.pop("amplitude_v", 1.0), "stimulus.amplitude_v")
-    delay_s = _number(b.pop("delay_s", 0.0), "stimulus.delay_s")
-    rise_time_s = _number(b.pop("rise_time_s", DEFAULT_STIMULUS["rise_time_s"]
-                                if kind == "smooth-edge" else 1e-9),
-                          "stimulus.rise_time_s")
+    b.update({k: _number(v, f"stimulus.{k}", int if k == "samples" else float)
+              for k, v in b.items() if k not in ("kind", "points")})
+    if "points" in b:
+        try:
+            b["points"] = [[_number(t, f"stimulus.points[{i}]"),
+                            _number(v, f"stimulus.points[{i}]")]
+                           for i, (t, v) in enumerate(b["points"])]
+        except (TypeError, ValueError):
+            raise ParameterError("stimulus.points must be a list of "
+                                 "[time, value] pairs")
+    return b
+
+
+def resolve_stimulus(block: dict) -> Stimulus:
+    """Stimulus block -> engine Stimulus, the one reader of a kind.
+
+    ``step`` is the edge ``((0, 0), (STEP_EDGE_S, 1))``; ``ramp`` the
+    edge ``((0, 0), (rise_time_s, 1))``, a zero rise being a step;
+    ``pwl`` the points as given; ``smooth-edge`` ``inputs.smooth_edge``.
+    """
+    b = _read_stimulus(block)
+    kind = b.pop("kind", "ramp")
+    rise_time_s = b.pop("rise_time_s", DEFAULT_STIMULUS["rise_time_s"]
+                        if kind == "smooth-edge" else 1e-9)
     if not math.isfinite(rise_time_s) or (kind == "ramp" and rise_time_s < 0):
         raise ParameterError(f"stimulus rise_time_s must be finite and "
                              f">= 0, got {rise_time_s!r}")
     if kind == "smooth-edge":
-        return smooth_edge(rise_time_s, amplitude_v, delay_s,
-                           _number(b.pop("samples", 64), "stimulus.samples", int))
-    if kind == "pwl":
-        try:
-            points = tuple((_number(t, f"stimulus.points[{i}]"),
-                            _number(v, f"stimulus.points[{i}]"))
-                           for i, (t, v) in enumerate(b.pop("points", ())))
-        except (TypeError, ValueError):
-            raise ParameterError("stimulus.points must be a list of "
-                                 "[time, value] pairs")
-    elif kind == "ramp" and rise_time_s > 0.0:
-        points = ((0.0, 0.0), (rise_time_s, 1.0))
-    else:                                 # step, or a zero-rise ramp
-        points = ((0.0, 0.0), (STEP_EDGE_S, 1.0))
-    return Stimulus(points, amplitude_v, delay_s)
+        return smooth_edge(rise_time_s, **b)  # amplitude_v, delay_s, samples
+    if kind == "ramp" and rise_time_s > 0.0:
+        b["points"] = ((0.0, 0.0), (rise_time_s, 1.0))
+    elif kind != "pwl":                   # step, or a zero-rise ramp
+        b["points"] = ((0.0, 0.0), (STEP_EDGE_S, 1.0))
+    return Stimulus(b.pop("points", ()), **b)   # amplitude_v, delay_s
 
 
 def resolve_output(block: dict | None) -> dict:
@@ -787,9 +793,8 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
     within _MAX_RUN_BYTES, naming its weightiest field; return the bound."""
     kept = (len(nodes) + 3 if isinstance(nodes, (list, tuple))
             else 2 * n_lines if nodes == "ends" else None)
-    samples = _number(stimulus.get("samples", 64), "stimulus.samples", int)
     _, need = run_footprint(n_lines, n_segments, sim.t_end / sim.dt, kept,
-                            samples)
+                            stimulus.get("samples", 64))
     total = sum(need.values())
     if not total <= _MAX_RUN_BYTES:      # a NaN is refused like an inf
         field = max(need, key=need.get)
@@ -800,17 +805,17 @@ def _check_run_size(n_lines: int, n_segments: int, sim: SimConfig,
 
 
 def _check_window(sim: SimConfig, stimulus: Stimulus) -> None:
-    """Refuse a window that ends before the drive's last change: the
-    delay_s-shifted time of the last breakpoint whose value differs from
-    the one before it. Delay and rise time read their levels from the
-    settled end of the run, which such a window never reaches."""
-    pts = stimulus.points
-    changes = [t for (_, v0), (t, v) in zip(pts, pts[1:]) if v != v0]
-    if changes and sim.t_end < changes[-1] + stimulus.delay_s:
+    """Refuse a window that ends before the drive's last change, its last
+    breakpoint of a new value (one of amplitude 0 has none): delay and
+    rise time read their levels from the settled end of the run, which
+    such a window never reaches."""
+    bp = stimulus.breakpoints
+    changes = [t for (_, v0), (t, v) in zip(bp, bp[1:]) if v != v0]
+    if changes and sim.t_end < changes[-1]:
         raise ParameterError(
             f"sim.t_end={sim.t_end:g} ends before the drive's last change "
-            f"at {changes[-1] + stimulus.delay_s:g} s; measurements need "
-            f"the settled drive, so end the window at or after it")
+            f"at {changes[-1]:g} s; measurements need the settled drive, so "
+            f"end the window at or after it")
 
 
 class ResolvedScenario(Record):
@@ -826,9 +831,8 @@ class ResolvedScenario(Record):
 
 def _run_blocks(config: ToolkitConfig) -> tuple:
     """Every block but geometry and overrides, read by its reader:
-    (scenario LadderSpec, sim, n_segments, output, stimulus).
-    The run size is checked before the stimulus is built, and the
-    window against the built stimulus."""
+    (scenario LadderSpec, sim, n_segments, output, stimulus, its block as
+    read). The run size is checked before the stimulus is built."""
     sim_block = config.sim
     _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
     if "dt" not in sim_block or "t_end" not in sim_block:
@@ -839,16 +843,16 @@ def _run_blocks(config: ToolkitConfig) -> tuple:
                     method=str(sim_block.get("method", "trapezoidal")))
     spec = _scenario_tables(config.scenario, n_segments)
     output = resolve_output(config.output)
-    _check_run_size(len(spec.lines), n_segments, sim, output["nodes"],
-                    config.stimulus)
-    stimulus = resolve_stimulus(config.stimulus)
+    read = _read_stimulus(config.stimulus)
+    _check_run_size(len(spec.lines), n_segments, sim, output["nodes"], read)
+    stimulus = resolve_stimulus(read)
     _check_window(sim, stimulus)
-    return spec, sim, n_segments, output, stimulus
+    return spec, sim, n_segments, output, stimulus, read
 
 
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
     """Validate a config and build the network/stimulus/sim triple."""
-    spec, sim, n_segments, output, stimulus = _run_blocks(config)
+    spec, sim, n_segments, output, stimulus, read = _run_blocks(config)
     spec = _map_tables(spec, config)
     network = build_ladder(spec, n_segments)
     roles = measured_nodes(network)
@@ -859,12 +863,17 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     elif nodes == "all":
         out_nodes = "all"
     else:
+        labels, known = [*map(str, nodes)], frozenset(network.nodes[1:])
+        missing = [lbl for lbl in labels if lbl not in known]
+        if missing:
+            raise ParameterError(f"output.nodes: labels not in the network: "
+                                 f"{missing}")
         # the measurements read these traces, so they are always kept
-        out_nodes = tuple(dict.fromkeys([*map(str, nodes), *roles.values()]))
+        out_nodes = tuple(dict.fromkeys([*labels, *roles.values()]))
     sim = sim.replace(output_nodes=out_nodes)
 
     params = _tables_params(spec, n_segments)
-    params["stimulus"] = _copy_tree(config.stimulus)
+    params["stimulus"] = read
     params["sim"] = {"dt": sim.dt, "t_end": sim.t_end, "method": sim.method,
                      "n_segments": n_segments}
     return ResolvedScenario(network=network, stimulus=stimulus, sim=sim,

@@ -37,9 +37,9 @@ written straight into the trace array: X_s stacks the chunk's block
 starts, and the lifted operator L stacks O_m, the kept rows of P, ...,
 P^m, over T_m, the block Toeplitz matrix of the Markov parameters
 (P^i q)[keep]. That is the same recurrence with its products regrouped.
-A tail shorter than m, a run with m < 2 and a chunk whose samples or
-end state are not finite take the plain recurrence, one step at a time,
-which names the first non-finite sample.
+A tail shorter than m, a run with m < 2 and a chunk whose end state or
+sum of samples is not finite take the plain recurrence, one step at a
+time, which names the first non-finite sample.
 
 Every stimulus s(t) is one piecewise-linear waveform (a step is a
 STEP_EDGE_S edge), whose breakpoints an exported deck's PWL card reads.
@@ -319,9 +319,9 @@ def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
                  stimulus: Stimulus, dt: float, theta: float, out: np.ndarray,
                  keep: np.ndarray) -> tuple[int, np.ndarray]:
     """Steps 1 to the last whole block of m, lifted by ``lifted`` = (P^m,
-    Q_m, L); out[k + 1] receives the kept unknowns of step k, from
-    sample k to k + 1, and each chunk samples its own times and drive.
-    Returns the next step and its start state."""
+    Q_m, L); out[k + 1] receives the kept unknowns of step k, from sample
+    k to k + 1. Each chunk samples its own times and drive, and its sum
+    checks it. Returns the next step and its start state."""
     Pm, Q, L = lifted
     n, m = Q.shape
     nb = (len(out) - 2) // m
@@ -338,7 +338,7 @@ def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
             x = Pm @ x + qw[j]
         rows = out[k0 + 1:k1 + 1]
         np.matmul(z, L, out=rows.reshape(cb, -1))
-        if not (np.isfinite(x).all() and np.isfinite(rows).all()):
+        if not (np.isfinite(x).all() and np.isfinite(rows.sum())):
             x = _step(P, q, start, drive, theta, rows, keep, times[1:])
     return 1 + nb * m, x
 

@@ -5,12 +5,13 @@
 which only describes a circuit (``extract``, ``export-netlist``) reads
 them without importing numpy.
 ``run_footprint`` sits here too, since ``config`` sizes a run with it.
-``Stimulus.values`` is the one numeric reader, and it imports numpy on
-its first call.
+``Stimulus.breakpoints`` is the one reading of a drive, and
+``Stimulus.values`` imports numpy on its first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._record import Record
@@ -69,12 +70,11 @@ STEP_EDGE_S = 1e-15
 class Stimulus(Record):
     """Drive waveform for the driven sources of a network.
 
-    Every drive is piecewise linear: the (time, value) ``points`` are
-    interpolated linearly, scaled by ``amplitude_v`` and shifted by
-    ``delay_s``, holding the first/last value outside the covered span.
-    The shifted times ``delay_s + t`` must strictly increase too.
-    A step is the edge ``((0, 0), (STEP_EDGE_S, 1))``, so the engine and
-    an exported deck read the same breakpoints.
+    Every drive is piecewise linear: its ``breakpoints``, the (delay_s + t,
+    amplitude_v * v) pairs of the (time, value) ``points``, made once, are
+    interpolated linearly, holding the first/last value outside their span,
+    and their times must strictly increase. The engine, a deck's PWL card
+    and the window check read them. A step is ``((0, 0), (STEP_EDGE_S, 1))``.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -98,23 +98,26 @@ class Stimulus(Record):
             raise ParameterError("pwl points must be finite")
         # in doubles a large delay can round two close times to one, and
         # the deck's card would then drop a breakpoint the engine keeps
-        for (t1, _), (t2, _) in zip(pts, pts[1:]):
-            if not self.delay_s + t1 < self.delay_s + t2:
+        bp = tuple((self.delay_s + t, self.amplitude_v * v) for t, v in pts)
+        object.__setattr__(self, "breakpoints", bp)
+        for (t1, _), (t2, _), (s1, _), (s2, _) in zip(pts, pts[1:], bp, bp[1:]):
+            if not s1 < s2:
                 raise ParameterError(
                     f"stimulus delay_s={self.delay_s!r} merges the breakpoints "
-                    f"at t={t1!r} and t={t2!r}: both fall at "
-                    f"{self.delay_s + t2!r} s")
+                    f"at t={t1!r} and t={t2!r}: both fall at {s2!r} s")
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
+        return tuple(np.array(tuple(zip(*self.breakpoints))))
 
     def values(self, times: np.ndarray) -> np.ndarray:
         """Waveform sampled at the given times (vectorized), interpolated
-        between the shifted breakpoints ``delay_s + t`` that a deck's PWL
-        card prints, so no shifted copy of the times is made."""
+        between the breakpoints, whose arrays are built on the first call."""
         import numpy as np
 
-        tk, vk = np.array(self.points).T
-        v = np.interp(times, tk + self.delay_s, vk)
-        v *= self.amplitude_v
-        return v
+        return np.interp(times, *self._arrays)
 
 
 def smooth_edge(rise_time_s: float, amplitude_v: float = 1.0,

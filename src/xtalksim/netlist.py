@@ -14,8 +14,8 @@ inductor branch into a separate R card through an internal node named
 construction check keeps free); every node label that appears in a
 WaveformSet appears verbatim in the deck, with ground as node 0.
 
-A driven source's PWL card is the stimulus breakpoints shifted and
-scaled: the waveform the engine samples, a step's STEP_EDGE_S edge too.
+A driven source's PWL card is ``Stimulus.breakpoints``: the waveform
+the engine samples, a step's STEP_EDGE_S edge too.
 Its times print at 9 significant digits, and in full where 9 digits
 would print a time equal to a neighbour's.
 
@@ -39,12 +39,9 @@ def _f(x: float) -> str:
 
 def _pwl_points(stimulus: Stimulus) -> list[tuple[float, float]]:
     """Breakpoints of the source voltage as a PWL card understands them
-    (value held flat after the last point)."""
-    pts = [(stimulus.delay_s + t, stimulus.amplitude_v * v)
-           for t, v in stimulus.points]
-    if pts[0][0] > 0.0:
-        pts.insert(0, (0.0, pts[0][1]))
-    return pts
+    (value held flat after the last point, and from t = 0 to the first)."""
+    bp = list(stimulus.breakpoints)
+    return [(0.0, bp[0][1]), *bp] if bp[0][0] > 0.0 else bp
 
 
 def _pwl_card(stimulus: Stimulus) -> str:

@@ -3,7 +3,9 @@
 import gc
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import xtalksim
 from xtalksim import config as config_module
 from xtalksim.cli import build_parser, main
 from xtalksim.config import (DEFAULT_GEOMETRY, DEFAULT_OVERRIDES,
@@ -323,6 +326,12 @@ REFUSALS = {
     **{f"{command}-window-ending-before-the-drive": (
         command, "--preset no-shield --set sim.t_end=1e-7", None, 1,
         AFTER_DRIVE) for command in ("run", "export-netlist")},
+    # a kept label is checked against the network resolve builds: the
+    # deck was written, and a run without numpy named numpy
+    **{f"{command}-unknown-output-node": (
+        command, "--preset shield --set 'output.nodes=[bogus]'", None, 1,
+        "output.nodes: labels not in the network: ['bogus']")
+       for command in ("run", "export-netlist")},
     # a run too large to hold, refused before anything is built
     "export-netlist-too-large-samples": (
         "export-netlist", "--preset shield --set stimulus.samples=1e12", None,
@@ -492,6 +501,26 @@ EXTRACT = {
          "'ends', or a list of node labels, got 5"),
         ("run-size", "stimulus.samples=1e12",
          "stimulus.samples: " + TOO_LARGE.format("2.38e+05")))}
+# every run refusal of exit 1: a config a run refuses is refused as it is
+# by export-netlist, and by a run without numpy
+RUN_REFUSALS = {name: row
+                for table in (REFUSALS, NON_NUMBER, WRONG_SHAPE, SCENARIO_NAMES)
+                for name, row in table.items()
+                if row[0] == "run" and row[3] == 1}
+
+
+def _row_argv(directory: Path, command, argv, config) -> tuple[list, Path]:
+    """A row's command line, with its config written to directory/cfg.yaml
+    and --out one level under directory/out; returns (argv, cfg path)."""
+    directory.mkdir(exist_ok=True)
+    cfg, out = directory / "cfg.yaml", directory / "out"
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    elif config is not None:
+        cfg.write_text(config if isinstance(config, str)
+                       else json.dumps(config))
+    args = [arg.replace("{cfg}", str(cfg)) for arg in shlex.split(argv)]
+    return [command, *args, "--out", str(out / "deep")], cfg
 
 
 def _refusal_test(rows: dict):
@@ -499,24 +528,54 @@ def _refusal_test(rows: dict):
     @pytest.mark.parametrize("command, argv, config, code, message",
                              rows.values(), ids=rows)
     def test(self, tmp_path, capsys, command, argv, config, code, message):
-        cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
-        if isinstance(config, bytes):
-            cfg.write_bytes(config)
-        elif config is not None:
-            cfg.write_text(config if isinstance(config, str)
-                           else json.dumps(config))
-        args = [arg.replace("{cfg}", str(cfg)) for arg in shlex.split(argv)]
+        args, cfg = _row_argv(tmp_path, command, argv, config)
         # --out one level down: neither directory may be made
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # no raw numpy warning first
-            rc = main([command, *args, "--out", str(out / "deep")])
+            rc = main(args)
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert (rc, captured.err) == (
             code, f"error: {message.replace('{cfg}', str(cfg))}\n")
         assert captured.out == ""
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
     return test
+
+
+# runs each command line of the JSON list on stdin with numpy blocked, and
+# prints [exit code, stdout, stderr] of each
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from xtalksim.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def refused_without_numpy(tmp_path_factory):
+    """name -> (exit code, stdout, stderr, config path, whether --out was
+    made) of each RUN_REFUSALS row, all run by one interpreter in which
+    numpy cannot be imported."""
+    root = tmp_path_factory.mktemp("without-numpy")
+    calls = [_row_argv(root / str(i), *row[:3])
+             for i, row in enumerate(RUN_REFUSALS.values())]
+    src = str(Path(xtalksim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          input=json.dumps([argv for argv, _ in calls]),
+                          cwd=root, env=env, capture_output=True, text=True,
+                          check=True)
+    return {name: (*result, str(cfg), (root / str(i) / "out").exists())
+            for i, (name, result, (_, cfg)) in enumerate(
+                zip(RUN_REFUSALS, json.loads(proc.stdout), calls))}
 
 
 class TestConfigDocuments:
@@ -755,6 +814,14 @@ class TestResolve:
         with pytest.raises(ParameterError, match=r"^sim\.t_end=9\.9e-08 "):
             resolve(window(9.9e-8))
 
+    def test_a_drive_of_amplitude_0_fits_any_window(self):
+        # its breakpoints never change value, so no window ends before the
+        # last change, though this one ends inside the 200 ns edge
+        resolved = resolve(short_preset("no-shield", "stimulus.amplitude_v=0",
+                                        "sim.t_end=1e-7"))
+        assert resolved.sim.t_end == 1e-7
+        assert {v for _, v in resolved.stimulus.breakpoints} == {0.0}
+
     def test_sim_block_needs_dt_and_t_end(self):
         cfg = config_from_mapping({"scenario": {"preset": "shield"},
                                    "sim": {"dt": 1e-9}})
@@ -828,6 +895,25 @@ class TestResolve:
                            match="a tap schedule needs a line with role shield"):
             resolve(config_from_mapping({
                 "scenario": scenario, "sim": {"dt": 1e-9, "t_end": 4e-7}}))
+
+    def test_summary_echoes_the_stimulus_numbers_as_read(self, tmp_path):
+        # YAML 1.1 reads a dotless 2e-7 as a string, and "1" is quoted: the
+        # run reads both as numbers, and the summary echoes those numbers,
+        # as it does the preset's
+        cfg = tmp_path / "spelled.yaml"
+        cfg.write_text('scenario: {preset: shield}\n'
+                       'stimulus: {kind: smooth-edge, amplitude_v: "1", '
+                       'rise_time_s: 2e-7, delay_s: 0, samples: 64.0}\n')
+        echoes = []
+        for source in (["--config", str(cfg)], ["--preset", "shield"]):
+            out = tmp_path / source[0].strip("-")
+            assert main(["run", *source, *_sets(), "--set",
+                         "output.formats=[json]", "--out", str(out)]) == 0
+            summary = json.loads((out / "shield_summary.json").read_text())
+            echoes.append(json.dumps(summary["params"]["stimulus"],
+                                     sort_keys=True))
+        assert echoes[0] == echoes[1] == json.dumps(DEFAULT_STIMULUS,
+                                                    sort_keys=True)
 
     def test_missing_stimulus_block_echoes_what_ran(self):
         resolved = resolve(config_from_mapping({
@@ -1202,6 +1288,29 @@ class TestCliExitCodes:
 
     test_refusal = _refusal_test(REFUSALS)
     test_scenario_name_stays_inside_out = _refusal_test(SCENARIO_NAMES)
+    test_run_refusal_refuses_a_deck = _refusal_test(
+        {name: ("export-netlist", *row[1:])
+         for name, row in RUN_REFUSALS.items()})
+
+    @pytest.mark.parametrize("name", RUN_REFUSALS)
+    def test_run_refusal_reads_the_same_without_numpy(
+            self, refused_without_numpy, name):
+        rc, out, err, cfg, made = refused_without_numpy[name]
+        message = RUN_REFUSALS[name][4].replace("{cfg}", cfg)
+        assert (rc, out, err, made) == (1, "", f"error: {message}\n", False)
+
+    def test_sweep_refuses_an_unknown_output_node_in_every_row(
+            self, tmp_path, capsys):
+        # a row's labels are those of its own network, so each row is
+        # refused, and the sweep with them
+        rc = main(["sweep", "--preset", "shield", *_sets(),
+                   "--set", "output.nodes=[bogus]", "--axis", "tap_count",
+                   "--values", "0,1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        refusal = "output.nodes: labels not in the network: ['bogus']"
+        assert (rc, captured.err) == (
+            1, f"error: no sweep row succeeded; first error: {refusal}\n")
+        assert captured.out.count(f": error: {refusal}\n") == 2
 
     def test_run_size_estimate_of_the_presets_at_48_segments(self):
         # the figures quoted beside _MAX_RUN_BYTES: the traces of every

@@ -760,6 +760,25 @@ class TestLiftedStepping:
         t = float(str(plain.value).split("t=")[1].split()[0])
         assert after_step < round(t / sim.dt) <= round(t_end / sim.dt)
 
+    def test_chunk_with_a_non_finite_sample_is_stepped_again(self):
+        # a NaN in L spoils a sample of every chunk and leaves each end
+        # state finite, so only the check of the chunk's own samples sends
+        # it through the plain recurrence, which gives the plain traces
+        build = engine._lifted_operators
+
+        def spoiled(*args):
+            Pm, Q, L = build(*args)
+            L[0, 0] = np.nan
+            return Pm, Q, L
+
+        sim = SimConfig(dt=1e-9, t_end=4e-6)          # three chunks
+        stim = resolve_stimulus({"kind": "ramp", "rise_time_s": 1e-7})
+        with mock.patch.object(engine, "_lifted_operators", spoiled):
+            lifted = run_transient(SHIELD_1, stim, sim)
+        plain = _plain(SHIELD_1, stim, sim)
+        for label, trace in plain.node_traces.items():
+            np.testing.assert_array_equal(lifted.node_traces[label], trace)
+
 
 # ------------------------------------------------------------- input guards
 

@@ -119,7 +119,10 @@ def test_run_needs_no_scipy(tmp_path, no_scipy):
 @pytest.mark.parametrize("sets, message", [
     ((), "error: run needs numpy, which is not installed"),
     (("--set", "sim.dt=1"), "error: need 0 < dt < t_end"),
-], ids=["good-config", "refused-config"])
+    # the labels are checked against the network before numpy is needed
+    (("--set", "output.nodes=[bogus]"),
+     "error: output.nodes: labels not in the network: ['bogus']"),
+], ids=["good-config", "refused-config", "bad-label"])
 def test_run_without_numpy_exits_1(tmp_path, sets, message):
     # the config is resolved before numpy is imported, so a refusal
     # reads as one with numpy installed

@@ -174,6 +174,31 @@ class TestSourceCards:
         np.testing.assert_array_equal(np.interp(times, card_t, card_v),
                                       stim.values(times))
 
+    @pytest.mark.parametrize("block", [
+        {"kind": "smooth-edge", "rise_time_s": 2e-7, "amplitude_v": 0.7,
+         "delay_s": 3e-9},
+        {"kind": "pwl", "amplitude_v": -3.0,
+         "points": [[1e-9, 0.5], [2e-9, -0.25], [5e-9, 1.0]]},
+        {"kind": "step", "delay_s": 1e-6},
+        {"kind": "ramp", "rise_time_s": 1e-8, "amplitude_v": 1.5},
+    ])
+    def test_card_points_are_the_stimulus_breakpoints(self, block):
+        # as printed: 9 digits, or a time in full where 9 digits would
+        # equal a neighbour's; a drive that starts after t = 0 gets a
+        # leading (0, v0) point, which holds its first value
+        stim = resolve_stimulus(block)
+        deck = export_netlist(self.net(), stim, SIM)
+        card = next(ln for ln in deck.splitlines() if ln.startswith("Vagg"))
+        numbers = [float(x) for x in card.split("PWL(")[1].rstrip(")").split()]
+        points = list(zip(numbers[::2], numbers[1::2]))
+        bp = stim.breakpoints
+        if bp[0][0] > 0.0:
+            assert points.pop(0) == (0.0, float(f"{bp[0][1]:.9g}"))
+        assert len(points) == len(bp)
+        for (t, v), (bt, bv) in zip(points, bp):
+            assert t in (bt, float(f"{bt:.9g}"))
+            assert v == float(f"{bv:.9g}")
+
     def test_delayed_step_card_times_increase(self):
         # at 9 digits, 1e-6 and 1e-6 + STEP_EDGE_S print the same
         stim = resolve_stimulus({"kind": "step", "delay_s": 1e-6})
