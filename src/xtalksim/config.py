@@ -208,14 +208,6 @@ def _unique_key_loader():
                 seen.add(key)
             return super().construct_mapping(node, deep)
 
-        def compose_scalar_node(self, anchor):
-            # whether YAML's resolvers chose the tag ("!!str 2024" names
-            # its own), which parse_scalar reads
-            implicit = self.peek_event().tag is None
-            node = super().compose_scalar_node(anchor)
-            node.implicit_tag = implicit
-            return node
-
     return UniqueKeyLoader
 
 
@@ -291,11 +283,11 @@ _PLAIN_NUMBER = r" *[-+]?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)? *"
 
 
 def parse_scalar(raw: str, where: str):
-    """A command-line value read as YAML. YAML 1.1 leaves dotless
-    scientific notation ("1e-10") a string, so a string read from a
-    plain scalar with no tag that reads as an int or float becomes that
-    number; a quoted one (``'2024'``) or a tagged one (``!!str 2024``)
-    stays a string.
+    """A command-line value read as YAML, by ``_load_yaml`` as a config
+    file is. YAML 1.1 leaves dotless scientific notation ("1e-10") a
+    string, so a string read from a plain scalar with no tag that reads
+    as an int or float becomes that number; a quoted one (``'2024'``)
+    or a tagged one (``!!str 2024``) stays a string.
 
     A plain decimal number (``24``, ``-0.5``, ``1e-7``) is read by
     ``int()`` or ``float()`` without importing yaml, to the value and
@@ -310,23 +302,19 @@ def parse_scalar(raw: str, where: str):
     import yaml
 
     try:
-        loader = _unique_key_loader()(raw)
-        try:
-            node = loader.get_single_node()
-            value = None if node is None else loader.construct_document(node)
-        finally:
-            loader.dispose()
+        value = _load_yaml(raw)
     except yaml.YAMLError as exc:
         raise ParameterError(f"{where}: unparseable value {raw!r}: {exc}")
     except ValueError as exc:
         raise ParameterError(f"{where}: {exc}") from None
-    # plain, unquoted, and with no tag of its own
-    if isinstance(value, str) and node.style is None and node.implicit_tag:
-        for kind in (int, float):
-            try:
-                return kind(value)
-            except ValueError:
-                pass
+    for kind in (int, float) if isinstance(value, str) else ():
+        try:
+            number = kind(value)
+        except ValueError:
+            continue
+        scalar = next(e for e in yaml.parse(raw)
+                      if isinstance(e, yaml.ScalarEvent))
+        return number if scalar.style is None and scalar.tag is None else value
     return value
 
 
@@ -364,6 +352,9 @@ def resolve_geometry(block: dict
     ``shield_separation_um`` overrides it. ``shield_width_scale``
     multiplies the width of shield lines (default 1).
     """
+    _check_keys(block, {*InterconnectGeometry._fields, "coefficients",
+                        "shield_separation_um", "shield_width_scale"},
+                "geometry")
     b = dict(block)
     name = b.pop("coefficients", "table-compat")
     if not isinstance(name, str) or name not in BUILTIN_COEFFICIENTS:
@@ -376,9 +367,6 @@ def resolve_geometry(block: dict
                           "geometry.shield_width_scale")
     if not width_scale > 0:
         raise ParameterError("geometry block: shield_width_scale must be > 0")
-    allowed = {"length_um", "width_um", "thickness_um", "height_um",
-               "separation_um", "eps_rel", "sheet_res_ohm_sq", "lam"}
-    _check_keys(b, allowed, "geometry")
     geometry = InterconnectGeometry(**{k: _number(v, f"geometry.{k}")
                                        for k, v in b.items()})
     if shield_sep is None:

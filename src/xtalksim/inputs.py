@@ -72,9 +72,10 @@ class Stimulus(Record):
 
     Every drive is piecewise linear: its ``breakpoints``, the (delay_s + t,
     amplitude_v * v) pairs of the (time, value) ``points``, made once, are
-    interpolated linearly, holding the first/last value outside their span,
-    and their times must strictly increase. The engine, a deck's PWL card
-    and the window check read them. A step is ``((0, 0), (STEP_EDGE_S, 1))``.
+    interpolated linearly, holding the first/last value outside their span;
+    each is finite, and their times strictly increase. The engine, a deck's
+    PWL card and the window check read them. A step is
+    ``((0, 0), (STEP_EDGE_S, 1))``.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -96,10 +97,16 @@ class Stimulus(Record):
             raise ParameterError("pwl point times must be strictly increasing")
         if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
             raise ParameterError("pwl points must be finite")
-        # in doubles a large delay can round two close times to one, and
-        # the deck's card would then drop a breakpoint the engine keeps
         bp = tuple((self.delay_s + t, self.amplitude_v * v) for t, v in pts)
         object.__setattr__(self, "breakpoints", bp)
+        for (t, v), (s, w) in zip(pts, bp):
+            if not (math.isfinite(s) and math.isfinite(w)):
+                field = "amplitude_v" if math.isfinite(s) else "delay_s"
+                raise ParameterError(
+                    f"stimulus {field}={getattr(self, field)!r} takes the point "
+                    f"({t!r}, {v!r}) to ({s!r}, {w!r}), past the largest float")
+        # in doubles a large delay can round two close times to one, and
+        # the deck's card would then drop a breakpoint the engine keeps
         for (t1, _), (t2, _), (s1, _), (s2, _) in zip(pts, pts[1:], bp, bp[1:]):
             if not s1 < s2:
                 raise ParameterError(

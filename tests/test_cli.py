@@ -100,6 +100,9 @@ TAPS = "--preset shield --axis tap_count --values"
 TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
 NOT_A_NUMBER = "{} must be a number, got 'lots'"
 NEEDS_SHIELD = "geometry.{} needs a shielded preset (a line with role shield)"
+# the shield preset with a PWL drive, whose points follow
+PWL = ("--preset shield --set stimulus.kind=pwl --set stimulus.samples=null "
+       "--set stimulus.rise_time_s=null --set 'stimulus.points=")
 AFTER_DRIVE = ("sim.t_end=1e-07 ends before the drive's last change at "
                "2e-07 s; measurements need the settled drive, so end the "
                "window at or after it")
@@ -332,6 +335,40 @@ REFUSALS = {
         command, "--preset shield --set 'output.nodes=[bogus]'", None, 1,
         "output.nodes: labels not in the network: ['bogus']")
        for command in ("run", "export-netlist")},
+    # a breakpoint scaled or shifted past the largest float: the deck
+    # printed PWL(0 0 1e-07 inf), and a run diverged after a raw numpy
+    # warning
+    **{f"{command}-overflowing-breakpoint": (
+        command, f"{PWL}[[0, 0], [1e-7, 10]]' --set stimulus.amplitude_v="
+                 "1e308", None, 1,
+        "stimulus amplitude_v=1e+308 takes the point (1e-07, 10.0) to "
+        "(1e-07, inf), past the largest float")
+       for command in ("run", "export-netlist")},
+    "export-netlist-overflowing-delay": (
+        "export-netlist", f"{PWL}[[0, 0], [1e308, 1]]' --set "
+                          "stimulus.delay_s=1e308", None, 1,
+        "stimulus delay_s=1e+308 takes the point (1e+308, 1.0) to "
+        "(inf, 1.0), past the largest float"),
+    # the geometry block is checked once, against every key it may hold
+    "extract-unknown-geometry-key": (
+        "extract", "--preset shield --set geometry.bogus=1", None, 1,
+        "geometry block: unknown key(s) bogus; allowed: coefficients, "
+        "eps_rel, height_um, lam, length_um, separation_um, "
+        "sheet_res_ohm_sq, shield_separation_um, shield_width_scale, "
+        "thickness_um, width_um"),
+    # a key YAML cannot hash, and a pair override that makes k >= 1
+    "export-netlist-unhashable-config-key": (
+        "export-netlist", "--config {cfg}",
+        "scenario: {preset: shield}\nsim: {[1, 2]: 3}\n", 1,
+        "config parse error in {cfg} at line 2, column 7: while constructing "
+        "a mapping\n  in \"<unicode string>\", line 2, column 6:\n    sim: "
+        "{[1, 2]: 3}\n         ^\nfound unhashable key\n  in \"<unicode "
+        "string>\", line 2, column 7:\n    sim: {[1, 2]: 3}\n          ^"),
+    "run-pair-override-past-k-of-1": (
+        "run", "--preset shield --set 'overrides.m_total={aggressor:victim: "
+               "100}'", None, 1,
+        "inductive coupling k = 1.20134 >= 1 for pair aggressor-victim; the "
+        "pair inductance matrix would not be positive definite"),
     # a run too large to hold, refused before anything is built
     "export-netlist-too-large-samples": (
         "export-netlist", "--preset shield --set stimulus.samples=1e12", None,
@@ -653,6 +690,20 @@ class TestConfigDocuments:
         assert load_config(cfg) == direct
         assert direct.stimulus == {"kind": "ramp"}
         assert resolve(direct).output["directory"] == "out"
+
+    def test_merge_key_merges_and_a_written_key_wins(self, tmp_path):
+        cfg = tmp_path / "merged.yaml"
+        cfg.write_text("scenario: {preset: shield}\nsim: {<<: {dt: 1.0e-10, "
+                       "t_end: 2.4e-6}, dt: 5.0e-11}\n")
+        assert main(["export-netlist", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+        assert ".tran 5e-11 2.4e-06\n" in (tmp_path / "shield.cir").read_text()
+
+    def test_a_bare_format_is_a_list_of_one(self):
+        cfg = apply_set_overrides(preset_config("shield"),
+                                  ["output.formats=csv"])
+        assert cfg.output["formats"] == "csv"
+        assert resolve(cfg).output["formats"] == ("csv",)
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ParameterError, match="unknown config block"):
@@ -1285,6 +1336,15 @@ class TestCliExitCodes:
                    "tap_count", "--values", "0,1e0", "--out", str(tmp_path)])
         assert rc == 0
         assert "tap_count=1.0: victim peak" in capsys.readouterr().out
+
+    def test_values_skip_an_empty_entry(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "shield", *_sets(), "--axis",
+                   "tap_count", "--values", "0,,1", "--out", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert [ln.partition(":")[0] for ln in out.splitlines()] == [
+            "tap_count=0", "tap_count=1",
+            f"wrote {tmp_path / 'sweep_tap_count.csv'}"]
 
     test_refusal = _refusal_test(REFUSALS)
     test_scenario_name_stays_inside_out = _refusal_test(SCENARIO_NAMES)
