@@ -211,11 +211,37 @@ def _unique_key_loader():
     return UniqueKeyLoader
 
 
+# The most values, each mapping, sequence and scalar, a document may
+# hold with every alias expanded: the readers copy and print an aliased
+# node once per reference, so nine aliases of nine nested seven deep
+# (384 bytes) would hold 6.1 million values once read.
+_MAX_YAML_VALUES = 1_000_000
+
+
+def _expanded_size(value, sizes: dict) -> float:
+    """The values ``value`` holds, counted once per reference; ``sizes``
+    memoizes containers by id, and one met again inside itself counts
+    as infinitely many."""
+    if not isinstance(value, (dict, list)):
+        return 1
+    if id(value) not in sizes:
+        sizes[id(value)] = math.inf
+        items = (value if isinstance(value, list)
+                 else [*value, *value.values()])
+        sizes[id(value)] = 1 + sum(_expanded_size(v, sizes) for v in items)
+    return sizes[id(value)]
+
+
 def _load_yaml(text: str):
-    """``yaml.safe_load`` through ``_unique_key_loader``."""
+    """``yaml.safe_load`` through ``_unique_key_loader``, refusing with
+    ValueError a document of over ``_MAX_YAML_VALUES`` values."""
     import yaml
 
-    return yaml.load(text, Loader=_unique_key_loader())
+    data = yaml.load(text, Loader=_unique_key_loader())
+    if _expanded_size(data, {}) > _MAX_YAML_VALUES:
+        raise ValueError(f"its aliases expand it past {_MAX_YAML_VALUES} "
+                         f"values")
+    return data
 
 
 def load_config(path) -> ToolkitConfig:
@@ -456,8 +482,10 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
     return pinned
 
 
-def _map_tables(spec: LadderSpec, config: ToolkitConfig) -> LadderSpec:
-    """Map a LadderSpec's values onto the config's geometry and overrides.
+def _map_tables(spec: LadderSpec, config: ToolkitConfig
+                ) -> tuple[LadderSpec, tuple]:
+    """Map a LadderSpec's values onto the config's geometry and overrides;
+    returns the mapped spec and ``resolve_geometry`` of the geometry.
 
     Every line total and pair value v becomes
     v * [F(g)/F(g0)] * [P(ov)/P(ov0)], where F is extraction, P(ov) is
@@ -473,7 +501,8 @@ def _map_tables(spec: LadderSpec, config: ToolkitConfig) -> LadderSpec:
             raise ParameterError(f"geometry.{key} needs a shielded preset "
                                  f"(a line with role shield)")
     pairs = tuple(spec.couplings)
-    f = _extract(roles, pairs, resolve_geometry(config.geometry))
+    resolved = resolve_geometry(config.geometry)
+    f = _extract(roles, pairs, resolved)
     f0 = _extract(roles, pairs, _DEFAULT_RESOLVED)
     e = _pin(f0, config.overrides)
     e0 = _pin(f0, DEFAULT_OVERRIDES)
@@ -496,7 +525,7 @@ def _map_tables(spec: LadderSpec, config: ToolkitConfig) -> LadderSpec:
     lines = tuple(ln.replace(**{label: scaled(label, ln.name, getattr(ln, label))
                                 for label in ("r_total", "l_total", "c_total")})
                   for ln in spec.lines)
-    return spec.replace(lines=lines, couplings=couplings)
+    return spec.replace(lines=lines, couplings=couplings), resolved
 
 
 class ExtractionReport(Record):
@@ -555,9 +584,8 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
                        stock.c_total[name]) for name, role in roles.items()),
         {pair: {"m_total": stock.m_total[pair],
                 "cm_total": stock.cm_total[pair]} for pair in pairs})
-    geometry, coeffs, shield_sep, _ = resolve_geometry(config.geometry)
-    return ExtractionReport(_map_tables(spec, config), coeffs.name, geometry,
-                            shield_sep)
+    spec, (geometry, coeffs, shield_sep, _) = _map_tables(spec, config)
+    return ExtractionReport(spec, coeffs.name, geometry, shield_sep)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +869,7 @@ def _run_blocks(config: ToolkitConfig) -> tuple:
 def resolve(config: ToolkitConfig) -> ResolvedScenario:
     """Validate a config and build the network/stimulus/sim triple."""
     spec, sim, n_segments, output, stimulus, read = _run_blocks(config)
-    spec = _map_tables(spec, config)
+    spec, _ = _map_tables(spec, config)
     network = build_ladder(spec, n_segments)
     roles = measured_nodes(network)
 
@@ -934,6 +962,7 @@ def settle_warning(waves: WaveformSet, resolved: ResolvedScenario) -> str:
 
 
 _CSV_CHUNK_ROWS = 4096
+_CSV_SLICE_ROWS = 256
 
 
 def write_waveforms_csv(path, waves: WaveformSet) -> None:
@@ -944,9 +973,10 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
     holds one value through a chunk (a quiet trace, a settled drive) is
     written into that chunk's row format as text, so only the varying
     columns are formatted; 0.0 and -0.0 print differently, so a chunk
-    holding both varies. Each chunk is stacked from slices of the
-    traces, so neither the formatted text nor a copy of the traces is
-    ever whole.
+    holding both varies. The varying columns are stacked, templated and
+    formatted ``_CSV_SLICE_ROWS`` rows at a time, so the writer holds
+    about 60 KB at most on a preset: glibc keeps a large block in the
+    heap once one of its size is freed, and its pages outlive the run.
     """
     import numpy as np
 
@@ -964,10 +994,14 @@ def write_waveforms_csv(path, waves: WaveformSet) -> None:
                 else:
                     fmts.append("%.9g")
                     varying.append(col)
-            rows = (",".join(fmts) + "\n") * len(chunk[0])
-            if varying:
-                rows %= tuple(np.column_stack(varying).ravel().tolist())
-            fh.write(rows)
+            row = ",".join(fmts) + "\n"
+            for at in range(0, len(chunk[0]), _CSV_SLICE_ROWS):
+                rows = row * min(_CSV_SLICE_ROWS, len(chunk[0]) - at)
+                if varying:
+                    rows %= tuple(np.column_stack(
+                        [c[at:at + _CSV_SLICE_ROWS] for c in varying]
+                    ).ravel().tolist())
+                fh.write(rows)
 
 
 def write_summary_json(path, result: ScenarioResult) -> None:

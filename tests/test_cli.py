@@ -96,6 +96,20 @@ def _over_digit_limit(digits: str) -> str:
     return str(info.value)
 
 
+def _nested_aliases(levels: int) -> str:
+    """A YAML list of ``levels`` lists of nine: nine ones, then nine
+    aliases of the list before, so the last holds 9**levels ones."""
+    lists = ["&a0 [" + ", ".join(["1"] * 9) + "]"]
+    lists += [f"&a{k} [" + ", ".join([f"*a{k - 1}"] * 9) + "]"
+              for k in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
+
+
+# 384 bytes that expand to 6.1 million values once read
+ALIAS_BOMB = ("scenario: {preset: shield}\n"
+              f"output: {{nodes: {_nested_aliases(7)}}}\n")
+EXPANDS = "its aliases expand it past 1000000 values"
+
 TAPS = "--preset shield --axis tap_count --values"
 TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
 NOT_A_NUMBER = "{} must be a number, got 'lots'"
@@ -195,6 +209,20 @@ REFUSALS = {
         "config parse error in {cfg}: 'utf-8' codec can't decode byte 0xff "
         "in position 2: invalid start byte")
        for command in ("extract", "run")},
+    # a reader copies an aliased node once per reference, so the value
+    # is refused before any copy of it is made
+    **{f"{command}-nested-aliases": (
+        command, "--config {cfg}", ALIAS_BOMB, 1,
+        "config parse error in {cfg}: " + EXPANDS)
+       for command in ("extract", "export-netlist", "run")},
+    "extract-set-nested-aliases": (
+        "extract", f"--preset shield --set 'output.nodes={_nested_aliases(7)}'",
+        None, 1, "--set output.nodes: " + EXPANDS),
+    # a node inside itself expands without end
+    "export-netlist-alias-inside-itself": (
+        "export-netlist", "--config {cfg}",
+        "scenario: {preset: shield}\noutput: {nodes: &a [*a]}\n", 1,
+        "config parse error in {cfg}: " + EXPANDS),
     # YAML would keep the later dt, and the deck said .tran 1e-10
     "export-netlist-repeated-config-key": (
         "export-netlist", "--config {cfg}",
@@ -699,6 +727,14 @@ class TestConfigDocuments:
                      str(tmp_path)]) == 0
         assert ".tran 5e-11 2.4e-06\n" in (tmp_path / "shield.cir").read_text()
 
+    def test_an_anchor_used_once_is_read(self, tmp_path):
+        plain, anchored = tmp_path / "plain.yaml", tmp_path / "anchored.yaml"
+        plain.write_text("scenario: {preset: shield}\n"
+                         "output: {nodes: [v1_0, v1_0]}\n")
+        anchored.write_text("scenario: &s {preset: shield}\n"
+                            "output: {nodes: [&n v1_0, *n]}\n")
+        assert load_config(anchored) == load_config(plain)
+
     def test_a_bare_format_is_a_list_of_one(self):
         cfg = apply_set_overrides(preset_config("shield"),
                                   ["output.formats=csv"])
@@ -1131,6 +1167,9 @@ class TestFileFormats:
         cases = [waves for _, waves, _ in stock_runs.values()]
         cases.append(WaveformSet(times=np.arange(rows) * 1e-9,
                                  node_traces=traces))
+        # one sample: every column is constant, so none varies
+        cases.append(WaveformSet(times=np.array([0.0]), node_traces={
+            name: np.array(edge[i:i + 1]) for i, name in enumerate(traces)}))
         for i, waves in enumerate(cases):
             got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
             write_waveforms_csv(got, waves)
@@ -1139,6 +1178,31 @@ class TestFileFormats:
                        fmt="%.9g", delimiter=",", comments="",
                        header=",".join(["time", *waves.node_traces]))
             assert got.read_bytes() == want.read_bytes(), i
+
+    def test_waveform_writer_holds_one_slice_of_text(self, tmp_path,
+                                                     stock_runs):
+        # rows are formatted one slice at a time, so the writer's
+        # temporaries stay small beside the traces: whole 4096-row chunks
+        # traced 0.85 MB on each preset and 6 MB on all 28 nodes. The
+        # peak is one chunk's, so one chunk and a partial one are written:
+        # tracing all 48001 rows of 29 columns takes 7 s
+        everything = run_scenario(apply_set_overrides(
+            preset_config("no-shield"), ["output.nodes=all"]))
+        cases = [(name, waves, 128 * 1024)
+                 for name, (_, waves, _) in stock_runs.items()]
+        cases.append(("no-shield, all nodes", everything[1], 1024 * 1024))
+        rows = 4096 + 5
+        for name, waves, bound in cases:
+            head = WaveformSet(times=waves.times[:rows], node_traces={
+                label: trace[:rows]
+                for label, trace in waves.node_traces.items()})
+            tracemalloc.start()
+            try:
+                write_waveforms_csv(tmp_path / "w.csv", head)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (name, peak)
 
     def test_summary_json_deterministic_but_for_timestamp(self, tmp_path):
         result, _, _ = run_scenario(short_preset("no-shield"))
@@ -1564,6 +1628,19 @@ class TestCliOutputs:
         assert "500" in report                    # pinned stock resistance
         assert "8.21054" in report                # adjacent mutual bracket
         assert "7.51759" in report                # across-shield bracket
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_extract_resolves_the_geometry_once(self, monkeypatch, capsys,
+                                                name):
+        calls, resolve_geometry = [], config_module.resolve_geometry
+
+        def counted(block):
+            calls.append(block)
+            return resolve_geometry(block)
+
+        monkeypatch.setattr(config_module, "resolve_geometry", counted)
+        assert main(["extract", "--preset", name]) == 0
+        assert len(calls) == 1
 
     def test_extract_reads_shield_keys_on_any_preset(self):
         # extract's layout has a shield, so it reads both keys, which
