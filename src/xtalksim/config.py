@@ -111,6 +111,20 @@ def _check_keys(block: dict, allowed: set[str], name: str,
                              f"required: {', '.join(sorted(required))}")
 
 
+# The most characters of a value that a refusal echoes: a config value
+# may be megabytes once its aliases are expanded.
+_ECHO_CHARS = 200
+
+
+def _echo(value) -> str:
+    """repr(value), cut to _ECHO_CHARS characters with a count of the rest."""
+    text = repr(value)
+    more = len(text) - _ECHO_CHARS
+    if more <= 0:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({more} more characters)"
+
+
 def _number(value, where: str, kind: type = float):
     """A config value read as a float, or as an int with ``kind=int``;
     ``where`` names the field in the error. A bool is refused. YAML 1.1
@@ -121,9 +135,9 @@ def _number(value, where: str, kind: type = float):
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or isinstance(value, bool):
-        raise ParameterError(f"{where} must be a number, got {value!r}")
+        raise ParameterError(f"{where} must be a number, got {_echo(value)}")
     if kind is int and not number.is_integer():
-        raise ParameterError(f"{where} must be an integer, got {value!r}")
+        raise ParameterError(f"{where} must be an integer, got {_echo(value)}")
     return kind(number)
 
 
@@ -131,7 +145,7 @@ def _string(value, where: str) -> str:
     """``value`` if it is a string, else refused naming ``where``: YAML
     reads an unquoted ``0`` or ``true`` as a number or a bool, not a name."""
     if not isinstance(value, str):
-        raise ParameterError(f"{where} must be a string, got {value!r}")
+        raise ParameterError(f"{where} must be a string, got {_echo(value)}")
     return value
 
 
@@ -186,11 +200,20 @@ def config_from_mapping(data: dict) -> ToolkitConfig:
 def _unique_key_loader():
     """A ``yaml.SafeLoader`` that refuses a mapping which repeats a key,
     and names the key: the later entry would replace the earlier one
-    without a word. Built on first use, which imports yaml then and
-    keeps the package import quick."""
+    without a word, and a node past _MAX_YAML_DEPTH before composing it.
+    Built on first use, which imports yaml then and keeps the package
+    import quick."""
     import yaml
 
     class UniqueKeyLoader(yaml.SafeLoader):
+        def compose_node(self, parent, index):
+            self.depth = getattr(self, "depth", 0) + 1
+            if self.depth > _MAX_YAML_DEPTH:
+                raise ValueError(_TOO_DEEP)
+            node = super().compose_node(parent, index)
+            self.depth -= 1
+            return node
+
         def construct_mapping(self, node, deep=False):
             seen = set()
             for key_node, _ in node.value:
@@ -216,31 +239,43 @@ def _unique_key_loader():
 # node once per reference, so nine aliases of nine nested seven deep
 # (384 bytes) would hold 6.1 million values once read.
 _MAX_YAML_VALUES = 1_000_000
+# The most levels a document may nest, aliases followed, each value one
+# (in [[x]], x lies 3 deep): yaml and the readers recurse once a level,
+# and Python's recursion limit stopped them near 490 levels.
+_MAX_YAML_DEPTH = 64
+_TOO_DEEP = f"it nests deeper than {_MAX_YAML_DEPTH} levels"
 
 
-def _expanded_size(value, sizes: dict) -> float:
-    """The values ``value`` holds, counted once per reference; ``sizes``
-    memoizes containers by id, and one met again inside itself counts
-    as infinitely many."""
+def _expanded_size(value, seen: dict) -> tuple[float, int]:
+    """The values ``value`` holds, counted once per reference, and the
+    levels it nests; ``seen`` memoizes both by id, and a container met
+    again inside itself counts as infinitely many values. The walk keeps
+    document order, so it first meets each container where it is written."""
     if not isinstance(value, (dict, list)):
-        return 1
-    if id(value) not in sizes:
-        sizes[id(value)] = math.inf
+        return 1, 1
+    if id(value) not in seen:
+        seen[id(value)] = math.inf, 1
         items = (value if isinstance(value, list)
-                 else [*value, *value.values()])
-        sizes[id(value)] = 1 + sum(_expanded_size(v, sizes) for v in items)
-    return sizes[id(value)]
+                 else [v for item in value.items() for v in item])
+        measured = [_expanded_size(v, seen) for v in items]
+        seen[id(value)] = (1 + sum(size for size, _ in measured),
+                           1 + max((depth for _, depth in measured), default=0))
+    return seen[id(value)]
 
 
 def _load_yaml(text: str):
     """``yaml.safe_load`` through ``_unique_key_loader``, refusing with
-    ValueError a document of over ``_MAX_YAML_VALUES`` values."""
+    ValueError a document of over ``_MAX_YAML_VALUES`` values or one
+    nested deeper than ``_MAX_YAML_DEPTH`` levels."""
     import yaml
 
     data = yaml.load(text, Loader=_unique_key_loader())
-    if _expanded_size(data, {}) > _MAX_YAML_VALUES:
+    size, depth = _expanded_size(data, {})
+    if size > _MAX_YAML_VALUES:
         raise ValueError(f"its aliases expand it past {_MAX_YAML_VALUES} "
                          f"values")
+    if depth > _MAX_YAML_DEPTH:
+        raise ValueError(_TOO_DEEP)
     return data
 
 
@@ -797,9 +832,12 @@ def resolve_output(block: dict | None) -> dict:
     b["formats"] = tuple(formats)
     _string(b["directory"], "output.directory")
     nodes = b["nodes"]
-    if nodes not in ("ends", "all") and not isinstance(nodes, (list, tuple)):
+    if isinstance(nodes, (list, tuple)):
+        for i, label in enumerate(nodes):
+            _string(label, f"output.nodes[{i}]")
+    elif nodes not in ("ends", "all"):
         raise ParameterError(f"output.nodes must be 'all', 'ends', or a "
-                             f"list of node labels, got {nodes!r}")
+                             f"list of node labels, got {_echo(nodes)}")
     return b
 
 
@@ -879,11 +917,13 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     elif nodes == "all":
         out_nodes = "all"
     else:
-        labels, known = [*map(str, nodes)], frozenset(network.nodes[1:])
+        labels, known = list(nodes), frozenset(network.nodes[1:])
         missing = [lbl for lbl in labels if lbl not in known]
-        if missing:
-            raise ParameterError(f"output.nodes: labels not in the network: "
-                                 f"{missing}")
+        if missing:                     # the first five, and a count
+            raise ParameterError(
+                f"output.nodes: labels not in the network: "
+                f"{_echo(missing[:5])}"
+                + (f" and {len(missing) - 5} more" if missing[5:] else ""))
         # the measurements read these traces, so they are always kept
         out_nodes = tuple(dict.fromkeys([*labels, *roles.values()]))
     sim = sim.replace(output_nodes=out_nodes)

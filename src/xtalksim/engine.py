@@ -28,15 +28,17 @@ A run's memory: modelled in ``inputs.run_footprint``, measured in BENCH_*.json.
 
 After the first step the recurrence is lifted (Bamieh, Pearson, Francis
 & Tannenbaum 1991; the block filters of Burrus 1972): the steps are
-grouped in blocks of m = min(BLOCK_STEPS, steps // n) with drive rows
-w_j, and computed in two phases, chunk by chunk of _CHUNK_BLOCKS blocks,
-each sampling its own times and drive. Phase 1 steps the block starts,
-s_{j+1} = P^m s_j + Q_m w_j with Q_m = [P^(m-1) q, ..., P q, q]. Phase
-2 fills the kept traces of a whole chunk with one product [X_s, W] L
-written straight into the trace array: X_s stacks the chunk's block
-starts, and the lifted operator L stacks O_m, the kept rows of P, ...,
-P^m, over T_m, the block Toeplitz matrix of the Markov parameters
+grouped in blocks of m = min(BLOCK_STEPS, steps // n) (``block_length``)
+with drive rows w_j, and computed in two phases, chunk by chunk of
+_CHUNK_BLOCKS blocks, each sampling its own times and drive. Phase 1 steps
+the block starts, s_{j+1} = P^m s_j + Q_m w_j with Q_m = [P^(m-1) q, ...,
+P q, q]. Phase 2 fills the kept traces of a whole chunk with one product
+[X_s, W] L written straight into the trace array: X_s stacks the chunk's
+block starts, and the lifted operator L stacks O_m, the kept rows of P,
+..., P^m, over T_m, the block Toeplitz matrix of the Markov parameters
 (P^i q)[keep]. That is the same recurrence with its products regrouped.
+P^m is built first, so its power products are freed before L and Q_m
+are made; the rows of P^i[keep] start from P[keep].
 A tail shorter than m, a run with m < 2 and a chunk whose end state or
 sum of samples is not finite take the plain recurrence, one step at a
 time, which names the first non-finite sample.
@@ -62,7 +64,7 @@ import numpy as np
 
 from ._record import Record, field
 from .errors import ParameterError, SolverError
-from .inputs import BLOCK_STEPS, METHODS, SimConfig, Stimulus
+from .inputs import BLOCK_STEPS, METHODS, SimConfig, Stimulus, block_length
 from .network import GROUND, CoupledNetwork
 
 
@@ -302,17 +304,17 @@ def _lifted_operators(P: np.ndarray, q: np.ndarray, m: int, keep: np.ndarray
     start s and drive row w give the block's kept samples [s, w] L.
     """
     n, kept = len(q), len(keep)
+    Pm = np.linalg.matrix_power(P, m)       # its products freed before L
     L = np.zeros((n + m, m, kept))
     Q = np.empty((n, m))
-    rows = np.eye(n)[keep]                  # P^i[keep], from i = 0
-    v = q                                   # P^i q
+    rows, v = P[keep], q                    # P^(i+1)[keep] and P^i q
     for i in range(m):
         Q[:, m - 1 - i] = v
         L[n + np.arange(m - i), np.arange(i, m)] = v[keep]
-        rows = rows @ P
         L[:n, i] = rows.T
-        v = P @ v
-    return np.linalg.matrix_power(P, m), Q, L.reshape(n + m, m * kept)
+        if i < m - 1:
+            rows, v = rows @ P, P @ v
+    return Pm, Q, L.reshape(n + m, m * kept)
 
 
 def _step_blocks(P: np.ndarray, q: np.ndarray, lifted: tuple, x: np.ndarray,
@@ -388,7 +390,7 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
         del sys
         P, q = _step_matrices(A, rhs, theta, sim.dt)
         del A, rhs
-        m = min(BLOCK_STEPS, steps // max(n, 1))
+        m = block_length(steps, n, BLOCK_STEPS)   # the cap as read here
         lifted = _lifted_operators(P, q, m, keep) if m >= 2 else None
 
     out = np.empty((steps + 1, len(keep)))

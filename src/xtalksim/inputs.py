@@ -25,9 +25,15 @@ if TYPE_CHECKING:
 METHODS = {"trapezoidal": 0.5, "backward-euler": 1.0}
 
 # Steps per block of the engine's lifted recurrence. A run takes
-# min(BLOCK_STEPS, steps // unknowns), so the lifted operator is never
-# larger than the traces it fills, and steps one at a time below 2.
+# block_length(steps, unknowns), so the lifted operator is never larger
+# than the traces it fills, and steps one at a time below 2.
 BLOCK_STEPS = 48
+
+
+def block_length(steps, n, most=BLOCK_STEPS):
+    """m = min(most, steps // n) for ``steps`` steps over ``n`` unknowns
+    (0 counts as 1), ints for the engine, floats for run_footprint."""
+    return min(most, steps // max(n, 1))
 
 
 def run_footprint(n_lines: int, n_segments: float, steps: float,
@@ -39,20 +45,22 @@ def run_footprint(n_lines: int, n_segments: float, steps: float,
     breakpoint; the preparation, G and C stamped n_lines + 1 wider,
     C/dt + theta G, the right-hand side, 32-row temporaries and labels (its
     solves hold no more, LAPACK's copies counted); the lifted operators:
-    P, three products of P^m's build, L of (n + m) m kept doubles for
-    m = min(BLOCK_STEPS, steps // n), Q_m, rows of P^i and a chunk of 32
-    blocks; the stepping: P, P^m, L, Q_m, a chunk and the traces; the
-    result: the traces, time axis and drive. ``bound`` is what resolve
+    P and q beside the larger of P^m's build, three n x n products, and
+    what is built after it, P^m, L of (n + m) m kept doubles for
+    m = block_length(steps, n), Q_m, a chunk of 32 blocks and two blocks
+    of rows of P^i; the stepping: P, P^m, L, Q_m, a chunk and the traces;
+    the result: the traces, time axis and drive. ``bound`` is what resolve
     refuses on, by the config field each term grows with: five n x n
     arrays, the arrays of the run's length and L, and the stimulus."""
     n = n_lines * (2.0 * max(n_segments, 1) + 2)
     kept = n if kept is None else float(kept)
-    m = min(BLOCK_STEPS, steps // n)
+    m = block_length(steps, n)
     L = (n + m) * m * kept if m else 0.0         # never inf * 0
     work = n * m + 32 * (2 * n + 6 * m + m * kept / 8) if m else 0.0
     w = n + n_lines + 1                 # stamping width; no ** overflows
     doubles = {"preparation": 2 * w * w + 2 * n * n + 80 * n,
-               "lifted": 4 * n * n + n + L + work + 2 * kept * n,
+               "lifted": n * n + n + max(3 * n * n,
+                                         n * n + L + work + 2 * kept * n),
                "stepping": 2 * n * n + n + L + work + (steps + 1) * kept,
                "result": (steps + 1) * (kept + 2)}
     stimulus = 256.0 * (samples + 1)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +110,35 @@ def _nested_aliases(levels: int) -> str:
 ALIAS_BOMB = ("scenario: {preset: shield}\n"
               f"output: {{nodes: {_nested_aliases(7)}}}\n")
 EXPANDS = "its aliases expand it past 1000000 values"
+# 333 bytes of six levels, 672,612 values, under the bound: a refusal that
+# printed every entry of output.nodes was a 1.9 MB line
+SIX_LEVELS = ("scenario: {preset: shield}\n"
+              f"output: {{nodes: {_nested_aliases(6)}}}\n")
+# the six levels as one entry, whose repr is 1.9 MB
+SIX_LEVELS_IN_ONE = ("scenario: {preset: shield}\n"
+                     f"output: {{nodes: [{_nested_aliases(6)}]}}\n")
+
+
+def _nested_lists(levels: int) -> list:
+    """The value that _nested_aliases(levels) reads as."""
+    lists = [[1] * 9]
+    for _ in range(1, levels):
+        lists.append([lists[-1]] * 9)
+    return lists
+
+
+def _cut(value) -> str:
+    """``value`` as a refusal echoes one over 200 characters long."""
+    text = repr(value)
+    return f"{text[:200]}... ({len(text) - 200} more characters)"
+
+
+# lists nested past yaml's recursion, written out or through aliases
+NESTS = "it nests deeper than 64 levels"
+DEEP_LIST = "[" * 490 + "x" + "]" * 490
+ALIAS_CHAIN = ("scenario: {preset: shield}\noutput: {nodes: ["
+               + ", ".join(["&a0 [x]"] + [f"&a{k} [*a{k - 1}]"
+                                          for k in range(1, 600)]) + "]}\n")
 
 TAPS = "--preset shield --axis tap_count --values"
 TOO_LARGE = "the run would hold about {} GiB, over the 4 GiB limit"
@@ -218,6 +248,33 @@ REFUSALS = {
     "extract-set-nested-aliases": (
         "extract", f"--preset shield --set 'output.nodes={_nested_aliases(7)}'",
         None, 1, "--set output.nodes: " + EXPANDS),
+    # yaml composes and the readers copy a node by recursion: a document
+    # nested past the bound is refused before either recursion runs out
+    "extract-config-nested-490-deep": (
+        "extract", "--config {cfg}", f"output: {{nodes: {DEEP_LIST}}}\n", 1,
+        "config parse error in {cfg}: " + NESTS),
+    **{f"{command}-set-nested-600-deep": (
+        command, "--preset shield --set 'output.nodes="
+                 + "[" * 600 + "x" + "]" * 600 + "'", None, 1,
+        "--set output.nodes: " + NESTS)
+       for command in ("extract", "export-netlist")},
+    # 600 aliases, each of a list holding the one before: each is written
+    # four levels down, and the last reads over 600 deep
+    "extract-aliases-nested-600-deep": (
+        "extract", "--config {cfg}", ALIAS_CHAIN, 1,
+        "config parse error in {cfg}: " + NESTS),
+    # a label is a string, and a refusal echoes at most 200 characters
+    # of a value, so neither refusal reaches 1 KB
+    "run-output-node-of-six-levels": (
+        "run", "--config {cfg}", SIX_LEVELS, 1,
+        "output.nodes[0] must be a string, got [1, 1, 1, 1, 1, 1, 1, 1, 1]"),
+    "extract-output-node-of-six-levels-in-one": (
+        "extract", "--config {cfg}", SIX_LEVELS_IN_ONE, 1,
+        "output.nodes[0] must be a string, got "
+        + _cut(_nested_lists(6))),
+    "run-output-node-not-a-string": (
+        "run", "--preset shield --set 'output.nodes=[victim_2, [a, b], 3]'",
+        None, 1, "output.nodes[1] must be a string, got ['a', 'b']"),
     # a node inside itself expands without end
     "export-netlist-alias-inside-itself": (
         "export-netlist", "--config {cfg}",
@@ -363,6 +420,12 @@ REFUSALS = {
         command, "--preset shield --set 'output.nodes=[bogus]'", None, 1,
         "output.nodes: labels not in the network: ['bogus']")
        for command in ("run", "export-netlist")},
+    # the first five unknown labels, and a count of the rest
+    "run-many-unknown-output-nodes": (
+        "run", "--preset shield --set 'output.nodes=["
+               + ", ".join(f"x{i}" for i in range(40)) + "]'", None, 1,
+        "output.nodes: labels not in the network: ['x0', 'x1', 'x2', 'x3', "
+        "'x4'] and 35 more"),
     # a breakpoint scaled or shifted past the largest float: the deck
     # printed PWL(0 0 1e-07 inf), and a run diverged after a raw numpy
     # warning
@@ -734,6 +797,21 @@ class TestConfigDocuments:
         anchored.write_text("scenario: &s {preset: shield}\n"
                             "output: {nodes: [&n v1_0, *n]}\n")
         assert load_config(anchored) == load_config(plain)
+
+    @pytest.mark.parametrize("levels", [64, 65])
+    def test_a_value_may_nest_64_levels(self, levels):
+        # each value is a level: in [[x]], x lies three levels deep, and in
+        # [&a0 [x], &a1 [*a0]] four, through the alias
+        written = "[" * (levels - 1) + "x" + "]" * (levels - 1)
+        aliased = "[" + ", ".join(["&a0 [x]"] + [
+            f"&a{k} [*a{k - 1}]" for k in range(1, levels - 2)]) + "]"
+        for raw in (written, aliased):
+            if levels <= 64:
+                assert parse_scalar(raw, "--set v") == yaml.safe_load(raw)
+            else:
+                with pytest.raises(ParameterError, match=r"^--set v: it "
+                                   r"nests deeper than 64 levels$"):
+                    parse_scalar(raw, "--set v")
 
     def test_a_bare_format_is_a_list_of_one(self):
         cfg = apply_set_overrides(preset_config("shield"),
