@@ -41,7 +41,7 @@ import re
 from pathlib import Path
 
 from ._record import Record, asdict
-from .errors import ParameterError, ToolkitError
+from .errors import ParameterError, ToolkitError, _echo, _echo_some
 from .extraction import (BUILTIN_COEFFICIENTS, CouplingCoefficients,
                          InterconnectGeometry, LineElectricals, extract_all,
                          pair_key)
@@ -97,34 +97,6 @@ def _require_mapping(value, name: str) -> dict:
     return value
 
 
-def _check_keys(block: dict, allowed: set[str], name: str,
-                required: frozenset[str] = frozenset()) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ParameterError(f"{name} block: unknown key(s) "
-                             f"{', '.join(sorted(map(str, unknown)))}; "
-                             f"allowed: {', '.join(sorted(allowed))}")
-    missing = required - set(block)
-    if missing:
-        raise ParameterError(f"{name} block: missing key(s) "
-                             f"{', '.join(sorted(missing))}; "
-                             f"required: {', '.join(sorted(required))}")
-
-
-# The most characters of a value that a refusal echoes: a config value
-# may be megabytes once its aliases are expanded.
-_ECHO_CHARS = 200
-
-
-def _echo(value) -> str:
-    """repr(value), cut to _ECHO_CHARS characters with a count of the rest."""
-    text = repr(value)
-    more = len(text) - _ECHO_CHARS
-    if more <= 0:
-        return text
-    return f"{text[:_ECHO_CHARS]}... ({more} more characters)"
-
-
 def _number(value, where: str, kind: type = float):
     """A config value read as a float, or as an int with ``kind=int``;
     ``where`` names the field in the error. A bool is refused. YAML 1.1
@@ -147,6 +119,47 @@ def _string(value, where: str) -> str:
     if not isinstance(value, str):
         raise ParameterError(f"{where} must be a string, got {_echo(value)}")
     return value
+
+
+# Each key a block may hold, and the kind its value is read as: float or
+# int by _number, str by _string, None by its block's reader, which also
+# checks the rules between keys once the values are read. The entries of
+# scenario.lines, .terminations and .taps are records (_record).
+_KEYS = {
+    "geometry": {**dict.fromkeys(InterconnectGeometry._fields, float),
+                 "coefficients": None, "shield_separation_um": float,
+                 "shield_width_scale": float},
+    "overrides": dict.fromkeys(LineElectricals._fields),
+    "scenario": {"preset": None, "tap_count": int, "tie_resistance_ohm": float,
+                 "name": str, "lines": None, "couplings": None,
+                 "terminations": None, "taps": None},
+    "scenario.couplings": {"pair": None, "m_total": float, "cm_total": float},
+    "stimulus": {"kind": None, "amplitude_v": float, "rise_time_s": float,
+                 "delay_s": float, "points": None, "samples": int},
+    "sim": {"dt": float, "t_end": float, "method": str, "n_segments": int},
+    "output": {"directory": str, "formats": None, "nodes": None},
+}
+
+
+def _read(block: dict, name: str, kinds: dict,
+          required: frozenset[str] = frozenset()) -> dict:
+    """``block``'s values, each read by its kind in ``kinds`` and named
+    ``name.key`` in errors. A key not in ``kinds``, or one of ``required``
+    missing, is refused, listing what the block may or must hold."""
+    unknown = set(block) - set(kinds)
+    if unknown:
+        raise ParameterError(f"{name} block: unknown key(s) "
+                             f"{', '.join(sorted(map(str, unknown)))}; "
+                             f"allowed: {', '.join(sorted(kinds))}")
+    missing = required - set(block)
+    if missing:
+        raise ParameterError(f"{name} block: missing key(s) "
+                             f"{', '.join(sorted(missing))}; "
+                             f"required: {', '.join(sorted(required))}")
+    return {key: value if kinds[key] is None
+            else _string(value, f"{name}.{key}") if kinds[key] is str
+            else _number(value, f"{name}.{key}", kinds[key])
+            for key, value in block.items()}
 
 
 class ToolkitConfig(Record):
@@ -306,7 +319,7 @@ def load_config(path) -> ToolkitConfig:
 def preset_config(name: str) -> ToolkitConfig:
     """The bundled defaults for one scenario preset, as a config."""
     if name not in PRESET_NAMES:
-        raise ParameterError(f"unknown scenario preset {name!r}; "
+        raise ParameterError(f"unknown scenario preset {_echo(name)}; "
                              f"choose one of {', '.join(PRESET_NAMES)}")
     return ToolkitConfig(scenario={"preset": name},
                          output=_copy_tree(DEFAULT_OUTPUT))
@@ -391,7 +404,7 @@ def _set_key(data: dict, path: list[str], value) -> None:
             nxt = cursor[part] = {}
         elif not isinstance(nxt, dict):
             raise ParameterError(
-                f"{'.'.join(path[:depth])} holds {nxt!r}, not a mapping, so "
+                f"{'.'.join(path[:depth])} holds {_echo(nxt)}, not a mapping, so "
                 f"{'.'.join(path)} cannot be set; set the whole value instead")
         cursor = nxt
     cursor[path[-1]] = value
@@ -413,29 +426,22 @@ def resolve_geometry(block: dict
     ``shield_separation_um`` overrides it. ``shield_width_scale``
     multiplies the width of shield lines (default 1).
     """
-    _check_keys(block, {*InterconnectGeometry._fields, "coefficients",
-                        "shield_separation_um", "shield_width_scale"},
-                "geometry")
-    b = dict(block)
+    b = _read(block, "geometry", _KEYS["geometry"])
     name = b.pop("coefficients", "table-compat")
     if not isinstance(name, str) or name not in BUILTIN_COEFFICIENTS:
         raise ParameterError(
-            f"geometry.coefficients: unknown coefficient set {name!r}; "
+            f"geometry.coefficients: unknown coefficient set {_echo(name)}; "
             f"available: {', '.join(sorted(BUILTIN_COEFFICIENTS))}")
     coeffs = BUILTIN_COEFFICIENTS[name]
     shield_sep = b.pop("shield_separation_um", None)
-    width_scale = _number(b.pop("shield_width_scale", 1.0),
-                          "geometry.shield_width_scale")
+    width_scale = b.pop("shield_width_scale", 1.0)
     if not width_scale > 0:
         raise ParameterError("geometry block: shield_width_scale must be > 0")
-    geometry = InterconnectGeometry(**{k: _number(v, f"geometry.{k}")
-                                       for k, v in b.items()})
+    geometry = InterconnectGeometry(**b)
     if shield_sep is None:
         shield_sep = 2.0 * geometry.separation_um
-    else:
-        shield_sep = _number(shield_sep, "geometry.shield_separation_um")
-        if not shield_sep > 0:
-            raise ParameterError("geometry block: shield_separation_um must be > 0")
+    elif not shield_sep > 0:
+        raise ParameterError("geometry block: shield_separation_um must be > 0")
     return geometry, coeffs, shield_sep, width_scale
 
 
@@ -478,13 +484,12 @@ def _pin(f0: LineElectricals, block: dict) -> LineElectricals:
     per-line mapping, ``m_total``/``cm_total`` a mapping of "a:b" (or
     tuple) pair keys, each pair once, where 0 removes the pair."""
     by_label = {name: dict(getattr(f0, name)) for name in f0._fields}
-    _check_keys(block, set(by_label), "overrides")
-    for label, ov in block.items():
+    for label, ov in _read(block, "overrides", _KEYS["overrides"]).items():
         table = by_label[label]
         if label in ("m_total", "cm_total"):
             if not isinstance(ov, dict):
-                raise ParameterError(f"overrides.{label} must be a mapping "
-                                     f"of 'a:b' pairs to values, got {ov!r}")
+                raise ParameterError(f"overrides.{label} must be a mapping of "
+                                     f"'a:b' pairs to values, got {_echo(ov)}")
             given: dict[tuple[str, str], object] = {}
             for key, value in ov.items():
                 parts = key.split(":") if isinstance(key, str) else key
@@ -627,16 +632,15 @@ def extraction_report(config: ToolkitConfig) -> ExtractionReport:
 # scenario / stimulus / sim resolution
 
 
-def _record(cls, entry, where: str, numbers: tuple[str, ...]):
-    """``cls(**entry)`` for a mapping ``entry``, each of ``numbers`` it
-    holds read by ``_number``. Its keys are checked against the fields
-    of ``cls`` as ``_check_keys`` checks a block's, those without a
-    default required; ``where`` names the entry in errors, those of
-    ``cls`` too."""
+def _record(cls, entry, where: str):
+    """``cls(**entry)`` for a mapping ``entry``, read by ``_read`` with
+    the fields of ``cls`` as its keys, those annotated ``float`` read as
+    numbers and those without a default required; ``where`` names the
+    entry in errors, those of ``cls`` too."""
     _require_mapping(entry, where)
-    _check_keys(entry, set(cls._fields), where, cls._required)
-    values = {k: _number(v, f"{where}.{k}") if k in numbers else v
-              for k, v in entry.items()}
+    kinds = {name: float if kind == "float" else None
+             for name, kind in cls.__annotations__.items()}
+    values = _read(entry, where, kinds, cls._required)
     try:
         return cls(**values)
     except ParameterError as exc:
@@ -646,8 +650,7 @@ def _record(cls, entry, where: str, numbers: tuple[str, ...]):
 def _parse_line_specs(entries) -> tuple[LineSpec, ...]:
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ParameterError("scenario.lines must be a non-empty list")
-    return tuple(_record(LineSpec, entry, f"scenario.lines[{i}]",
-                         ("r_total", "l_total", "c_total"))
+    return tuple(_record(LineSpec, entry, f"scenario.lines[{i}]")
                  for i, entry in enumerate(entries))
 
 
@@ -656,30 +659,27 @@ def _parse_couplings(entries) -> dict[tuple[str, str], dict]:
         raise ParameterError("scenario.couplings must be a list")
     out: dict[tuple[str, str], dict] = {}
     for i, entry in enumerate(entries):
-        _require_mapping(entry, f"scenario.couplings[{i}]")
-        entry = dict(entry)
+        where = f"scenario.couplings[{i}]"
+        entry = _read(_require_mapping(entry, where), where,
+                      _KEYS["scenario.couplings"])
         pair = entry.pop("pair", None)
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(p, str) for p in pair)):
-            raise ParameterError(f"scenario.couplings[{i}] needs "
-                                 f"pair: [line_a, line_b]")
-        _check_keys(entry, {"m_total", "cm_total"}, f"scenario.couplings[{i}]")
+            raise ParameterError(f"{where} needs pair: [line_a, line_b]")
         key = pair_key(*pair)
         if key in out:                    # each earlier entry added one key
-            raise ParameterError(f"scenario.couplings[{i}] gives pair "
+            raise ParameterError(f"{where} gives pair "
                                  f"{key[0]}:{key[1]} again, after "
                                  f"scenario.couplings[{list(out).index(key)}]; "
                                  f"give each pair one entry")
-        out[key] = {k: _number(v, f"scenario.couplings[{i}].{k}")
-                    for k, v in entry.items()}
+        out[key] = entry
     return out
 
 
 def _parse_terminations(entries) -> dict[str, TerminationSpec]:
     _require_mapping(entries, "scenario.terminations")
     return {name: _record(TerminationSpec, entry,
-                          f"scenario.terminations[{name}]",
-                          ("driver_resistance_ohm", "load_capacitance_f"))
+                          f"scenario.terminations[{name}]")
             for name, entry in entries.items()}
 
 
@@ -690,11 +690,11 @@ def _parse_taps(entry) -> TapSchedule | None:
     fractions = entry.get("fractions", ())
     if not isinstance(fractions, (list, tuple)):
         raise ParameterError(f"scenario.taps.fractions must be a list, "
-                             f"got {fractions!r}")
+                             f"got {_echo(fractions)}")
     fractions = tuple(_number(f, f"scenario.taps.fractions[{i}]")
                       for i, f in enumerate(fractions))
     return _record(TapSchedule, dict(entry, fractions=fractions),
-                   "scenario.taps", ("tie_resistance_ohm",))
+                   "scenario.taps")
 
 
 def _tables_params(spec: LadderSpec, n_segments: int) -> dict:
@@ -726,9 +726,7 @@ def _scenario_tables(scen: dict | None, n_segments: int) -> LadderSpec:
     ``n_segments`` before any tap is made."""
     if scen is None:
         raise ParameterError("config has no scenario block")
-    _check_keys(scen, {"preset", "tap_count", "tie_resistance_ohm", "name",
-                       "lines", "couplings", "terminations", "taps"},
-                "scenario")
+    scen = _read(scen, "scenario", _KEYS["scenario"])
     if ("preset" in scen) == ("lines" in scen):
         raise ParameterError("scenario block needs exactly one of "
                              "'preset' or explicit 'lines'")
@@ -738,37 +736,31 @@ def _scenario_tables(scen: dict | None, n_segments: int) -> LadderSpec:
                 raise ParameterError(f"scenario.{key} conflicts with "
                                      f"scenario.preset; pick one form")
         tap_count = scen.get("tap_count")
-        if tap_count is not None:
-            tap_count = _number(tap_count, "scenario.tap_count", int)
-            if tap_count >= max(n_segments, 1):
-                raise ParameterError(
-                    f"scenario.tap_count={tap_count}: taps at "
-                    f"i/(tap_count+1) land on interior nodes only when "
-                    f"tap_count <= sim.n_segments - 1 = {n_segments - 1}")
-        return preset_tables(
-            scen["preset"], tap_count=tap_count,
-            tie_resistance_ohm=_number(scen.get("tie_resistance_ohm", 0.0),
-                                       "scenario.tie_resistance_ohm"))
+        if tap_count is not None and tap_count >= max(n_segments, 1):
+            raise ParameterError(
+                f"scenario.tap_count={tap_count}: taps at "
+                f"i/(tap_count+1) land on interior nodes only when "
+                f"tap_count <= sim.n_segments - 1 = {n_segments - 1}")
+        return preset_tables(scen["preset"], tap_count,
+                             scen.get("tie_resistance_ohm", 0.0))
     for key in ("tap_count", "tie_resistance_ohm"):
         if key in scen:
             raise ParameterError(f"scenario.{key} belongs to the preset form; "
                                  f"explicit scenarios use the taps block")
-    name = _string(scen.get("name", ""), "scenario.name")
     return LadderSpec(_parse_line_specs(scen["lines"]),
                       _parse_couplings(scen.get("couplings", [])),
                       _parse_terminations(scen.get("terminations", {})),
-                      _parse_taps(scen.get("taps")), name or "custom")
+                      _parse_taps(scen.get("taps")),
+                      scen.get("name") or "custom")
 
 
 def _read_stimulus(block: dict) -> dict:
-    """A stimulus block, its keys checked and its numbers read by
-    ``_number``: what ``resolve_stimulus`` builds from and a summary echoes."""
-    b = dict(block)
-    _check_keys(b, {"kind", "amplitude_v", "rise_time_s", "delay_s",
-                    "points", "samples"}, "stimulus")
+    """A stimulus block read by ``_read``, then checked against its kind:
+    what ``resolve_stimulus`` builds from and a summary echoes."""
+    b = _read(block, "stimulus", _KEYS["stimulus"])
     kind = b.get("kind", "ramp")
     if kind not in ("step", "ramp", "pwl", "smooth-edge"):
-        raise ParameterError(f"unknown stimulus kind {kind!r}")
+        raise ParameterError(f"unknown stimulus kind {_echo(kind)}")
     if "samples" in b and kind != "smooth-edge":
         raise ParameterError("stimulus: samples is only valid for kind=smooth-edge")
     if "points" in b and kind != "pwl":
@@ -777,8 +769,6 @@ def _read_stimulus(block: dict) -> dict:
         raise ParameterError(f"stimulus: rise_time_s is not used by "
                              f"kind={kind}; only ramp and smooth-edge have "
                              f"a rise time")
-    b.update({k: _number(v, f"stimulus.{k}", int if k == "samples" else float)
-              for k, v in b.items() if k not in ("kind", "points")})
     if "points" in b:
         try:
             b["points"] = [[_number(t, f"stimulus.points[{i}]"),
@@ -818,19 +808,18 @@ def resolve_output(block: dict | None) -> dict:
     filled and each checked."""
     b = _copy_tree(DEFAULT_OUTPUT)
     if block is not None:
-        _check_keys(block, {"directory", "formats", "nodes"}, "output")
-        b.update(_copy_tree(block))
+        b.update(_read(_copy_tree(block), "output", _KEYS["output"]))
     formats = b["formats"]
     if isinstance(formats, str):
         formats = [formats]
     if not isinstance(formats, (list, tuple)):
-        raise ParameterError(f"output.formats must be a list, got {formats!r}")
+        raise ParameterError(f"output.formats must be a list, "
+                             f"got {_echo(formats)}")
     unknown = [f for f in formats if f not in OUTPUT_FORMATS]
     if unknown:
         raise ParameterError(f"output.formats: unknown format(s) "
-                             f"{unknown}; allowed: {OUTPUT_FORMATS}")
+                             f"{_echo(unknown)}; allowed: {OUTPUT_FORMATS}")
     b["formats"] = tuple(formats)
-    _string(b["directory"], "output.directory")
     nodes = b["nodes"]
     if isinstance(nodes, (list, tuple)):
         for i, label in enumerate(nodes):
@@ -887,14 +876,12 @@ def _run_blocks(config: ToolkitConfig) -> tuple:
     """Every block but geometry and overrides, read by its reader:
     (scenario LadderSpec, sim, n_segments, output, stimulus, its block as
     read). The run size is checked before the stimulus is built."""
-    sim_block = config.sim
-    _check_keys(sim_block, {"dt", "t_end", "method", "n_segments"}, "sim")
+    sim_block = _read(config.sim, "sim", _KEYS["sim"])
     if "dt" not in sim_block or "t_end" not in sim_block:
         raise ParameterError("sim block needs dt and t_end")
-    n_segments = _number(sim_block.get("n_segments", 12), "sim.n_segments", int)
-    sim = SimConfig(dt=_number(sim_block["dt"], "sim.dt"),
-                    t_end=_number(sim_block["t_end"], "sim.t_end"),
-                    method=str(sim_block.get("method", "trapezoidal")))
+    n_segments = sim_block.get("n_segments", 12)
+    sim = SimConfig(sim_block["dt"], sim_block["t_end"],
+                    sim_block.get("method", "trapezoidal"))
     spec = _scenario_tables(config.scenario, n_segments)
     output = resolve_output(config.output)
     read = _read_stimulus(config.stimulus)
@@ -919,13 +906,11 @@ def resolve(config: ToolkitConfig) -> ResolvedScenario:
     else:
         labels, known = list(nodes), frozenset(network.nodes[1:])
         missing = [lbl for lbl in labels if lbl not in known]
-        if missing:                     # the first five, and a count
-            raise ParameterError(
-                f"output.nodes: labels not in the network: "
-                f"{_echo(missing[:5])}"
-                + (f" and {len(missing) - 5} more" if missing[5:] else ""))
+        if missing:
+            raise ParameterError(f"output.nodes: labels not in the network: "
+                                 f"{_echo_some(missing)}")
         # the measurements read these traces, so they are always kept
-        out_nodes = tuple(dict.fromkeys([*labels, *roles.values()]))
+        out_nodes = (*labels, *roles.values())
     sim = sim.replace(output_nodes=out_nodes)
 
     params = _tables_params(spec, n_segments)

@@ -63,7 +63,7 @@ import zlib
 import numpy as np
 
 from ._record import Record, field
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, _echo_some
 from .inputs import BLOCK_STEPS, METHODS, SimConfig, Stimulus, block_length
 from .network import GROUND, CoupledNetwork
 
@@ -373,8 +373,9 @@ def run_transient(network: CoupledNetwork, stimulus: Stimulus,
     if sim.output_nodes != "all":
         missing = [lbl for lbl in sim.output_nodes if lbl not in slot]
         if missing:
-            raise ParameterError(f"output_nodes not in network: {missing}")
-        labels, branches = list(dict.fromkeys(sim.output_nodes)), ()
+            raise ParameterError(f"output_nodes not in network: "
+                                 f"{_echo_some(missing)}")
+        labels, branches = list(sim.output_nodes), ()
     keep = np.array([slot[lbl] for lbl in labels if slot[lbl] < n]
                     + list(branches), dtype=int)
 

@@ -15,7 +15,7 @@ import functools
 import math
 
 from ._record import Record
-from .errors import ParameterError
+from .errors import ParameterError, _echo
 
 # typing.TYPE_CHECKING without importing typing, which no command needs
 TYPE_CHECKING = False
@@ -180,8 +180,13 @@ class SimConfig(Record):
             raise ParameterError(f"t_end={self.t_end!r} is not a whole number "
                                  f"of dt={self.dt!r} steps ({steps:.9g})")
         if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}; "
+            raise ParameterError(f"unknown method {_echo(self.method)}; "
                                  f"choose one of {', '.join(METHODS)}")
-        if self.output_nodes != "all":
+        if self.output_nodes != "all":      # each label a string, kept once
+            nodes = tuple(self.output_nodes)
+            for i, label in enumerate(nodes):
+                if not isinstance(label, str):
+                    raise ParameterError(f"output_nodes[{i}] must be a "
+                                         f"string, got {_echo(label)}")
             object.__setattr__(self, "output_nodes",
-                               tuple(str(x) for x in self.output_nodes))
+                               tuple(dict.fromkeys(nodes)))

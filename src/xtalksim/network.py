@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from ._record import Record, field
-from .errors import ParameterError
+from .errors import ParameterError, _echo
 
 ROLES = ("aggressor", "victim", "shield")
 
@@ -60,9 +60,11 @@ class LineSpec(Record):
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
-            raise ParameterError(f"line name must be a string, got {self.name!r}")
+            raise ParameterError(f"line name must be a string, "
+                                 f"got {_echo(self.name)}")
         if self.role not in ROLES:
-            raise ParameterError(f"line {self.name!r}: unknown role {self.role!r}")
+            raise ParameterError(f"line {self.name!r}: unknown role "
+                                 f"{_echo(self.role)}")
         if not (math.isfinite(self.r_total) and self.r_total >= 0):
             raise ParameterError(f"line {self.name!r}: r_total must be >= 0")
         if not (math.isfinite(self.l_total) and self.l_total > 0):
@@ -87,7 +89,7 @@ class TerminationSpec(Record):
                                  f">= 0, got {self.load_capacitance_f!r}")
         if self.source_ref not in ("stimulus", "quiet"):
             raise ParameterError(f"source_ref must be 'stimulus' or 'quiet', "
-                                 f"got {self.source_ref!r}")
+                                 f"got {_echo(self.source_ref)}")
 
 
 class TapSchedule(Record):
@@ -621,7 +623,7 @@ def preset_tables(name: str, tap_count: int | None = None,
     preset's own (0 for "shield", 3 for "shield-3taps").
     """
     if name not in PRESET_NAMES:
-        raise ParameterError(f"unknown scenario preset {name!r}; "
+        raise ParameterError(f"unknown scenario preset {_echo(name)}; "
                              f"choose one of {', '.join(PRESET_NAMES)}")
     if tap_count is None:
         tap_count = 3 if name == "shield-3taps" else 0

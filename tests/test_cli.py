@@ -482,6 +482,10 @@ REFUSALS = {
     "run-fractional-n_segments": (
         "run", "--preset shield --set sim.n_segments=12.5", None, 1,
         "sim.n_segments must be an integer, got 12.5"),
+    # a method is a name: a number is refused as one, not as a method
+    "run-number-for-a-method": (
+        "run", "--preset shield --set sim.method=5", None, 1,
+        "sim.method must be a string, got 5"),
     **{f"run-{key}-{value}": (
         "run", f"--preset shield --set geometry.{key}={value}", None, 1,
         f"geometry block: {key} must be > 0")

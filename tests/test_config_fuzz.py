@@ -5,8 +5,8 @@ edits: a leaf replaced by a value of the wrong kind or size, a key
 deleted, or an unknown key added. ``extract`` and ``export-netlist``
 read it through ``cli.main`` in one worker process whose address space
 is limited, so a run built without bound fails the test and not the
-machine. Every call exits 0 or 1, prints no traceback, and a refused
-call makes no ``--out`` directory.
+machine. Every call exits 0 or 1, prints no traceback and under 1 KB
+of stderr, and a refused call makes no ``--out`` directory.
 
 Raising any numeric leaf of a bundled config changes the resolved run,
 or is refused: no number is read and then ignored.
@@ -35,9 +35,19 @@ SRC = Path(xtalksim.__file__).resolve().parent.parent
 CONFIGS = {path.stem: yaml.safe_load(path.read_text())
            for path in sorted((SRC.parent / "configs").glob("*.yaml"))}
 
-# values of each wrong kind, and numbers at the edges of a float or int
+
+def _tree(levels: int) -> list:
+    """Nine references per level to the level below, nine ones at the
+    bottom: 66,430 values at 5 levels, which yaml writes with aliases."""
+    return functools.reduce(lambda below, _: [below] * 9, range(levels - 1),
+                            [1] * 9)
+
+
+# values of each wrong kind, numbers at the edges of a float or int, a
+# list nested 100 deep and a tree whose echo in full would be 190 KB
 JUNK = (None, True, False, "lots", [1, "a"], {"a": 1}, 0, -0.0, math.nan,
-        math.inf, -math.inf, 1e308, 2**63, 10**30)
+        math.inf, -math.inf, 1e308, 2**63, 10**30,
+        functools.reduce(lambda inner, _: [inner], range(99), [1]), _tree(5))
 DELETE = object()
 
 
@@ -149,6 +159,7 @@ def test_an_edited_config_is_read_or_refused(read_config, edits):
         rc, err, made = read_config(command, text)
         assert rc in (0, 1), err
         assert "Traceback" not in err
+        assert len(err.encode()) < 1024, err[:1024]
         assert rc == 0 or (not made and err.startswith("error: ")), err
 
 

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from _reference import rc_step_max_error
-from xtalksim import cli
+from xtalksim import cli, config
 from xtalksim.config import apply_set_overrides, preset_config, run_scenario
 from xtalksim.extraction import mutual_inductance_bracket
+from xtalksim.network import LineSpec, TapSchedule, TerminationSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -38,6 +39,24 @@ def workdir(tmp_path, monkeypatch):
 def test_readme_has_examples():
     # an empty parameter list would skip the tests below in silence
     assert COMMANDS and PYTHON and DEMOS
+
+
+def test_readme_config_table_states_every_key():
+    """README "Config blocks" gives each key of a block, or of a scenario
+    list's entry, under the kind it is read as: config._KEYS, and the
+    ``float`` fields of an entry's record as numbers."""
+    assert "| Block | Number | Integer | String | Its own rule |" in README
+    rows = re.findall(r"^\| `([\w.]+)(?:\[\w+\])?` \|(.*)\|$", README, re.M)
+    table = {block: {key: kind for kind, cell in zip((float, int, str, None),
+                                                     cells.split("|"))
+                     for key in re.findall(r"`(\w+)`", cell)}
+             for block, cells in rows}
+    records = {"scenario.lines": LineSpec, "scenario.terminations":
+               TerminationSpec, "scenario.taps": TapSchedule}
+    assert table == {**config._KEYS, **{
+        block: {name: float if kind == "float" else None
+                for name, kind in cls.__annotations__.items()}
+        for block, cls in records.items()}}
 
 
 @pytest.mark.parametrize("line", COMMANDS)

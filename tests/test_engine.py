@@ -316,6 +316,24 @@ class TestBehaviour:
         with pytest.raises(ParameterError, match="output_nodes"):
             run_transient(net, EDGE, bad)
 
+    def test_output_nodes_are_strings_kept_once(self):
+        sim = SimConfig(dt=1e-9, t_end=1e-7,
+                        output_nodes=["victim_2", "aggressor_1", "victim_2"])
+        assert sim.output_nodes == ("victim_2", "aggressor_1")
+        with pytest.raises(ParameterError) as err:
+            SimConfig(dt=1e-9, t_end=1e-7, output_nodes=[["a", "b"], 3, "x0"])
+        assert str(err.value) == ("output_nodes[0] must be a string, "
+                                  "got ['a', 'b']")
+
+    def test_unknown_output_nodes_are_listed_five_and_a_count(self):
+        net = build_ladder(preset_tables("shield"), n_segments=2)
+        sim = SimConfig(dt=1e-9, t_end=1e-7,
+                        output_nodes=[f"x{i}" for i in range(1000)])
+        with pytest.raises(ParameterError) as err:
+            run_transient(net, EDGE, sim)
+        assert str(err.value) == ("output_nodes not in network: "
+                                  "['x0', 'x1', 'x2', 'x3', 'x4'] and 995 more")
+
     def test_tuple_output_stores_only_kept_unknowns(self):
         net = build_ladder(preset_tables("shield"), n_segments=2)
         sim = SimConfig(dt=1e-9, t_end=100e-9,
